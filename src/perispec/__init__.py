@@ -14,11 +14,11 @@ from .kernelmath import (
 from .mesh import DiscreteFunction, DomainSpec, Mesh, build_mesh, interpolate
 from .energy import (
     EnergyBreakdown,
-    fractional_energy,
+    energy_gradient,
+    energy_total,
     local_gradient_energy,
     lp_mass,
     nonlocal_energy,
-    nonlocal_energy_gradient,
     scaled_energy,
 )
 from .eigensolver import (

@@ -15,7 +15,6 @@ Exit codes: 0 all verdicts pass, 1 a study failed, 2 config error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,13 +24,12 @@ from .kernelmath import INFINITE, KernelParams, gamma_constant
 from .mesh import DomainSpec, build_mesh
 from .harness import (
     ConfigError,
-    StudyError,
     SweepConfig,
     run_all,
     run_study,
     write_report,
 )
-from .eigensolver import SolverOptions, solve_first_eigenpair, solve_p2_spectrum
+from .eigensolver import solve_first_eigenpair, solve_p2_spectrum
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,15 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="report output directory")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent rows (default 1)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config's solver seed")
 
     e = sub.add_parser("eigen", help="solve a single eigenproblem from a config")
     e.add_argument("--config", required=True,
                    help="JSON with p, s, delta (number or \"INF\"), a, b, n_interior, k_max")
     e.add_argument("--out", default=None, help="write the eigenpair JSON here (default stdout)")
     e.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
-    e.add_argument("--seed", type=int, default=None, help="solver seed override")
 
     for name, help_text in (
         ("sweep-zero", "horizon-to-zero eigenvalue sweep"),
@@ -73,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--config", required=True, help="directory of JSON study configs")
     a.add_argument("--out", default=None, help="report output directory")
     a.add_argument("--threads", type=int, default=1)
-    a.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -101,20 +95,19 @@ def _cmd_eigen(args) -> int:
         domain = DomainSpec(float(d.get("a", 0.0)), float(d.get("b", 1.0)), domain_delta)
         n_interior = int(d.get("n_interior", 128))
         k_max = int(d.get("k_max", 1))
+        mesh = build_mesh(domain, n_interior)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    mesh = build_mesh(domain, n_interior)
     if not math.isinf(params.delta) and mesh.has_collar:
         params = params.with_delta(mesh.delta_effective)
-    opts = SolverOptions(seed=args.seed if args.seed is not None else int(d.get("seed", 0)))
     if abs(params.p - 2.0) < 1e-12:
         pairs = solve_p2_spectrum(mesh, params, k_max)
     else:
         if k_max > 1:
             print("config error: k_max > 1 requires p = 2", file=sys.stderr)
             return 2
-        pairs = [solve_first_eigenpair(mesh, params, opts)]
+        pairs = [solve_first_eigenpair(mesh, params)]
     out = json.dumps([ep.to_json_dict() for ep in pairs], sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -132,15 +125,10 @@ def _cmd_study(args, study: str) -> int:
                 f"{config.name}: config is a {config.study!r} study, "
                 f"but the {study!r} runner was requested"
             )
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         report = run_study(config, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StudyError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
     out_dir = args.out if args.out else "."
     write_report(report, out_dir)
     status = "PASS" if report.passed else "FAIL"

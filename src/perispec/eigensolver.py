@@ -1,7 +1,7 @@
 """Eigenpairs of the discrete truncated fractional p-Laplacian.
 
 For p=2 the problem is a dense symmetric-definite generalized eigenproblem
-(stiffness from the same quadrature tableau the energy uses, exact P1 mass
+(stiffness from the same quadrature templates the energy uses, exact P1 mass
 matrix). For general p the first eigenpair is computed by a nonlinear inverse
 power method: each outer step minimizes the convex functional
 E(v)/p - <|u|^(p-2) u, v> and renormalizes in L^p.  A shooting method for the
@@ -11,7 +11,6 @@ E(v)/p - <|u|^(p-2) u, v> and renormalizes in L^p.  A shooting method for the
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ class SolverOptions:
     max_outer: int = 200
     max_inner: int = 20000
     inner_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.tol_lambda, self.tol_u, self.inner_tol) <= 0:
@@ -77,31 +75,10 @@ def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
     """(stiffness, mass) over interior nodes; stiffness is the polarization of the energy."""
     if abs(params.p - 2.0) > 1e-12:
         raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
-    tab = en._tableau(mesh, params)
-    nn = tab.nn
-    A = np.zeros(nn * nn)
-    if len(tab.w):
-        idx = (tab.xe, tab.xe + 1, tab.ye, tab.ye + 1)
-        coef = (1.0 - tab.xt, tab.xt, -(1.0 - tab.yt), -tab.yt)
-        for ia, ca in zip(idx, coef):
-            for ib, cb in zip(idx, coef):
-                A += np.bincount(ia * nn + ib, tab.w * ca * cb, minlength=nn * nn)
-    if len(tab.same_elems):
-        e = tab.same_elems
-        c = tab.same_coef
-        for ia, ca in ((e, 1.0), (e + 1, -1.0)):
-            for ib, cb in ((e, 1.0), (e + 1, -1.0)):
-                A += np.bincount(ia * nn + ib, np.full(len(e), c * ca * cb), minlength=nn * nn)
-    if len(tab.zw):
-        idx = (tab.ze, tab.ze + 1)
-        coef = (1.0 - tab.zt, tab.zt)
-        for ia, ca in zip(idx, coef):
-            for ib, cb in zip(idx, coef):
-                A += np.bincount(ia * nn + ib, tab.zw * ca * cb, minlength=nn * nn)
-    A = A.reshape(nn, nn)
-    A = 0.5 * (A + A.T)
+    A = en._p2_stiffness(mesh, params)
 
     # exact piecewise-linear L^2 Gram matrix over Omega
+    nn = len(mesh.nodes)
     M = np.zeros((nn, nn))
     lo = mesh.collar_cells
     hi = lo + mesh.n_interior_elements
@@ -319,29 +296,6 @@ def shooting_oracle_lambda1(p: float, length: float) -> float:
         if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
-
-
-_MATRIX_MAGIC = b"PSPD\x01\x00"
-
-
-def save_matrix(path, A: np.ndarray):
-    """Dense row-major float64 dump with a small header carrying n."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    n, m = A.shape
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", n, m))
-        fh.write(A.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MATRIX_MAGIC))
-        if magic != _MATRIX_MAGIC:
-            raise ValueError("not a perispec matrix file")
-        n, m = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(8 * n * m), dtype="<f8")
-    return data.reshape(n, m).copy()
 
 
 def local_reference_lambda(p: float, length: float, k: int = 1) -> float:

@@ -16,9 +16,14 @@ the collar/complement interaction is integrated analytically in the y
 variable, leaving a weighted L^p term with kernel
 k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps [- 2 delta^-ps]).
 
-All quadrature tableaux are cached per (mesh, s, p, delta); energies, exact
-gradients and the p=2 quadratic-form assembly all evaluate the same tableau,
-so the polarization identity holds to rounding error.
+On a uniform mesh the quadrature of a pair depends only on its gap g, so each
+point set (adjacent-pair profile, separated tensor rule, cutoff triangle) is
+stored once as the weights of the element end values at its points, and a
+gap stores only its contiguous element range and its weight vector.  The
+per-element tail and the L^p mass use the same layout with one element per
+row.  The tableau of these templates is cached per (mesh, s, p, delta); the
+energy, its exact gradient and the p=2 stiffness all evaluate it, so the
+polarization identity holds to rounding error.
 """
 
 from __future__ import annotations
@@ -80,14 +85,40 @@ class EnergyBreakdown:
         }
 
 
+def _basis(t: np.ndarray) -> np.ndarray:
+    """2 x len(t): weights of an element's two end values at local points t."""
+    return np.stack([1.0 - t, t])
+
+
+class _Rule:
+    """One point template shared by blocks of elements or element pairs.
+
+    ``basis`` holds, per point, the weights of the nodal values the point
+    reads: rows 0-1 for the two ends of element e and, in a pair rule, rows
+    2-3 for the two ends of element e + g with a minus sign, so the value at
+    a point is u(x) - u(y).  A block (lo, hi, g, w, main) applies the template
+    to every e in [lo, hi) with weights w, one vector for all rows or one row
+    per element; rows main[0]:main[1] (relative to lo) are principal energy,
+    the others interaction.
+    """
+
+    def __init__(self, basis: np.ndarray):
+        self.basis = basis
+        self.blocks = []
+
+    def offsets(self, g: int):
+        return (0, 1) if len(self.basis) == 2 else (0, 1, g, g + 1)
+
+
+def _pair_rule(xt: np.ndarray, yt: np.ndarray) -> _Rule:
+    return _Rule(np.vstack([_basis(xt), -_basis(yt)]))
+
+
 class _Tableau:
-    """Flattened quadrature rule for one (mesh, s, p, delta) combination."""
+    """Per-gap quadrature templates for one (mesh, s, p, delta) combination."""
 
     def __init__(self, mesh: Mesh, params: KernelParams):
-        self.nn = len(mesh.nodes)
-        self.h = mesh.h
         self.p = params.p
-        self.delta = params.delta
         p, s, h = params.p, params.s, mesh.h
         ps = p * s
         alpha = p * (1.0 - s)
@@ -101,7 +132,6 @@ class _Tableau:
         q = self.quadrature_order
         tail_order = _TAIL_ORDER if p >= 2.0 else _TAIL_ORDER_HOLDER
 
-        ne = mesh.element_count
         collar = mesh.collar_cells
         nin = mesh.n_interior_elements
         omega_lo, omega_hi = collar, collar + nin  # Omega elements are [omega_lo, omega_hi)
@@ -114,11 +144,10 @@ class _Tableau:
                     f"kernel horizon {params.delta} does not match mesh "
                     f"delta_effective {mesh.delta_effective}"
                 )
-            r = collar_r = int(round(params.delta / h))
-            gaps = range(1, r + 1)
-            truncated_gap = r
+            truncated_gap = int(round(params.delta / h))
+            gaps = range(1, truncated_gap + 1)
             tail_kernel = None
-            elem_range = range(ne)
+            elem_lo, elem_hi = 0, mesh.element_count
         else:
             # collarless mesh (or collar mesh at infinite horizon): full pair set
             # over Omega elements plus the analytic complement/collar tail.
@@ -127,7 +156,6 @@ class _Tableau:
                 raise InconsistentHorizonError(
                     f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}"
                 )
-            r = None
             gaps = range(1, nin)
             truncated_gap = -1
             a, b = mesh.domain.a, mesh.domain.b
@@ -139,20 +167,15 @@ class _Tableau:
             def tail_kernel(x, _a=a, _b=b, _ps=ps, _shift=shift):
                 return (np.power(x - _a, -_ps) + np.power(_b - x, -_ps)) / _ps - _shift
 
-            elem_range = range(omega_lo, omega_hi)
+            elem_lo, elem_hi = omega_lo, omega_hi
 
-        def is_omega(e):
-            return omega_lo <= e < omega_hi
-
-        # same-element closed form over Omega elements
-        self.same_elems = np.array([e for e in elem_range if is_omega(e)], dtype=np.int64)
-        self.same_coef = 2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))
-
-        gx, gw = _gauss01(q)
-        xe_blocks, xt_blocks, ye_blocks, yt_blocks, w_blocks, cross_blocks = \
-            [], [], [], [], [], []
-        self.block_slices = []
-        pos = 0
+        # same-element closed form over Omega elements: the point value is the
+        # nodal difference across the element
+        same = _Rule(np.array([[-1.0], [1.0]]))
+        same.blocks.append((omega_lo, omega_hi, 0,
+                            np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]),
+                            (0, nin)))
+        self.rules = [same]
 
         # adjacent (vertex-sharing) template: 1-D profile in tau
         tn, tw = [], []
@@ -164,95 +187,57 @@ class _Tableau:
                 tw.append(width * aw)
         tau = np.concatenate(tn)
         wtau = np.concatenate(tw)
+        that = np.ones_like(tau) if truncated_gap == 1 else 1.0 / np.maximum(tau, 1.0 - tau)
+        adjacent = _pair_rule(1.0 - that * (1.0 - tau), that * tau)
+        w_adjacent = 2.0 * wtau * (h * that) ** (1.0 - ps) / (alpha + 1.0)
+
+        gx, gw = _gauss01(q)
+        xi = np.repeat(gx, q)
+        eta = np.tile(gx, q)
+        ww = np.repeat(gw, q) * np.tile(gw, q) * h ** (1.0 - ps)
+        separated = _pair_rule(xi, eta)
+        # triangular subregion eta < xi of the cutoff pair; the rule is
+        # symmetrized with its mirror image so reflecting the function
+        # reproduces the energy to rounding error
+        eta_t = xi * eta
+        triangle = _pair_rule(np.concatenate([xi, 1.0 - eta_t]),
+                              np.concatenate([eta_t, 1.0 - xi]))
 
         for g in gaps:
-            lo_e = elem_range.start
-            hi_e = elem_range.stop - g
-            elems = np.array(
-                [e for e in range(lo_e, hi_e)
-                 if is_omega(e) or is_omega(e + g)],
-                dtype=np.int64,
-            )
-            if len(elems) == 0:
+            # elements e with e or e + g in Omega; on a collar mesh with g
+            # above the Omega element count the range also holds pairs with
+            # both elements in the collar, which contribute nothing
+            lo = max(elem_lo, omega_lo - g)
+            hi = min(elem_hi - g, omega_hi)
+            if hi <= lo:
                 continue
-            cross = np.array([not (is_omega(e) and is_omega(e + g)) for e in elems])
+            main = (max(lo, omega_lo) - lo, max(lo, omega_lo, omega_hi - g) - lo)
             if g == 1:
-                that = np.ones_like(tau) if truncated_gap == 1 \
-                    else 1.0 / np.maximum(tau, 1.0 - tau)
-                xt = 1.0 - that * (1.0 - tau)
-                yt = that * tau
-                wq = 2.0 * wtau * (h * that) ** (1.0 - ps) / (alpha + 1.0)
-                xloc, yloc = xt, yt
-                xoff = np.zeros_like(xt, dtype=np.int64)
+                adjacent.blocks.append((lo, hi, g, w_adjacent, main))
             elif g == truncated_gap:
-                # triangular subregion eta < xi of the cutoff pair; the rule
-                # is symmetrized with its mirror image so reflecting the
-                # function reproduces the energy to rounding error
-                xi = np.repeat(gx, q)
-                eta = xi * np.tile(gx, q)
-                half = (np.repeat(gw, q) * np.tile(gw, q) * xi
-                        * h ** (1.0 - ps) * (g + eta - xi) ** (-(1.0 + ps)))
-                wq = np.concatenate([half, half])
-                xloc = np.concatenate([xi, 1.0 - eta])
-                yloc = np.concatenate([eta, 1.0 - xi])
-                xoff = np.zeros_like(xloc, dtype=np.int64)
+                half = ww * xi * (g + eta_t - xi) ** (-(1.0 + ps))
+                triangle.blocks.append((lo, hi, g, np.concatenate([half, half]), main))
             else:
-                xi = np.repeat(gx, q)
-                eta = np.tile(gx, q)
-                wq = (2.0 * np.repeat(gw, q) * np.tile(gw, q)
-                      * h ** (1.0 - ps) * (g + eta - xi) ** (-(1.0 + ps)))
-                xloc, yloc = xi, eta
-                xoff = np.zeros_like(xi, dtype=np.int64)
-            t = len(xloc)
-            m = len(elems)
-            xe_blocks.append(np.repeat(elems, t) + np.tile(xoff, m))
-            xt_blocks.append(np.tile(xloc, m))
-            ye_blocks.append(np.repeat(elems + g, t))
-            yt_blocks.append(np.tile(yloc, m))
-            w_blocks.append(np.tile(wq, m))
-            cross_blocks.append(np.repeat(cross, t))
-            self.block_slices.append(slice(pos, pos + t * m))
-            pos += t * m
-
-        if pos:
-            self.xe = np.concatenate(xe_blocks)
-            self.xt = np.concatenate(xt_blocks)
-            self.ye = np.concatenate(ye_blocks)
-            self.yt = np.concatenate(yt_blocks)
-            self.w = np.concatenate(w_blocks)
-            self.cross = np.concatenate(cross_blocks)
-        else:
-            self.xe = np.zeros(0, dtype=np.int64)
-            self.xt = self.yt = self.w = np.zeros(0)
-            self.ye = np.zeros(0, dtype=np.int64)
-            self.cross = np.zeros(0, dtype=bool)
+                separated.blocks.append((lo, hi, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)),
+                                         main))
+        self.rules += [r for r in (adjacent, separated, triangle) if r.blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
         if tail_kernel is not None:
             tx, twt = _gauss01(tail_order)
-            ze, zt, zw = [], [], []
-            nodes = mesh.nodes
-            for e in range(omega_lo, omega_hi):
-                if e == omega_lo:
-                    bps = np.concatenate(
-                        ([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))
-                elif e == omega_hi - 1:
-                    bps = 1.0 - np.concatenate(
-                        ([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))[::-1]
-                else:
-                    bps = np.array([0.0, 1.0])
-                for lo, hi in zip(bps[:-1], bps[1:]):
-                    loc = lo + (hi - lo) * tx
-                    x = nodes[e] + h * loc
-                    ze.append(np.full(len(loc), e, dtype=np.int64))
-                    zt.append(loc)
-                    zw.append(2.0 * (hi - lo) * h * twt * tail_kernel(x))
-            self.ze = np.concatenate(ze)
-            self.zt = np.concatenate(zt)
-            self.zw = np.concatenate(zw)
-        else:
-            self.ze = np.zeros(0, dtype=np.int64)
-            self.zt = self.zw = np.zeros(0)
+            grade = np.concatenate(([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))
+            for lo, hi, cuts in ((omega_lo, omega_lo + 1, grade),
+                                 (omega_lo + 1, omega_hi - 1, np.array([0.0, 1.0])),
+                                 (omega_hi - 1, omega_hi, 1.0 - grade[::-1])):
+                if hi <= lo:
+                    continue
+                widths = np.diff(cuts)
+                loc = np.concatenate([c + wd * tx for c, wd in zip(cuts[:-1], widths)])
+                wloc = np.concatenate([wd * twt for wd in widths])
+                x = mesh.nodes[lo:hi, None] + h * loc
+                rule = _Rule(_basis(loc))
+                rule.blocks.append((lo, hi, 0, 2.0 * h * wloc * tail_kernel(x), (0, 0)))
+                self.rules.append(rule)
 
 
 _CACHE: "OrderedDict[tuple, _Tableau]" = OrderedDict()
@@ -283,78 +268,74 @@ def _check_constrained(u: DiscreteFunction):
         raise ConstraintViolationError("function is nonzero on the collar / boundary nodes")
 
 
-def _pair_diffs(tab: _Tableau, vals: np.ndarray) -> np.ndarray:
-    ux = vals[tab.xe] * (1.0 - tab.xt) + vals[tab.xe + 1] * tab.xt
-    uy = vals[tab.ye] * (1.0 - tab.yt) + vals[tab.ye + 1] * tab.yt
-    return ux - uy
+def _block_values(rules, vals: np.ndarray):
+    """(rule, block, values at the block's points, one row per element) per block.
+
+    The element end values are mapped to a rule's points once, for all
+    elements, and each block reads its rows as slices."""
+    ends = np.stack([vals[:-1], vals[1:]], axis=1)
+    for rule in rules:
+        at_x = ends @ rule.basis[:2]
+        at_y = ends @ rule.basis[2:] if len(rule.basis) == 4 else None
+        for block in rule.blocks:
+            lo, hi, g = block[:3]
+            d = at_x[lo:hi]
+            if at_y is not None:
+                d = d + at_y[lo + g:hi + g]
+            yield rule, block, d
 
 
-def _energy_total(tab: _Tableau, vals: np.ndarray) -> float:
-    p = tab.p
-    acc = 0.0
-    if len(tab.w):
-        d = _pair_diffs(tab, vals)
-        acc += float(np.dot(tab.w, np.abs(d) ** p))
-    if len(tab.same_elems):
-        dm = vals[tab.same_elems + 1] - vals[tab.same_elems]
-        acc += tab.same_coef * float(np.sum(np.abs(dm) ** p))
-    if len(tab.zw):
-        uz = vals[tab.ze] * (1.0 - tab.zt) + vals[tab.ze + 1] * tab.zt
-        acc += float(np.dot(tab.zw, np.abs(uz) ** p))
-    return acc
+def _power_parts(rules, vals: np.ndarray, p: float):
+    """(principal, interaction): the weighted sums of |value|^p over the points."""
+    principal, interaction = [], []
+    for _, (_, _, _, w, (a, b)), d in _block_values(rules, vals):
+        powered = np.abs(d) ** p
+        rows = powered @ w if w.ndim == 1 else np.einsum("ij,ij->i", powered, w)
+        principal.append(rows[a:b])
+        interaction += [rows[:a], rows[b:]]
+    return float(np.sum(np.concatenate(principal))), float(np.sum(np.concatenate(interaction)))
 
 
-def _energy_parts(tab: _Tableau, vals: np.ndarray):
-    """(principal, interaction) with per-block compensated merging."""
-    p = tab.p
-    principal_terms, interaction_terms = [], []
-    if len(tab.w):
-        contrib = tab.w * np.abs(_pair_diffs(tab, vals)) ** p
-        for sl in tab.block_slices:
-            c = contrib[sl]
-            x = tab.cross[sl]
-            principal_terms.append(float(np.sum(c[~x])))
-            interaction_terms.append(float(np.sum(c[x])))
-    if len(tab.same_elems):
-        dm = vals[tab.same_elems + 1] - vals[tab.same_elems]
-        principal_terms.append(tab.same_coef * float(np.sum(np.abs(dm) ** p)))
-    if len(tab.zw):
-        uz = vals[tab.ze] * (1.0 - tab.zt) + vals[tab.ze + 1] * tab.zt
-        interaction_terms.append(float(np.dot(tab.zw, np.abs(uz) ** p)))
-    return math.fsum(principal_terms), math.fsum(interaction_terms)
+def _power_gradient(rules, vals: np.ndarray, p: float) -> np.ndarray:
+    """Exact nodal gradient of the total of _power_parts."""
+    grad = np.zeros(len(vals))
+    for rule, (lo, hi, g, w, _), d in _block_values(rules, vals):
+        f = np.abs(d) ** (p - 1.0)
+        f *= np.sign(d)
+        f *= w
+        per_node = f @ rule.basis.T
+        for k, off in enumerate(rule.offsets(g)):
+            grad[lo + off:hi + off] += per_node[:, k]
+    return p * grad
 
 
-def _energy_gradient(tab: _Tableau, vals: np.ndarray) -> np.ndarray:
-    p = tab.p
-    nn = tab.nn
-    grad = np.zeros(nn)
-    if len(tab.w):
-        d = _pair_diffs(tab, vals)
-        g = p * tab.w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        grad += np.bincount(tab.xe, g * (1.0 - tab.xt), minlength=nn)
-        grad += np.bincount(tab.xe + 1, g * tab.xt, minlength=nn)
-        grad -= np.bincount(tab.ye, g * (1.0 - tab.yt), minlength=nn)
-        grad -= np.bincount(tab.ye + 1, g * tab.yt, minlength=nn)
-    if len(tab.same_elems):
-        dm = vals[tab.same_elems + 1] - vals[tab.same_elems]
-        gm = p * tab.same_coef * np.abs(dm) ** (p - 1.0) * np.sign(dm)
-        grad += np.bincount(tab.same_elems + 1, gm, minlength=nn)
-        grad -= np.bincount(tab.same_elems, gm, minlength=nn)
-    if len(tab.zw):
-        uz = vals[tab.ze] * (1.0 - tab.zt) + vals[tab.ze + 1] * tab.zt
-        gz = p * tab.zw * np.abs(uz) ** (p - 1.0) * np.sign(uz)
-        grad += np.bincount(tab.ze, gz * (1.0 - tab.zt), minlength=nn)
-        grad += np.bincount(tab.ze + 1, gz * tab.zt, minlength=nn)
-    return grad
+def _p2_stiffness(mesh: Mesh, params: KernelParams) -> np.ndarray:
+    """Symmetric nodal matrix A with u.A.u = energy_total(u) at p=2.
+
+    Each block adds its 4x4 (2x2 for one-element rules) matrix
+    basis diag(w) basis^T along the node diagonals at offsets 0, 1, g, g+1."""
+    nn = len(mesh.nodes)
+    A = np.zeros((nn, nn))
+    flat = A.reshape(-1)
+    for rule in _tableau(mesh, params).rules:
+        for lo, hi, g, w, _ in rule.blocks:
+            local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
+            span = (hi - lo) * (nn + 1)
+            offsets = rule.offsets(g)
+            for i, oi in enumerate(offsets):
+                for j, oj in enumerate(offsets):
+                    start = (lo + oi) * nn + lo + oj
+                    flat[start:start + span:nn + 1] += local[..., i, j]
+    return 0.5 * (A + A.T)
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
     """Truncated seminorm of u to the p-th power, split principal/interaction."""
     if params.is_infinite:
-        raise InconsistentHorizonError("use fractional_energy for the infinite horizon")
+        raise InconsistentHorizonError("use energy_total for the infinite horizon")
     _check_constrained(u)
     tab = _tableau(u.mesh, params)
-    principal, interaction = _energy_parts(tab, u.values)
+    principal, interaction = _power_parts(tab.rules, u.values, tab.p)
     return EnergyBreakdown(
         principal=principal,
         interaction=interaction,
@@ -364,27 +345,20 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
     )
 
 
-def nonlocal_energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    """Exact nodal gradient of the discrete truncated energy (collar entries included)."""
-    if params.is_infinite:
-        raise InconsistentHorizonError("use fractional_energy_gradient for the infinite horizon")
+def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
+    """Total seminorm^p for any horizon (finite truncated or infinite); for the
+    infinite horizon the complement tail is integrated analytically."""
     _check_constrained(u)
-    return _energy_gradient(_tableau(u.mesh, params), u.values)
+    tab = _tableau(u.mesh, params)
+    principal, interaction = _power_parts(tab.rules, u.values, tab.p)
+    return principal + interaction
 
 
-def fractional_energy(u: DiscreteFunction, params: KernelParams) -> float:
-    """Untruncated seminorm^p with the complement tail integrated analytically."""
-    if not params.is_infinite:
-        raise ValueError("fractional_energy requires delta=INFINITE kernel parameters")
+def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
+    """Exact nodal gradient of energy_total (collar entries included)."""
     _check_constrained(u)
-    return _energy_total(_tableau(u.mesh, params), u.values)
-
-
-def fractional_energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    if not params.is_infinite:
-        raise ValueError("fractional_energy_gradient requires delta=INFINITE")
-    _check_constrained(u)
-    return _energy_gradient(_tableau(u.mesh, params), u.values)
+    tab = _tableau(u.mesh, params)
+    return _power_gradient(tab.rules, u.values, tab.p)
 
 
 def scaled_energy(u: DiscreteFunction, params: KernelParams) -> float:
@@ -401,43 +375,20 @@ def local_gradient_energy(u: DiscreteFunction, p: float) -> float:
     return float(np.sum(np.abs(dm) ** p)) * mesh.h ** (1.0 - p)
 
 
-def _omega_quad_points(mesh: Mesh):
+def _mass_rules(mesh: Mesh):
     gx, gw = _gauss01(_TAIL_ORDER)
     lo = mesh.collar_cells
-    hi = lo + mesh.n_interior_elements
-    elems = np.arange(lo, hi, dtype=np.int64)
-    ze = np.repeat(elems, len(gx))
-    zt = np.tile(gx, len(elems))
-    zw = np.tile(gw * mesh.h, len(elems))
-    return ze, zt, zw
+    nin = mesh.n_interior_elements
+    rule = _Rule(_basis(gx))
+    rule.blocks.append((lo, lo + nin, 0, gw * mesh.h, (0, nin)))
+    return [rule]
 
 
 def lp_mass(u: DiscreteFunction, p: float) -> float:
     """Integral of |u|^p over Omega by per-element Gauss quadrature."""
-    ze, zt, zw = _omega_quad_points(u.mesh)
-    uz = u.values[ze] * (1.0 - zt) + u.values[ze + 1] * zt
-    return float(np.dot(zw, np.abs(uz) ** p))
+    return _power_parts(_mass_rules(u.mesh), u.values, p)[0]
 
 
 def lp_mass_gradient(u: DiscreteFunction, p: float) -> np.ndarray:
     """Exact nodal gradient of lp_mass under the same quadrature."""
-    nn = len(u.mesh.nodes)
-    ze, zt, zw = _omega_quad_points(u.mesh)
-    uz = u.values[ze] * (1.0 - zt) + u.values[ze + 1] * zt
-    g = p * zw * np.abs(uz) ** (p - 1.0) * np.sign(uz)
-    grad = np.bincount(ze, g * (1.0 - zt), minlength=nn)
-    grad += np.bincount(ze + 1, g * zt, minlength=nn)
-    return grad
-
-
-def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
-    """Total seminorm^p for any horizon (finite truncated or infinite)."""
-    if params.is_infinite:
-        return fractional_energy(u, params)
-    return nonlocal_energy(u, params).total
-
-
-def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    if params.is_infinite:
-        return fractional_energy_gradient(u, params)
-    return nonlocal_energy_gradient(u, params)
+    return _power_gradient(_mass_rules(u.mesh), u.values, p)

@@ -10,7 +10,6 @@ recorded and used downstream.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -90,36 +89,6 @@ class Mesh:
     def interior_indices(self) -> np.ndarray:
         return np.flatnonzero(self.interior_mask)
 
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "a": self.domain.a,
-            "b": self.domain.b,
-            "delta_requested": "INF" if math.isinf(self.domain.delta) else self.domain.delta,
-            "h": self.h,
-            "delta_effective": "INF" if math.isinf(self.delta_effective) else self.delta_effective,
-            "collar_cells": self.collar_cells,
-            "snapped": self.snapped,
-            "nodes": self.nodes.tolist(),
-            "interior_mask": self.interior_mask.astype(int).tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Mesh":
-        d = json.loads(text)
-        delta_req = INFINITE if d["delta_requested"] == "INF" else float(d["delta_requested"])
-        delta_eff = INFINITE if d["delta_effective"] == "INF" else float(d["delta_effective"])
-        return Mesh(
-            domain=DomainSpec(float(d["a"]), float(d["b"]), delta_req),
-            nodes=np.asarray(d["nodes"], dtype=float),
-            h=float(d["h"]),
-            interior_mask=np.asarray(d["interior_mask"], dtype=bool),
-            delta_effective=delta_eff,
-            collar_cells=int(d["collar_cells"]),
-            snapped=bool(d["snapped"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteFunction:
@@ -148,15 +117,6 @@ class DiscreteFunction:
 
     def collar_is_zero(self) -> bool:
         return bool(np.all(self.values[~self.mesh.interior_mask] == 0.0))
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "values": self.values.tolist(),
-            "truncated": self.truncated,
-            "mesh_fingerprint": self.mesh.fingerprint,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:

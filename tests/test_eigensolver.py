@@ -12,12 +12,9 @@ from perispec.kernelmath import (
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
 from perispec.energy import energy_total, lp_mass
 from perispec.eigensolver import (
-    SolverOptions,
     WrongExponentError,
     assemble_p2_matrices,
-    load_matrix,
     local_reference_lambda,
-    save_matrix,
     shooting_oracle_lambda1,
     solve_first_eigenpair,
     solve_p2_spectrum,
@@ -31,10 +28,14 @@ def embed(mesh, x):
 
 
 class TestP2Assembly:
-    @pytest.mark.parametrize("delta", [0.25, INFINITE])
-    def test_quadratic_form_matches_energy(self, delta):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, delta), 12)
-        params = KernelParams(0.5, 2.0, delta if math.isinf(delta) else mesh.delta_effective)
+    # (mesh horizon, kernel horizon): collar mesh, collarless INF, and the
+    # collarless finite horizon whose tail carries the -2 delta^-ps shift
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", [
+        (0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0),
+    ], ids=["0.25", "inf", "inf-2.0"])
+    def test_quadratic_form_matches_energy(self, mesh_delta, kernel_delta):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
+        params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
         A, _ = assemble_p2_matrices(mesh, params)
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -145,7 +146,7 @@ class TestInversePower:
         # lambda equals the quotient of its own eigenfunction
         quotient = energy_total(ep.eigenfunction, params) / lp_mass(ep.eigenfunction, 3.0)
         assert quotient == pytest.approx(ep.lam, rel=1e-10)
-        rng = np.random.default_rng(SolverOptions().seed)
+        rng = np.random.default_rng(0)
         n = int(mesh.interior_mask.sum())
         for _ in range(100):
             v = embed(mesh, rng.standard_normal(n))
@@ -185,18 +186,3 @@ class TestShootingOracle:
                                                                     rel=1e-14)
         assert local_reference_lambda(3.0, 1.0, 1) == pytest.approx(
             local_p_laplacian_lambda1(3.0, 1.0), rel=1e-8)
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((7, 7))
-        path = tmp_path / "matrix.bin"
-        save_matrix(path, A)
-        assert np.array_equal(load_matrix(path), A)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a matrix at all")
-        with pytest.raises(ValueError):
-            load_matrix(path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,10 @@ from perispec.energy import (
     InconsistentHorizonError,
     energy_gradient,
     energy_total,
-    fractional_energy,
-    fractional_energy_gradient,
     local_gradient_energy,
     lp_mass,
     lp_mass_gradient,
     nonlocal_energy,
-    nonlocal_energy_gradient,
     scaled_energy,
 )
 
@@ -146,7 +144,7 @@ class TestStructuralInvariants:
         u = random_function(mesh, np.random.default_rng(9))
         s, p = 0.5, 2.5
         values = [energy_total(u, KernelParams(s, p, d)) for d in (1.0, 2.0, 4.0, 8.0)]
-        full = fractional_energy(u, KernelParams(s, p, INFINITE))
+        full = energy_total(u, KernelParams(s, p, INFINITE))
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < full for v in values)
 
@@ -167,20 +165,22 @@ class TestStructuralInvariants:
             nonlocal_energy(u, self.params)
 
     def test_infinite_finite_dispatch(self):
+        # the breakdown is of the truncated energy; energy_total covers INF
         with pytest.raises(InconsistentHorizonError):
             nonlocal_energy(self.u, KernelParams(0.5, 2.5, INFINITE))
-        with pytest.raises(ValueError):
-            fractional_energy(self.u, self.params)
 
     def test_gradient_dispatchers(self):
-        g1 = energy_gradient(self.u, self.params)
-        g2 = nonlocal_energy_gradient(self.u, self.params)
-        assert np.array_equal(g1, g2)
+        # On a collarless mesh a finite horizon delta >= |Omega| shifts the
+        # INF energy by -(4/(ps)) delta^(-ps) ||u||_p^p; at p=2 both tail
+        # quadratures are exact, so the gradients differ by exactly that.
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
         u = random_function(mesh, np.random.default_rng(2))
-        params = KernelParams(0.5, 2.5, INFINITE)
-        assert np.array_equal(energy_gradient(u, params),
-                              fractional_energy_gradient(u, params))
+        s, delta = 0.5, 2.0
+        g_inf = energy_gradient(u, KernelParams(s, 2.0, INFINITE))
+        g_delta = energy_gradient(u, KernelParams(s, 2.0, delta))
+        shift = 4.0 / (2.0 * s) * delta ** (-2.0 * s)
+        expected = g_inf - shift * lp_mass_gradient(u, 2.0)
+        assert np.linalg.norm(g_delta - expected) <= 1e-12 * np.linalg.norm(g_inf)
 
     def test_breakdown_serialization(self):
         d = nonlocal_energy(self.u, self.params).to_json_dict()
@@ -217,3 +217,19 @@ class TestMassAndLocalEnergy:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 1024)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         assert local_gradient_energy(u, 2.0) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-5)
+
+
+class TestTableauMemory:
+    def test_cold_tableau_is_small(self):
+        # per-gap templates: O(r q^2 + n) floats, not one copy per element pair
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        u = random_function(mesh, np.random.default_rng(4))
+        params = KernelParams(0.4375, 3.0, INFINITE)  # a key no other test builds
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            energy_total(u, params)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 2 ** 16 < retained < 4 * 2 ** 20  # the lower bound shows the build was cold

@@ -10,10 +10,10 @@ from perispec.harness import (
     run_all,
     run_bbm_check,
     run_delta_zero_study,
-    run_study,
     write_report,
 )
-from perispec import cli
+from perispec import cli, harness
+from perispec.eigensolver import EigenPair
 
 
 def base_config(**overrides):
@@ -126,9 +126,28 @@ class TestStudies:
 
     def test_inf_study_requires_horizon_at_least_domain(self):
         d = base_config(study="inf", delta_list=[0.5, 1.0, "INF"], n_interior=16)
-        cfg = SweepConfig.from_dict(d)
         with pytest.raises(ConfigError):
-            run_study(cfg)
+            SweepConfig.from_dict(d)
+
+    def test_failed_monotonicity_still_writes_report(self, tmp_path, monkeypatch):
+        # a solver whose eigenvalue decreases in delta fails the check, and
+        # the study still finishes and leaves its report behind
+        lams = iter([3.0, 2.0, 1.0])
+
+        def decreasing(mesh, params, opts=None, initial=None):
+            return EigenPair(next(lams), initial, 1, 0.0, 1)
+
+        monkeypatch.setattr(harness, "solve_first_eigenpair", decreasing)
+        cfg_path = tmp_path / "mono.json"
+        cfg_path.write_text(json.dumps(base_config(
+            study="inf", p=3.0, delta_list=[1.0, 2.0, "INF"], n_interior=8, name="mono")))
+        assert cli.main(["sweep-inf", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads((tmp_path / "out" / "mono.json").read_text())
+        assert payload["checks"]["monotonicity"] is False
+        assert payload["verdicts"] == {"1": False}
+        assert payload["passed"] is False
+        assert (tmp_path / "out" / "mono.csv").exists()
 
     def test_report_determinism_across_threads(self):
         cfg = SweepConfig.from_dict(base_config(), name="det")
@@ -213,5 +232,24 @@ class TestCli:
 
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
-        cfg_path.write_text(json.dumps({"p": 2.0}))
-        assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
+        for cfg in ({"p": 2.0},
+                    # horizon below one cell: the mesh cannot be built
+                    {"p": 3, "s": 0.5, "delta": 0.001, "n_interior": 8}):
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
+
+    def test_sweep_inf_config_error_before_any_solve(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solver called for an invalid config")
+
+        monkeypatch.setattr(harness, "solve_first_eigenpair", counting)
+        monkeypatch.setattr(harness, "solve_p2_spectrum", counting)
+        cfg_path = tmp_path / "noinf.json"
+        cfg_path.write_text(json.dumps(base_config(
+            study="inf", delta_list=[1.0, 2.0, 4.0], n_interior=16)))
+        assert cli.main(["sweep-inf", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert calls == []

@@ -9,7 +9,6 @@ from perispec.mesh import (
     DomainSpec,
     HorizonUnderresolvedError,
     InvalidFunctionError,
-    Mesh,
     build_mesh,
     interpolate,
 )
@@ -67,18 +66,6 @@ class TestBuildMesh:
         m3 = build_mesh(DomainSpec(0.0, 1.0, 0.5), 16)
         assert m1.fingerprint == m2.fingerprint
         assert m1.fingerprint != m3.fingerprint
-
-    def test_json_round_trip(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        back = Mesh.from_json(mesh.to_json())
-        assert np.array_equal(back.nodes, mesh.nodes)
-        assert back.fingerprint == mesh.fingerprint
-        assert back.collar_cells == mesh.collar_cells
-
-    def test_json_round_trip_infinite(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
-        back = Mesh.from_json(mesh.to_json())
-        assert math.isinf(back.delta_effective)
 
 
 class TestDiscreteFunction:
