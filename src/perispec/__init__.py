@@ -16,16 +16,12 @@ from .energy import (
     EnergyBreakdown,
     energy_gradient,
     energy_total,
-    local_gradient_energy,
     lp_mass,
     nonlocal_energy,
-    scaled_energy,
 )
 from .eigensolver import (
     EigenPair,
-    SolverOptions,
     assemble_p2_matrices,
     shooting_oracle_lambda1,
-    solve_first_eigenpair,
-    solve_p2_spectrum,
+    solve_eigenpairs,
 )

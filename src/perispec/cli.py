@@ -22,14 +22,8 @@ import sys
 from . import __version__
 from .kernelmath import INFINITE, KernelParams, gamma_constant
 from .mesh import DomainSpec, build_mesh
-from .harness import (
-    ConfigError,
-    SweepConfig,
-    run_all,
-    run_study,
-    write_report,
-)
-from .eigensolver import solve_first_eigenpair, solve_p2_spectrum
+from .harness import run_all, run_configs
+from .eigensolver import SpectrumRequestError, solve_eigenpairs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("N", type=int, help="spatial dimension (1, 2 or 3)")
     g.add_argument("P", type=float, help="exponent p > 1")
 
-    def study_flags(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
-                        help="path to a JSON study config")
+    def study_flags(sp, config_help="path to a JSON study config"):
+        sp.add_argument("--config", required=True, help=config_help)
         sp.add_argument("--out", default=None, help="report output directory")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent rows (default 1)")
@@ -55,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", required=True,
                    help="JSON with p, s, delta (number or \"INF\"), a, b, n_interior, k_max")
     e.add_argument("--out", default=None, help="write the eigenpair JSON here (default stdout)")
-    e.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     for name, help_text in (
         ("sweep-zero", "horizon-to-zero eigenvalue sweep"),
@@ -64,22 +56,24 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         study_flags(sub.add_parser(name, help=help_text))
 
-    a = sub.add_parser("all", help="run every study config in a directory")
-    a.add_argument("--config", required=True, help="directory of JSON study configs")
-    a.add_argument("--out", default=None, help="report output directory")
-    a.add_argument("--threads", type=int, default=1)
+    study_flags(sub.add_parser("all", help="run every study config in a directory"),
+                "directory of JSON study configs")
     return parser
 
 
 _STUDY_OF_COMMAND = {"sweep-zero": "zero", "sweep-inf": "inf", "bbm": "bbm"}
 
 
+def _config_error(exc) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gamma(args) -> int:
     try:
         value = gamma_constant(args.N, args.P)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     print(repr(value))
     return 0
 
@@ -97,17 +91,13 @@ def _cmd_eigen(args) -> int:
         k_max = int(d.get("k_max", 1))
         mesh = build_mesh(domain, n_interior)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     if not math.isinf(params.delta) and mesh.has_collar:
         params = params.with_delta(mesh.delta_effective)
-    if abs(params.p - 2.0) < 1e-12:
-        pairs = solve_p2_spectrum(mesh, params, k_max)
-    else:
-        if k_max > 1:
-            print("config error: k_max > 1 requires p = 2", file=sys.stderr)
-            return 2
-        pairs = [solve_first_eigenpair(mesh, params)]
+    try:
+        pairs = solve_eigenpairs(mesh, params, k_max)
+    except SpectrumRequestError as exc:
+        return _config_error(exc)
     out = json.dumps([ep.to_json_dict() for ep in pairs], sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -115,26 +105,6 @@ def _cmd_eigen(args) -> int:
     else:
         sys.stdout.write(out)
     return 0 if all(ep.converged for ep in pairs) else 1
-
-
-def _cmd_study(args, study: str) -> int:
-    try:
-        config = SweepConfig.from_file(args.config)
-        if config.study != study:
-            raise ConfigError(
-                f"{config.name}: config is a {config.study!r} study, "
-                f"but the {study!r} runner was requested"
-            )
-        report = run_study(config, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out if args.out else "."
-    write_report(report, out_dir)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{status} {config.name} rel_errors="
-          f"{ {k: float(f'{v:.3e}') for k, v in report.rel_errors.items()} }")
-    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
@@ -145,7 +115,8 @@ def main(argv=None) -> int:
         return _cmd_eigen(args)
     if args.command == "all":
         return run_all(args.config, out_dir=args.out, threads=args.threads)
-    return _cmd_study(args, _STUDY_OF_COMMAND[args.command])
+    return run_configs([args.config], args.out or ".", args.threads,
+                       study=_STUDY_OF_COMMAND[args.command])
 
 
 if __name__ == "__main__":

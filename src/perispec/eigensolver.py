@@ -1,11 +1,12 @@
 """Eigenpairs of the discrete truncated fractional p-Laplacian.
 
-For p=2 the problem is a dense symmetric-definite generalized eigenproblem
-(stiffness from the same quadrature templates the energy uses, exact P1 mass
-matrix). For general p the first eigenpair is computed by a nonlinear inverse
-power method: each outer step minimizes the convex functional
-E(v)/p - <|u|^(p-2) u, v> and renormalizes in L^p.  A shooting method for the
-1-D p-Laplacian ODE provides an independent reference for the local limit.
+``solve_eigenpairs`` is the entry point.  For p=2 the problem is a dense
+symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from
+the same quadrature the energy and the L^p mass use).  For general p the first
+eigenpair is computed by a nonlinear inverse power method: each outer step
+minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
+L^p.  A shooting method for the 1-D p-Laplacian ODE provides an independent
+reference for the local limit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ class OracleFailureError(RuntimeError):
     """Shooting oracle could not bracket the eigenvalue."""
 
 
+class SpectrumRequestError(ValueError):
+    """More or other eigenpairs requested than the problem gives."""
+
+
+# inverse power method controls
+_TOL_LAMBDA = 1e-10         # relative change of the Rayleigh quotient
+_TOL_U = 1e-8               # L^p step between normalized iterates
+_MAX_OUTER = 200
+_MAX_INNER = 20000
+_INNER_TOL = 1e-10          # inner gradient target, relative to 1 + lambda
+
+
 @dataclass(frozen=True)
 class EigenPair:
     lam: float
@@ -56,39 +69,12 @@ class EigenPair:
         }
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_lambda: float = 1e-10
-    tol_u: float = 1e-8
-    max_outer: int = 200
-    max_inner: int = 20000
-    inner_tol: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.tol_lambda, self.tol_u, self.inner_tol) <= 0:
-            raise ValueError("all tolerances must be positive")
-        if min(self.max_outer, self.max_inner) < 1:
-            raise ValueError("iteration caps must be at least 1")
-
-
 def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
-    """(stiffness, mass) over interior nodes; stiffness is the polarization of the energy."""
+    """(stiffness, mass) over interior nodes: the polarizations of the energy
+    and of the L^2 mass, under the quadrature their evaluators use."""
     if abs(params.p - 2.0) > 1e-12:
         raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
-    A = en._p2_stiffness(mesh, params)
-
-    # exact piecewise-linear L^2 Gram matrix over Omega
-    nn = len(mesh.nodes)
-    M = np.zeros((nn, nn))
-    lo = mesh.collar_cells
-    hi = lo + mesh.n_interior_elements
-    h = mesh.h
-    for e in range(lo, hi):
-        M[e, e] += h / 3.0
-        M[e + 1, e + 1] += h / 3.0
-        M[e, e + 1] += h / 6.0
-        M[e + 1, e] += h / 6.0
-
+    A, M = en._p2_matrices(mesh, params)
     ii = mesh.interior_indices()
     return A[np.ix_(ii, ii)], M[np.ix_(ii, ii)]
 
@@ -102,9 +88,6 @@ def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
 def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega)."""
     A, M = assemble_p2_matrices(mesh, params)
-    n = A.shape[0]
-    if k_max > n:
-        raise ValueError(f"k_max={k_max} exceeds interior node count {n}")
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -161,7 +144,6 @@ def _minimize_inner(obj, grad, x0, gtol, max_iter):
 
 
 def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
-                          opts: SolverOptions = SolverOptions(),
                           initial: DiscreteFunction | None = None) -> EigenPair:
     """First eigenpair for general p by the inverse power scheme."""
     p = params.p
@@ -188,7 +170,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     recoveries = 0
     converged = False
     outer = 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         bvec = en.lp_mass_gradient(unpack(u), p)[ii] / p
 
         def obj(x):
@@ -198,8 +180,8 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             return gradE(x) / p - bvec
 
         warm = u / lam ** (1.0 / (p - 1.0))
-        gtol = opts.inner_tol * (1.0 + abs(lam))
-        v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, opts.max_inner)
+        gtol = _INNER_TOL * (1.0 + abs(lam))
+        v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, _MAX_INNER)
         total_inner += inner_its
         nrm = en.lp_mass(unpack(v), p) ** (1.0 / p)
         if nrm <= 0:
@@ -217,7 +199,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         dl = abs(lam_new - lam)
         history.append(lam_new)
         u, lam = u_new, lam_new
-        if dl <= opts.tol_lambda * max(1.0, abs(lam)) and step_p <= opts.tol_u:
+        if dl <= _TOL_LAMBDA * max(1.0, abs(lam)) and step_p <= _TOL_U:
             converged = True
             break
 
@@ -237,6 +219,29 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             "rayleigh_history": history,
         },
     )
+
+
+def available_pairs(p: float, n_nodes: int) -> int:
+    """How many eigenpairs solve_eigenpairs gives at exponent p on a mesh
+    with n_nodes interior nodes: all of them at p=2, the first otherwise."""
+    return n_nodes if abs(p - 2.0) < 1e-12 else 1
+
+
+def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
+                     initial: DiscreteFunction | None = None):
+    """The k_max smallest eigenpairs: the dense spectrum at p=2, otherwise the
+    first pair by the inverse power method, started from ``initial`` if given.
+
+    A k_max outside [1, available_pairs] raises SpectrumRequestError before
+    any compute."""
+    n = int(np.count_nonzero(mesh.interior_mask))
+    limit = available_pairs(params.p, n)
+    if not 1 <= k_max <= limit:
+        raise SpectrumRequestError(
+            f"k_max={k_max} must lie in [1, {limit}] at p={params.p} with {n} interior nodes")
+    if abs(params.p - 2.0) < 1e-12:
+        return solve_p2_spectrum(mesh, params, k_max)
+    return [solve_first_eigenpair(mesh, params, initial=initial)]
 
 
 def _first_zero(p: float, lam: float, t_max: float):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernelmath import KernelParams, scaling_factor
+from .kernelmath import KernelParams
 from .mesh import DiscreteFunction, Mesh
 
 
@@ -72,17 +72,6 @@ class EnergyBreakdown:
     principal: float
     interaction: float
     total: float
-    quadrature_order: int
-    delta_effective: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "interaction": self.interaction,
-            "total": self.total,
-            "quadrature_order": self.quadrature_order,
-            "delta_effective": "INF" if math.isinf(self.delta_effective) else self.delta_effective,
-        }
 
 
 def _basis(t: np.ndarray) -> np.ndarray:
@@ -124,12 +113,11 @@ class _Tableau:
         alpha = p * (1.0 - s)
         near_even = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
         if near_even:
-            self.quadrature_order = _PAIR_ORDER_SMOOTH
+            q = _PAIR_ORDER_SMOOTH
         elif p >= 2.0:
-            self.quadrature_order = _PAIR_ORDER_KINK
+            q = _PAIR_ORDER_KINK
         else:
-            self.quadrature_order = _PAIR_ORDER_HOLDER
-        q = self.quadrature_order
+            q = _PAIR_ORDER_HOLDER
         tail_order = _TAIL_ORDER if p >= 2.0 else _TAIL_ORDER_HOLDER
 
         collar = mesh.collar_cells
@@ -309,15 +297,14 @@ def _power_gradient(rules, vals: np.ndarray, p: float) -> np.ndarray:
     return p * grad
 
 
-def _p2_stiffness(mesh: Mesh, params: KernelParams) -> np.ndarray:
-    """Symmetric nodal matrix A with u.A.u = energy_total(u) at p=2.
+def _gram(rules, nn: int) -> np.ndarray:
+    """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
 
     Each block adds its 4x4 (2x2 for one-element rules) matrix
     basis diag(w) basis^T along the node diagonals at offsets 0, 1, g, g+1."""
-    nn = len(mesh.nodes)
-    A = np.zeros((nn, nn))
-    flat = A.reshape(-1)
-    for rule in _tableau(mesh, params).rules:
+    G = np.zeros((nn, nn))
+    flat = G.reshape(-1)
+    for rule in rules:
         for lo, hi, g, w, _ in rule.blocks:
             local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
             span = (hi - lo) * (nn + 1)
@@ -326,7 +313,13 @@ def _p2_stiffness(mesh: Mesh, params: KernelParams) -> np.ndarray:
                 for j, oj in enumerate(offsets):
                     start = (lo + oi) * nn + lo + oj
                     flat[start:start + span:nn + 1] += local[..., i, j]
-    return 0.5 * (A + A.T)
+    return 0.5 * (G + G.T)
+
+
+def _p2_matrices(mesh: Mesh, params: KernelParams):
+    """Nodal (stiffness, mass): the quadratic forms of energy_total at p=2 and of lp_mass."""
+    nn = len(mesh.nodes)
+    return _gram(_tableau(mesh, params).rules, nn), _gram(_mass_rules(mesh), nn)
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
@@ -336,13 +329,7 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
     _check_constrained(u)
     tab = _tableau(u.mesh, params)
     principal, interaction = _power_parts(tab.rules, u.values, tab.p)
-    return EnergyBreakdown(
-        principal=principal,
-        interaction=interaction,
-        total=principal + interaction,
-        quadrature_order=tab.quadrature_order,
-        delta_effective=params.delta,
-    )
+    return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
 def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
@@ -359,20 +346,6 @@ def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     _check_constrained(u)
     tab = _tableau(u.mesh, params)
     return _power_gradient(tab.rules, u.values, tab.p)
-
-
-def scaled_energy(u: DiscreteFunction, params: KernelParams) -> float:
-    """Small-horizon rescaling p(1-s)/delta^(p(1-s)) times the truncated energy."""
-    return scaling_factor(params) * nonlocal_energy(u, params).total
-
-
-def local_gradient_energy(u: DiscreteFunction, p: float) -> float:
-    """Exact integral of |u'|^p over Omega for piecewise-linear u."""
-    mesh = u.mesh
-    lo = mesh.collar_cells
-    hi = lo + mesh.n_interior_elements
-    dm = np.diff(u.values[lo:hi + 1])
-    return float(np.sum(np.abs(dm) ** p)) * mesh.h ** (1.0 - p)
 
 
 def _mass_rules(mesh: Mesh):

@@ -1,6 +1,6 @@
 """Sweep studies over the horizon and pass/fail reporting for the two limits.
 
-Three study kinds are orchestrated from JSON configs:
+Three study kinds run from JSON configs:
 
 * ``zero``  — horizon-to-zero sweep with mesh coupled to the horizon
   (h = delta/m); scaled eigenvalues are extrapolated over the last three
@@ -13,6 +13,15 @@ Three study kinds are orchestrated from JSON configs:
   rescaled energies (no eigensolve) must converge to gamma(1,p) times the
   local gradient energy, independently of s.
 
+The kinds share one skeleton. ``run_study`` dispatches by kind and times the
+study. Each runner maps a row function over its horizons with
+``_timed_rows``: on a thread pool for zero and bbm when threads > 1, in order
+for inf, whose horizons warm-start each other. Every eigenvalue comes from
+``eigensolver.solve_eigenpairs``. Zero and bbm judge their extrapolated limits
+with one verdict, ``_judge_limits``. ``run_configs`` runs study config files,
+writes their reports and prints one status line each; ``run_all`` and the
+study subcommands of the CLI both go through it.
+
 Reports are deterministic byte-for-byte for a fixed config and package
 version: per-row runtimes and timestamps go to a separate metadata file, and
 all numbers are serialized with shortest round-trip ``repr``.
@@ -23,10 +32,11 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.integrate import quad
 
 from . import __version__
@@ -38,12 +48,8 @@ from .kernelmath import (
     scaling_factor,
 )
 from .mesh import DomainSpec, build_mesh, interpolate
-from .energy import scaled_energy
-from .eigensolver import (
-    local_reference_lambda,
-    solve_first_eigenpair,
-    solve_p2_spectrum,
-)
+from .energy import energy_total
+from .eigensolver import available_pairs, local_reference_lambda, solve_eigenpairs
 
 
 class ConfigError(ValueError):
@@ -140,8 +146,6 @@ class SweepConfig:
             not isinstance(k, int) or k < 1 for k in k_list
         ):
             raise ConfigError(f"{name}: k_list must be a nonempty array of integers >= 1")
-        if any(k > 1 for k in k_list) and abs(p - 2.0) > 1e-12:
-            raise ConfigError(f"{name}: k > 1 requires p = 2 (got p={p})")
         if study == "bbm" and k_list != [1]:
             raise ConfigError(f"{name}: bbm studies take no k_list")
 
@@ -166,11 +170,16 @@ class SweepConfig:
         if unknown:
             raise ConfigError(f"{name}: unknown keys {unknown}")
 
-        return SweepConfig(
+        config = SweepConfig(
             name=str(d.get("name", name)), study=study, p=p, s=s, a=a, b=b,
             delta_list=tuple(deltas), k_list=tuple(k_list), thresholds=tuple(thresholds),
             cells_per_horizon=m, n_interior=n_interior, seed=seed,
         )
+        limit = available_pairs(p, config.mesh_cells(deltas[0]) - 1)
+        if max(k_list) > limit:
+            raise ConfigError(f"{name}: k={max(k_list)} exceeds the {limit} eigenpair(s) "
+                              f"of the coarsest mesh at p={p}")
+        return config
 
     @staticmethod
     def from_file(path) -> "SweepConfig":
@@ -181,7 +190,6 @@ class SweepConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        import os
         return SweepConfig.from_dict(data, name=os.path.splitext(os.path.basename(path))[0])
 
     def echo(self) -> dict:
@@ -204,6 +212,13 @@ class SweepConfig:
     @property
     def length(self) -> float:
         return self.b - self.a
+
+    def mesh_cells(self, delta: float) -> int:
+        """Interior elements of the mesh at one horizon: n_interior in an inf
+        study, otherwise max(2, round(|Omega| m / delta)) so that h = delta/m."""
+        if self.study == "inf":
+            return self.n_interior
+        return max(2, round(self.length * self.cells_per_horizon / delta))
 
 
 @dataclass
@@ -320,103 +335,99 @@ def extrapolate_limit(deltas, values):
     return limit, rate
 
 
-def _zero_row(config: SweepConfig, delta: float):
-    """All per-k records for one horizon of a zero study."""
-    t0 = time.perf_counter()
-    n_interior = max(2, round(config.length * config.cells_per_horizon / delta))
-    mesh = build_mesh(DomainSpec(config.a, config.b, delta), n_interior)
-    params = KernelParams(config.s, config.p, mesh.delta_effective)
-    factor = scaling_factor(params)
-    rows = []
-    if abs(config.p - 2.0) < 1e-12:
-        pairs = solve_p2_spectrum(mesh, params, max(config.k_list))
-        for k in config.k_list:
-            ep = pairs[k - 1]
-            rows.append(Row(delta, mesh.delta_effective, k, ep.lam,
-                            factor * ep.lam, ep.converged))
-    else:
-        ep = solve_first_eigenpair(mesh, params)
-        rows.append(Row(delta, mesh.delta_effective, 1, ep.lam,
-                        factor * ep.lam, ep.converged))
-    elapsed = time.perf_counter() - t0
-    for r in rows:
-        r.runtime = elapsed / len(rows)
-    return rows
+def _horizon_mesh(config: SweepConfig, delta: float):
+    """Mesh with h = delta/m for one zero/bbm horizon, and the kernel on its snapped horizon."""
+    mesh = build_mesh(DomainSpec(config.a, config.b, delta), config.mesh_cells(delta))
+    return mesh, KernelParams(config.s, config.p, mesh.delta_effective)
 
 
-def run_delta_zero_study(config: SweepConfig, threads: int = 1) -> SweepReport:
-    """Horizon-to-zero sweep with h = delta/m; extrapolated scaled eigenvalues
-    are compared against gamma(1,p) times the local reference eigenvalue."""
-    if config.study != "zero":
-        raise ConfigError(f"{config.name}: expected a 'zero' study, got {config.study!r}")
-    t_start = time.perf_counter()
-    report = SweepReport(config=config)
+def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0):
+    """One row per k of the config from the pairs solved at kernel horizon params.delta."""
+    return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
+                pairs[k - 1].converged) for k in config.k_list]
+
+
+def _timed_rows(rows_of, deltas, threads: int):
+    """The rows of every horizon in order, each row timed at an equal share of
+    its horizon; horizons go to a pool of `threads` workers when threads > 1."""
+    def timed(delta):
+        t0 = time.perf_counter()
+        rows = rows_of(delta)
+        elapsed = time.perf_counter() - t0
+        for r in rows:
+            r.runtime = elapsed / len(rows)
+        return rows
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda d: _zero_row(config, d), config.delta_list))
+            blocks = list(pool.map(timed, deltas))
     else:
-        blocks = [_zero_row(config, d) for d in config.delta_list]
-    for block in blocks:
-        report.rows.extend(block)
+        blocks = [timed(d) for d in deltas]
+    return [r for block in blocks for r in block]
 
-    gamma = gamma_constant(1, config.p)
-    flagged = sum(1 for r in report.rows if not r.converged)
-    flag_ok = flagged <= 0.2 * len(report.rows)
-    report.checks["flagged_rows_within_budget"] = bool(flag_ok)
 
+def _judge(report: SweepReport, k: int, thr: float, value, rate, ref, ok: bool) -> None:
+    """Record k's limit estimate; it passes within thr of ref when ok."""
+    rel = abs(value - ref) / ref
+    report.extrapolated[k] = value
+    report.rates[k] = rate
+    report.references[k] = ref
+    report.rel_errors[k] = rel
+    report.verdicts[k] = bool(rel <= thr and ok)
+
+
+def _judge_limits(report: SweepReport, reference, ok: bool = True) -> None:
+    """Per k: extrapolate the scaled values to delta -> 0 and pass when the
+    limit is within the threshold of reference(k) at a positive rate."""
+    config = report.config
     for k, thr in zip(config.k_list, config.thresholds):
-        krows = [r for r in report.rows if r.k == k]
-        deltas = [r.delta_effective for r in krows]
-        scaled = [r.lambda_scaled for r in krows]
-        limit, rate = extrapolate_limit(deltas, scaled)
-        ref = gamma * local_reference_lambda(config.p, config.length, k)
-        rel = abs(limit - ref) / ref
-        report.extrapolated[k] = limit
-        report.rates[k] = rate
-        report.references[k] = ref
-        report.rel_errors[k] = rel
-        report.verdicts[k] = bool(rel <= thr and rate > 0.0 and flag_ok)
-    report.runtime = time.perf_counter() - t_start
-    return report
+        rows = [r for r in report.rows if r.k == k]
+        limit, rate = extrapolate_limit([r.delta_effective for r in rows],
+                                        [r.lambda_scaled for r in rows])
+        _judge(report, k, thr, limit, rate, reference(k), ok and rate > 0.0)
 
 
-def run_delta_infty_study(config: SweepConfig, threads: int = 1) -> SweepReport:
+def _zero_study(report: SweepReport, threads: int) -> None:
+    """Horizon-to-zero sweep with h = delta/m; extrapolated scaled eigenvalues
+    are compared against gamma(1,p) times the local reference eigenvalue."""
+    config = report.config
+
+    def rows_of(delta):
+        mesh, params = _horizon_mesh(config, delta)
+        pairs = solve_eigenpairs(mesh, params, max(config.k_list))
+        return _eigen_rows(config, delta, params, pairs, scaling_factor(params))
+
+    report.rows = _timed_rows(rows_of, config.delta_list, threads)
+    flag_ok = sum(not r.converged for r in report.rows) <= 0.2 * len(report.rows)
+    report.checks["flagged_rows_within_budget"] = bool(flag_ok)
+    gamma = gamma_constant(1, config.p)
+    _judge_limits(report, lambda k: gamma * local_reference_lambda(config.p, config.length, k),
+                  flag_ok)
+
+
+def _inf_study(report: SweepReport) -> None:
     """Horizon-to-infinity sweep on a fixed collarless mesh of Omega.
 
     ``SweepConfig.from_dict`` ensures every finite horizon is at least the
     domain length, so the collar carries only the analytic tail. Checks
     monotonicity in delta, the norm-equivalence sandwich, and the gap at the
     largest finite horizon; a failed check fails the verdicts of the report.
-    Rows are computed sequentially to preserve warm starts across horizons
-    (the study is cheap; `threads` is accepted for interface symmetry).
+    Rows are computed sequentially so each horizon warm-starts from the last.
     """
-    if config.study != "inf":
-        raise ConfigError(f"{config.name}: expected an 'inf' study, got {config.study!r}")
+    config = report.config
     finite = config.delta_list[:-1]
-    t_start = time.perf_counter()
-    report = SweepReport(config=config)
     mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
-
-    lam = {}  # (delta, k) -> eigenvalue
-    is_p2 = abs(config.p - 2.0) < 1e-12
     warm = None
-    for delta in config.delta_list:
-        t0 = time.perf_counter()
+
+    def rows_of(delta):
+        nonlocal warm
         params = KernelParams(config.s, config.p, delta)
-        if is_p2:
-            pairs = solve_p2_spectrum(mesh, params, max(config.k_list))
-            new = [Row(delta, delta, k, pairs[k - 1].lam, pairs[k - 1].lam,
-                       pairs[k - 1].converged) for k in config.k_list]
-        else:
-            ep = solve_first_eigenpair(mesh, params, initial=warm)
-            warm = ep.eigenfunction
-            new = [Row(delta, delta, 1, ep.lam, ep.lam, ep.converged)]
-        elapsed = time.perf_counter() - t0
-        for r in new:
-            r.runtime = elapsed / len(new)
-            lam[(r.delta_requested, r.k)] = r.lambda_raw
-        report.rows.extend(new)
+        pairs = solve_eigenpairs(mesh, params, max(config.k_list), initial=warm)
+        warm = pairs[0].eigenfunction
+        return _eigen_rows(config, delta, params, pairs)
+
+    report.rows = _timed_rows(rows_of, config.delta_list, threads=1)
+    lam = {(r.delta_requested, r.k): r.lambda_raw for r in report.rows}
 
     monotone_ok = True
     for k in config.k_list:
@@ -439,83 +450,48 @@ def run_delta_infty_study(config: SweepConfig, threads: int = 1) -> SweepReport:
                 sandwich_ok = False
     report.checks["sandwich"] = bool(sandwich_ok)
 
-    d_max = finite[-1]
     for k, thr in zip(config.k_list, config.thresholds):
-        lam_inf = lam[(INFINITE, k)]
-        gap = abs(lam[(d_max, k)] - lam_inf) / lam_inf
-        report.extrapolated[k] = lam[(d_max, k)]
-        report.rates[k] = 0.0
-        report.references[k] = lam_inf
-        report.rel_errors[k] = gap
-        report.verdicts[k] = bool(gap <= thr and monotone_ok and sandwich_ok)
-    report.runtime = time.perf_counter() - t_start
-    return report
+        _judge(report, k, thr, lam[(finite[-1], k)], 0.0, lam[(INFINITE, k)],
+               monotone_ok and sandwich_ok)
 
 
-def run_bbm_check(config: SweepConfig, threads: int = 1) -> SweepReport:
+def _bbm_study(report: SweepReport, threads: int) -> None:
     """Localization check on the sine interpolant: rescaled energies converge
     to gamma(1,p) times the local gradient energy of the sine, for any s."""
-    if config.study != "bbm":
-        raise ConfigError(f"{config.name}: expected a 'bbm' study, got {config.study!r}")
-    t_start = time.perf_counter()
-    report = SweepReport(config=config)
-    a, length = config.a, config.length
+    config = report.config
+    a, length, p = config.a, config.length, config.p
 
-    def test_function(x):
-        return math.sin(math.pi * (x - a) / length)
+    def rows_of(delta):
+        mesh, params = _horizon_mesh(config, delta)
+        u = interpolate(lambda x: math.sin(math.pi * (x - a) / length), mesh)
+        val = scaling_factor(params) * energy_total(u, params)
+        return [Row(delta, mesh.delta_effective, 1, val, val)]
 
-    def one(delta):
-        t0 = time.perf_counter()
-        n_interior = max(2, round(config.length * config.cells_per_horizon / delta))
-        mesh = build_mesh(DomainSpec(config.a, config.b, delta), n_interior)
-        params = KernelParams(config.s, config.p, mesh.delta_effective)
-        u = interpolate(test_function, mesh)
-        val = scaled_energy(u, params)
-        return Row(delta, mesh.delta_effective, 1, val, val,
-                   runtime=time.perf_counter() - t0)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            report.rows = list(pool.map(one, config.delta_list))
-    else:
-        report.rows = [one(d) for d in config.delta_list]
-
+    report.rows = _timed_rows(rows_of, config.delta_list, threads)
     # Reference: gamma(1,p) * integral over Omega of |d/dx sin(pi (x-a)/L)|^p.
-    p = config.p
     integral, _ = quad(lambda x: abs(math.pi / length * math.cos(math.pi * x / length)) ** p,
                        0.0, length, limit=200)
     ref = gamma_constant(1, p) * integral
-
-    deltas = [r.delta_effective for r in report.rows]
-    scaled = [r.lambda_scaled for r in report.rows]
-    limit, rate = extrapolate_limit(deltas, scaled)
-    rel = abs(limit - ref) / ref
-    thr = config.thresholds[0]
-    report.extrapolated[1] = limit
-    report.rates[1] = rate
-    report.references[1] = ref
-    report.rel_errors[1] = rel
-    report.verdicts[1] = bool(rel <= thr and rate > 0.0)
+    _judge_limits(report, lambda k: ref)
     report.checks["interpolant_truncated_on_collar"] = True
-    report.runtime = time.perf_counter() - t_start
-    return report
-
-
-_RUNNERS = {
-    "zero": run_delta_zero_study,
-    "inf": run_delta_infty_study,
-    "bbm": run_bbm_check,
-}
 
 
 def run_study(config: SweepConfig, threads: int = 1) -> SweepReport:
-    """Dispatch a config to its study runner."""
-    return _RUNNERS[config.study](config, threads=threads)
+    """Run the study of config's kind; zero and bbm horizons go to `threads` workers."""
+    t_start = time.perf_counter()
+    report = SweepReport(config=config)
+    if config.study == "zero":
+        _zero_study(report, threads)
+    elif config.study == "bbm":
+        _bbm_study(report, threads)
+    else:
+        _inf_study(report)
+    report.runtime = time.perf_counter() - t_start
+    return report
 
 
 def write_report(report: SweepReport, out_dir) -> None:
     """Write <name>.json, <name>.csv and <name>.meta.json under out_dir."""
-    import os
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, report.config.name)
     with open(base + ".json", "w", encoding="utf-8") as fh:
@@ -526,31 +502,38 @@ def write_report(report: SweepReport, out_dir) -> None:
         fh.write(report.metadata())
 
 
-def run_all(config_dir, out_dir=None, threads: int = 1, log=print) -> int:
+def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
+    """Run each study config file in order, writing its reports under out_dir
+    and printing its status line; 0 pass, 1 fail, 2 config error (at the first
+    one, also for a config that is not of kind `study` when one is given)."""
+    all_pass = True
+    for path in paths:
+        try:
+            config = SweepConfig.from_file(path)
+            if study is not None and config.study != study:
+                raise ConfigError(f"{config.name}: config is a {config.study!r} study, "
+                                  f"but the {study!r} runner was requested")
+            report = run_study(config, threads=threads)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        write_report(report, out_dir)
+        print(f"{'PASS' if report.passed else 'FAIL'} {config.name} [{config.study}] "
+              f"rel_errors={ {k: float(f'{v:.3e}') for k, v in report.rel_errors.items()} }")
+        all_pass = all_pass and report.passed
+    return 0 if all_pass else 1
+
+
+def run_all(config_dir, out_dir=None, threads: int = 1) -> int:
     """Run every *.json study config in config_dir; 0 pass, 1 fail, 2 config error."""
-    import os
     try:
         entries = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
     except OSError as exc:
-        log(f"config error: cannot list {config_dir}: {exc}")
+        print(f"config error: cannot list {config_dir}: {exc}", file=sys.stderr)
         return 2
     if not entries:
-        log(f"warning: no study configs found in {config_dir}")
+        print(f"warning: no study configs found in {config_dir}")
         return 0
     if out_dir is None:
         out_dir = os.path.join(config_dir, "reports")
-
-    all_pass = True
-    for fname in entries:
-        try:
-            config = SweepConfig.from_file(os.path.join(config_dir, fname))
-            report = run_study(config, threads=threads)
-        except ConfigError as exc:
-            log(f"config error: {exc}")
-            return 2
-        write_report(report, out_dir)
-        status = "PASS" if report.passed else "FAIL"
-        log(f"{status} {config.name} [{config.study}] "
-            f"rel_errors={ {k: float(f'{v:.3e}') for k, v in report.rel_errors.items()} }")
-        all_pass = all_pass and report.passed
-    return 0 if all_pass else 1
+    return run_configs([os.path.join(config_dir, f) for f in entries], out_dir, threads)

@@ -60,7 +60,6 @@ class Mesh:
     interior_mask: np.ndarray
     delta_effective: float
     collar_cells: int
-    snapped: bool
     _fingerprint: str = field(default="", repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,7 +127,6 @@ def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:
         nodes = np.linspace(domain.a, domain.b, n_interior + 1)
         collar = 0
         delta_eff = INFINITE
-        snapped = False
     else:
         if domain.delta < h * (1.0 - 1e-12):
             raise HorizonUnderresolvedError(
@@ -136,7 +134,6 @@ def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:
             )
         collar = int(round(domain.delta / h))
         delta_eff = collar * h
-        snapped = abs(delta_eff - domain.delta) > 1e-12 * domain.delta
         nodes = np.linspace(domain.a - collar * h, domain.b + collar * h,
                             n_interior + 2 * collar + 1)
     mask = np.zeros(len(nodes), dtype=bool)
@@ -148,7 +145,6 @@ def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:
         interior_mask=mask,
         delta_effective=delta_eff,
         collar_cells=collar,
-        snapped=snapped,
     )
 
 

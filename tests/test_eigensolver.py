@@ -16,6 +16,7 @@ from perispec.eigensolver import (
     assemble_p2_matrices,
     local_reference_lambda,
     shooting_oracle_lambda1,
+    solve_eigenpairs,
     solve_first_eigenpair,
     solve_p2_spectrum,
 )
@@ -165,6 +166,23 @@ class TestInversePower:
         params = KernelParams(0.5, 2.0, mesh.delta_effective)
         d = solve_first_eigenpair(mesh, params).to_json_dict()
         assert {"lambda", "k", "residual", "iterations", "converged"} <= set(d)
+
+
+class TestSolveEigenpairs:
+    def test_dispatch_and_k_max(self):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
+        p3 = KernelParams(0.5, 3.0, mesh.delta_effective)
+        p2 = KernelParams(0.5, 2.0, mesh.delta_effective)
+        with pytest.raises(ValueError):
+            solve_eigenpairs(mesh, p3, 2)
+        for k_max in (0, 8):  # 7 interior nodes
+            with pytest.raises(ValueError):
+                solve_eigenpairs(mesh, p2, k_max)
+        pairs = solve_eigenpairs(mesh, p2, 3)
+        direct = solve_p2_spectrum(mesh, p2, 3)
+        assert [ep.lam for ep in pairs] == [ep.lam for ep in direct]
+        for ep, ref in zip(pairs, direct):
+            assert np.array_equal(ep.eigenfunction.values, ref.eigenfunction.values)
 
 
 class TestShootingOracle:

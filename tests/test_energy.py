@@ -4,18 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perispec.kernelmath import INFINITE, KernelParams, scaling_factor
+from perispec.kernelmath import INFINITE, KernelParams
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
 from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
     energy_gradient,
     energy_total,
-    local_gradient_energy,
     lp_mass,
     lp_mass_gradient,
     nonlocal_energy,
-    scaled_energy,
 )
 
 from _oracles import brute_force_energy, exact_lp_norm_p, fd_gradient
@@ -134,11 +132,6 @@ class TestStructuralInvariants:
         assert energy_total(self.u.replace_values(-self.u.values), self.params) == \
             energy_total(self.u, self.params)
 
-    def test_scaled_energy_definition(self):
-        assert scaled_energy(self.u, self.params) == pytest.approx(
-            scaling_factor(self.params) * nonlocal_energy(self.u, self.params).total,
-            rel=1e-15)
-
     def test_monotone_in_horizon_bounded_by_fractional(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
         u = random_function(mesh, np.random.default_rng(9))
@@ -182,11 +175,6 @@ class TestStructuralInvariants:
         expected = g_inf - shift * lp_mass_gradient(u, 2.0)
         assert np.linalg.norm(g_delta - expected) <= 1e-12 * np.linalg.norm(g_inf)
 
-    def test_breakdown_serialization(self):
-        d = nonlocal_energy(self.u, self.params).to_json_dict()
-        assert set(d) == {"principal", "interaction", "total",
-                          "quadrature_order", "delta_effective"}
-
 
 class TestMassAndLocalEnergy:
     def test_lp_mass_matches_exact_norm(self):
@@ -202,21 +190,6 @@ class TestMassAndLocalEnergy:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 512)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         assert lp_mass(u, 3.0) == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-4)
-
-    def test_local_gradient_energy_exact(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        u = random_function(mesh, np.random.default_rng(3))
-        p = 2.5
-        lo = mesh.collar_cells
-        hi = lo + mesh.n_interior_elements
-        expected = sum(abs(d) ** p for d in np.diff(u.values[lo:hi + 1])) * mesh.h ** (1 - p)
-        assert local_gradient_energy(u, p) == pytest.approx(expected, rel=1e-14)
-
-    def test_local_gradient_energy_converges(self):
-        # |(sin(pi x))'|^2 integrates to pi^2 / 2
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 1024)
-        u = interpolate(lambda x: math.sin(math.pi * x), mesh)
-        assert local_gradient_energy(u, 2.0) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-5)
 
 
 class TestTableauMemory:

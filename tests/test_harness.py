@@ -8,8 +8,7 @@ from perispec.harness import (
     SweepConfig,
     extrapolate_limit,
     run_all,
-    run_bbm_check,
-    run_delta_zero_study,
+    run_study,
     write_report,
 )
 from perispec import cli, harness
@@ -48,10 +47,11 @@ class TestConfigValidation:
         {"delta_list": [0.4, 0.2, "INF"]},          # INF only in inf studies
         {"k_list": []},
         {"k_list": [0]},
-        {"k_list": [1, 2], "p": 3.0},               # k>1 needs p=2
+        {"k_list": [1, 2], "p": 3.0, "thresholds": [0.5, 0.5]},  # k>1 needs p=2
         {"thresholds": [0.5, 0.5]},                 # one per k
         {"cells_per_horizon": 2},
         {"unexpected_key": 1},
+        {"k_list": [1, 12], "thresholds": [0.5, 0.5]},  # coarsest mesh has 9 nodes
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -103,7 +103,7 @@ class TestExtrapolation:
 class TestStudies:
     def test_small_zero_study(self):
         cfg = SweepConfig.from_dict(base_config(), name="tiny-zero")
-        report = run_delta_zero_study(cfg)
+        report = run_study(cfg)
         assert len(report.rows) == 3
         assert report.rates[1] > 0.0
         assert report.verdicts[1]
@@ -115,14 +115,9 @@ class TestStudies:
     def test_small_bbm_study(self):
         cfg = SweepConfig.from_dict(base_config(study="bbm", thresholds=[0.1]),
                                     name="tiny-bbm")
-        report = run_bbm_check(cfg)
+        report = run_study(cfg)
         assert report.references[1] == pytest.approx(math.pi ** 2, rel=1e-9)
         assert report.verdicts[1]
-
-    def test_study_runner_checks_kind(self):
-        cfg = SweepConfig.from_dict(base_config(), name="zero-cfg")
-        with pytest.raises(ConfigError):
-            run_bbm_check(cfg)
 
     def test_inf_study_requires_horizon_at_least_domain(self):
         d = base_config(study="inf", delta_list=[0.5, 1.0, "INF"], n_interior=16)
@@ -134,10 +129,10 @@ class TestStudies:
         # the study still finishes and leaves its report behind
         lams = iter([3.0, 2.0, 1.0])
 
-        def decreasing(mesh, params, opts=None, initial=None):
-            return EigenPair(next(lams), initial, 1, 0.0, 1)
+        def decreasing(mesh, params, k_max=1, initial=None):
+            return [EigenPair(next(lams), initial, 1, 0.0, 1)]
 
-        monkeypatch.setattr(harness, "solve_first_eigenpair", decreasing)
+        monkeypatch.setattr(harness, "solve_eigenpairs", decreasing)
         cfg_path = tmp_path / "mono.json"
         cfg_path.write_text(json.dumps(base_config(
             study="inf", p=3.0, delta_list=[1.0, 2.0, "INF"], n_interior=8, name="mono")))
@@ -151,14 +146,14 @@ class TestStudies:
 
     def test_report_determinism_across_threads(self):
         cfg = SweepConfig.from_dict(base_config(), name="det")
-        serial = run_delta_zero_study(cfg, threads=1)
-        threaded = run_delta_zero_study(cfg, threads=2)
+        serial = run_study(cfg, threads=1)
+        threaded = run_study(cfg, threads=2)
         assert serial.to_csv() == threaded.to_csv()
         assert serial.to_json() == threaded.to_json()
 
     def test_write_report_files(self, tmp_path):
         cfg = SweepConfig.from_dict(base_config(), name="files")
-        report = run_delta_zero_study(cfg)
+        report = run_study(cfg)
         write_report(report, tmp_path)
         assert (tmp_path / "files.json").exists()
         assert (tmp_path / "files.csv").exists()
@@ -232,9 +227,13 @@ class TestCli:
 
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
+        k_max_cfg = {"p": 2, "s": 0.5, "delta": 0.25, "n_interior": 8}
         for cfg in ({"p": 2.0},
                     # horizon below one cell: the mesh cannot be built
-                    {"p": 3, "s": 0.5, "delta": 0.001, "n_interior": 8}):
+                    {"p": 3, "s": 0.5, "delta": 0.001, "n_interior": 8},
+                    # k_max outside [1, interior nodes], or above 1 at p != 2
+                    dict(k_max_cfg, k_max=0), dict(k_max_cfg, k_max=-1),
+                    dict(k_max_cfg, k_max=50), dict(k_max_cfg, p=3, k_max=2)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 
@@ -245,8 +244,7 @@ class TestCli:
             calls.append(args)
             raise AssertionError("solver called for an invalid config")
 
-        monkeypatch.setattr(harness, "solve_first_eigenpair", counting)
-        monkeypatch.setattr(harness, "solve_p2_spectrum", counting)
+        monkeypatch.setattr(harness, "solve_eigenpairs", counting)
         cfg_path = tmp_path / "noinf.json"
         cfg_path.write_text(json.dumps(base_config(
             study="inf", delta_list=[1.0, 2.0, 4.0], n_interior=16)))

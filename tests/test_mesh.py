@@ -25,13 +25,11 @@ class TestBuildMesh:
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
         assert mesh.collar_cells == 4
         assert mesh.delta_effective == pytest.approx(0.25, abs=1e-15)
-        assert not mesh.snapped
 
     def test_snapping(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.23), 10)
         assert mesh.collar_cells == 2
         assert mesh.delta_effective == pytest.approx(0.2, abs=1e-15)
-        assert mesh.snapped
 
     def test_collar_width_within_one_cell(self):
         for delta in (0.11, 0.26, 0.49):
