@@ -22,6 +22,5 @@ from .energy import (
 from .eigensolver import (
     EigenPair,
     assemble_p2_matrices,
-    shooting_oracle_lambda1,
     solve_eigenpairs,
 )

@@ -5,8 +5,8 @@ symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from
 the same quadrature the energy and the L^p mass use).  For general p the first
 eigenpair is computed by a nonlinear inverse power method: each outer step
 minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
-L^p.  A shooting method for the 1-D p-Laplacian ODE provides an independent
-reference for the local limit.
+L^p.  The local reference eigenvalue of the delta -> 0 limit comes from the
+closed form of the 1-D p-Laplacian (``local_reference_lambda``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
@@ -30,10 +29,6 @@ class WrongExponentError(ValueError):
 
 class AssemblyCorruptionError(RuntimeError):
     """Mass matrix failed its positive-definiteness check."""
-
-
-class OracleFailureError(RuntimeError):
-    """Shooting oracle could not bracket the eigenvalue."""
 
 
 class SpectrumRequestError(ValueError):
@@ -95,28 +90,15 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     vals, vecs = eigh(A, M, subset_by_index=[0, k_max - 1])
     pairs = []
     for k in range(k_max):
-        x = vecs[:, k]
-        u = _embed(mesh, x)
-        nrm = en.lp_mass(u, 2.0) ** 0.5
-        x = x / nrm
+        x = vecs[:, k] / en.lp_mass(_embed(mesh, vecs[:, k]), 2.0) ** 0.5
         # deterministic sign: first eigenfunction positive, others positive at
         # the first interior node
-        interior = x
-        if k == 0:
-            if np.sum(interior) < 0:
-                x = -x
-        elif interior[0] < 0:
+        if (np.sum(x) if k == 0 else x[0]) < 0:
             x = -x
-        u = _embed(mesh, x)
         res = A @ x - vals[k] * (M @ x)
         residual = float(np.linalg.norm(res) / max(np.linalg.norm(M @ x), 1e-300))
-        pairs.append(EigenPair(
-            lam=float(vals[k]),
-            eigenfunction=u,
-            index_k=k + 1,
-            residual=residual,
-            iterations=0,
-        ))
+        pairs.append(EigenPair(lam=float(vals[k]), eigenfunction=_embed(mesh, x), index_k=k + 1,
+                               residual=residual, iterations=0))
     return pairs
 
 
@@ -150,20 +132,17 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     ii = mesh.interior_indices()
     a, b = mesh.domain.a, mesh.domain.b
 
-    def unpack(x):
-        return _embed(mesh, x)
-
     def E(x):
-        return en.energy_total(unpack(x), params)
+        return en.energy_total(_embed(mesh, x), params)
 
     def gradE(x):
-        return en.energy_gradient(unpack(x), params)[ii]
+        return en.energy_gradient(_embed(mesh, x), params)[ii]
 
     if initial is not None:
         u = initial.values[ii].copy()
     else:
         u = interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii]
-    u = u / en.lp_mass(unpack(u), p) ** (1.0 / p)
+    u = u / en.lp_mass(_embed(mesh, u), p) ** (1.0 / p)
     lam = E(u)
     history = [lam]
     total_inner = 0
@@ -171,7 +150,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     converged = False
     outer = 0
     for outer in range(1, _MAX_OUTER + 1):
-        bvec = en.lp_mass_gradient(unpack(u), p)[ii] / p
+        bvec = en.lp_mass_gradient(_embed(mesh, u), p)[ii] / p
 
         def obj(x):
             return E(x) / p - float(bvec @ x)
@@ -183,7 +162,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         gtol = _INNER_TOL * (1.0 + abs(lam))
         v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, _MAX_INNER)
         total_inner += inner_its
-        nrm = en.lp_mass(unpack(v), p) ** (1.0 / p)
+        nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
         if nrm <= 0:
             break
         u_new = v / nrm
@@ -192,10 +171,10 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         if np.min(u_new) < -1e-10 * np.max(np.abs(u_new)):
             # sign-changing iterate: taking |u| cannot increase the energy
             u_new = np.abs(u_new)
-            u_new = u_new / en.lp_mass(unpack(u_new), p) ** (1.0 / p)
+            u_new = u_new / en.lp_mass(_embed(mesh, u_new), p) ** (1.0 / p)
             recoveries += 1
         lam_new = E(u_new)
-        step_p = en.lp_mass(unpack(u_new - u), p) ** (1.0 / p)
+        step_p = en.lp_mass(_embed(mesh, u_new - u), p) ** (1.0 / p)
         dl = abs(lam_new - lam)
         history.append(lam_new)
         u, lam = u_new, lam_new
@@ -203,7 +182,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             converged = True
             break
 
-    uf = unpack(u)
+    uf = _embed(mesh, u)
     resvec = gradE(u) - lam * en.lp_mass_gradient(uf, p)[ii]
     residual = float(np.linalg.norm(resvec))
     return EigenPair(
@@ -244,67 +223,9 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
     return [solve_first_eigenpair(mesh, params, initial=initial)]
 
 
-def _first_zero(p: float, lam: float, t_max: float):
-    """Location of the first zero of the p-Laplacian shooting solution, or None."""
-    pm1 = p - 1.0
-
-    def rhs(_t, z):
-        u, w = z
-        du = np.sign(w) * np.abs(w) ** (1.0 / pm1)
-        dw = -lam * np.sign(u) * np.abs(u) ** pm1
-        return (du, dw)
-
-    def hit_zero(t, z):
-        return z[0] if t > 1e-12 else 1.0
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-    sol = solve_ivp(rhs, (0.0, t_max), (0.0, 1.0), method="DOP853",
-                    rtol=1e-12, atol=1e-14, events=hit_zero, dense_output=False)
-    if sol.t_events[0].size:
-        return float(sol.t_events[0][0])
-    return None
-
-
-def shooting_oracle_lambda1(p: float, length: float) -> float:
-    """First local p-Laplacian eigenvalue by shooting + bisection on lambda."""
-    if not p > 1.0:
-        raise ValueError(f"exponent p must exceed 1, got {p}")
-    t_max = 8.0 * length
-
-    def zero_pos(lam):
-        z = _first_zero(p, lam, t_max)
-        return z if z is not None else math.inf
-
-    lo, hi = 1.0, 1.0
-    for _ in range(80):
-        if zero_pos(lo) > length:
-            break
-        lo /= 2.0
-    else:
-        raise OracleFailureError("could not bracket the eigenvalue from below")
-    for _ in range(80):
-        if zero_pos(hi) < length:
-            break
-        hi *= 2.0
-    else:
-        raise OracleFailureError("could not bracket the eigenvalue from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        z = zero_pos(mid)
-        if abs(z - length) <= 1e-10:
-            return mid
-        if z > length:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def local_reference_lambda(p: float, length: float, k: int = 1) -> float:
-    """Reference local eigenvalue: exact for p=2, shooting oracle for k=1 otherwise."""
+    """Reference local eigenvalue: exact for p=2, the closed form of the first
+    eigenvalue otherwise."""
     if abs(p - 2.0) < 1e-12:
         return (k * math.pi / length) ** 2
     if k != 1:

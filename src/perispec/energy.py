@@ -14,15 +14,18 @@ The seminorm is assembled element-pair by element-pair:
 For meshes without a collar (horizon at least the domain length, or infinite)
 the collar/complement interaction is integrated analytically in the y
 variable, leaving a weighted L^p term with kernel
-k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps [- 2 delta^-ps]).
+k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps) [- (2/(ps)) delta^-ps].  The bracket
+does not depend on x, so a finite horizon lowers each tail weight by a
+constant times its mass weight and leaves every other rule unchanged.
 
 On a uniform mesh the quadrature of a pair depends only on its gap g, so each
 point set (adjacent-pair profile, separated tensor rule, cutoff triangle) is
 stored once as the weights of the element end values at its points, and a
 gap stores only its contiguous element range and its weight vector.  The
 per-element tail and the L^p mass use the same layout with one element per
-row.  The tableau of these templates is cached per (mesh, s, p, delta); the
-energy, its exact gradient and the p=2 stiffness all evaluate it, so the
+row.  The tableau of these templates is cached per (mesh, s, p, delta), with
+delta = infinity for every horizon of a collarless mesh; the energy, its
+exact gradient and the p=2 stiffness all evaluate its rules, so the
 polarization identity holds to rounding error.
 """
 
@@ -91,9 +94,9 @@ class _Rule:
     the others interaction.
     """
 
-    def __init__(self, basis: np.ndarray):
+    def __init__(self, basis: np.ndarray, blocks=()):
         self.basis = basis
-        self.blocks = []
+        self.blocks = list(blocks)
 
     def offsets(self, g: int):
         return (0, 1) if len(self.basis) == 2 else (0, 1, g, g + 1)
@@ -104,12 +107,12 @@ def _pair_rule(xt: np.ndarray, yt: np.ndarray) -> _Rule:
 
 
 class _Tableau:
-    """Per-gap quadrature templates for one (mesh, s, p, delta) combination."""
+    """Per-gap quadrature templates for one (mesh, s, p), truncated at params.delta
+    on a collar mesh; ``tail`` holds each tail rule, its mass weights and kernel."""
 
     def __init__(self, mesh: Mesh, params: KernelParams):
-        self.p = params.p
         p, s, h = params.p, params.s, mesh.h
-        ps = p * s
+        self.ps = ps = p * s
         alpha = p * (1.0 - s)
         near_even = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
         if near_even:
@@ -134,27 +137,12 @@ class _Tableau:
                 )
             truncated_gap = int(round(params.delta / h))
             gaps = range(1, truncated_gap + 1)
-            tail_kernel = None
             elem_lo, elem_hi = 0, mesh.element_count
         else:
-            # collarless mesh (or collar mesh at infinite horizon): full pair set
-            # over Omega elements plus the analytic complement/collar tail.
-            length = mesh.domain.length
-            if not params.is_infinite and params.delta < length * (1.0 - 1e-12):
-                raise InconsistentHorizonError(
-                    f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}"
-                )
+            # untruncated: full pair set over Omega elements plus the analytic
+            # complement/collar tail
             gaps = range(1, nin)
             truncated_gap = -1
-            a, b = mesh.domain.a, mesh.domain.b
-            if params.is_infinite:
-                shift = 0.0
-            else:
-                shift = 2.0 / (ps * params.delta ** ps)
-
-            def tail_kernel(x, _a=a, _b=b, _ps=ps, _shift=shift):
-                return (np.power(x - _a, -_ps) + np.power(_b - x, -_ps)) / _ps - _shift
-
             elem_lo, elem_hi = omega_lo, omega_hi
 
         # same-element closed form over Omega elements: the point value is the
@@ -211,7 +199,9 @@ class _Tableau:
         self.rules += [r for r in (adjacent, separated, triangle) if r.blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        if tail_kernel is not None:
+        self.tail = []
+        if truncated_gap < 0:
+            a, b = mesh.domain.a, mesh.domain.b
             tx, twt = _gauss01(tail_order)
             grade = np.concatenate(([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))
             for lo, hi, cuts in ((omega_lo, omega_lo + 1, grade),
@@ -223,9 +213,22 @@ class _Tableau:
                 loc = np.concatenate([c + wd * tx for c, wd in zip(cuts[:-1], widths)])
                 wloc = np.concatenate([wd * twt for wd in widths])
                 x = mesh.nodes[lo:hi, None] + h * loc
-                rule = _Rule(_basis(loc))
-                rule.blocks.append((lo, hi, 0, 2.0 * h * wloc * tail_kernel(x), (0, 0)))
-                self.rules.append(rule)
+                mass = 2.0 * h * wloc
+                kernel = (np.power(x - a, -ps) + np.power(b - x, -ps)) / ps
+                rule = _Rule(_basis(loc), [(lo, hi, 0, mass * kernel, (0, 0))])
+                self.tail.append((rule, mass, kernel))
+            self.rules += [rule for rule, _, _ in self.tail]
+
+    def rules_at(self, delta: float) -> list:
+        """The rules at horizon delta: the tail kernel lowered by c = (2/(ps)) delta^-ps.
+        A weight is mass * (kernel - c), not weight - c * mass: the two differ in
+        the last bit, and the inner solver's iteration count is chaotic in that."""
+        if math.isinf(delta) or not self.tail:
+            return self.rules
+        c = 2.0 / (self.ps * delta ** self.ps)
+        return self.rules[:-len(self.tail)] + [
+            _Rule(rule.basis, [(lo, hi, g, mass * (kernel - c), main)])
+            for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
 
 
 _CACHE: "OrderedDict[tuple, _Tableau]" = OrderedDict()
@@ -233,22 +236,24 @@ _CACHE_CAP = 24
 _CACHE_LOCK = threading.Lock()
 
 
-def _tableau(mesh: Mesh, params: KernelParams) -> _Tableau:
-    key = (mesh.fingerprint, params.s, params.p, params.delta)
+def _tableau(mesh: Mesh, params: KernelParams) -> list:
+    """The quadrature rules of the energy at params, read from the cached tableau."""
+    length = mesh.domain.length
+    if not mesh.has_collar and params.delta < length * (1.0 - 1e-12):
+        raise InconsistentHorizonError(
+            f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}")
+    key = (mesh.fingerprint, params.s, params.p, params.delta if mesh.has_collar else math.inf)
     with _CACHE_LOCK:
         tab = _CACHE.get(key)
         if tab is not None:
             _CACHE.move_to_end(key)
-            return tab
-    tab = _Tableau(mesh, params)
-    with _CACHE_LOCK:
-        existing = _CACHE.get(key)
-        if existing is not None:
-            return existing
-        _CACHE[key] = tab
-        while len(_CACHE) > _CACHE_CAP:
-            _CACHE.popitem(last=False)
-    return tab
+    if tab is None:
+        tab = _Tableau(mesh, params)
+        with _CACHE_LOCK:
+            tab = _CACHE.setdefault(key, tab)
+            while len(_CACHE) > _CACHE_CAP:
+                _CACHE.popitem(last=False)
+    return tab.rules_at(params.delta)
 
 
 def _check_constrained(u: DiscreteFunction):
@@ -319,7 +324,7 @@ def _gram(rules, nn: int) -> np.ndarray:
 def _p2_matrices(mesh: Mesh, params: KernelParams):
     """Nodal (stiffness, mass): the quadratic forms of energy_total at p=2 and of lp_mass."""
     nn = len(mesh.nodes)
-    return _gram(_tableau(mesh, params).rules, nn), _gram(_mass_rules(mesh), nn)
+    return _gram(_tableau(mesh, params), nn), _gram(_mass_rules(mesh), nn)
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
@@ -327,8 +332,7 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
     if params.is_infinite:
         raise InconsistentHorizonError("use energy_total for the infinite horizon")
     _check_constrained(u)
-    tab = _tableau(u.mesh, params)
-    principal, interaction = _power_parts(tab.rules, u.values, tab.p)
+    principal, interaction = _power_parts(_tableau(u.mesh, params), u.values, params.p)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
@@ -336,16 +340,14 @@ def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
     """Total seminorm^p for any horizon (finite truncated or infinite); for the
     infinite horizon the complement tail is integrated analytically."""
     _check_constrained(u)
-    tab = _tableau(u.mesh, params)
-    principal, interaction = _power_parts(tab.rules, u.values, tab.p)
+    principal, interaction = _power_parts(_tableau(u.mesh, params), u.values, params.p)
     return principal + interaction
 
 
 def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     """Exact nodal gradient of energy_total (collar entries included)."""
     _check_constrained(u)
-    tab = _tableau(u.mesh, params)
-    return _power_gradient(tab.rules, u.values, tab.p)
+    return _power_gradient(_tableau(u.mesh, params), u.values, params.p)
 
 
 def _mass_rules(mesh: Mesh):

@@ -15,12 +15,13 @@ Three study kinds run from JSON configs:
 
 The kinds share one skeleton. ``run_study`` dispatches by kind and times the
 study. Each runner maps a row function over its horizons with
-``_timed_rows``: on a thread pool for zero and bbm when threads > 1, in order
-for inf, whose horizons warm-start each other. Every eigenvalue comes from
+``_timed_rows``, on a thread pool when threads > 1; the inf study solves its
+smallest horizon first and warm-starts every other one, INF included, from
+that eigenfunction. Every eigenvalue comes from
 ``eigensolver.solve_eigenpairs``. Zero and bbm judge their extrapolated limits
-with one verdict, ``_judge_limits``. ``run_configs`` runs study config files,
-writes their reports and prints one status line each; ``run_all`` and the
-study subcommands of the CLI both go through it.
+with one verdict, ``_judge_limits``. ``run_configs`` parses every study config
+file, then runs them, writes their reports and prints one status line each;
+``run_all`` and the study subcommands of the CLI both go through it.
 
 Reports are deterministic byte-for-byte for a fixed config and package
 version: per-row runtimes and timestamps go to a separate metadata file, and
@@ -30,12 +31,13 @@ all numbers are serialized with shortest round-trip ``repr``.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from scipy.integrate import quad
 
@@ -47,7 +49,7 @@ from .kernelmath import (
     gamma_constant,
     scaling_factor,
 )
-from .mesh import DomainSpec, build_mesh, interpolate
+from .mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
 from .energy import energy_total
 from .eigensolver import available_pairs, local_reference_lambda, solve_eigenpairs
 
@@ -129,6 +131,9 @@ class SweepConfig:
                 raise ConfigError(f"{name}: delta_list must be strictly decreasing")
             if len(deltas) < 3:
                 raise ConfigError(f"{name}: extrapolation needs at least 3 horizons")
+            ratios = [x / y for x, y in zip(deltas, deltas[1:])]
+            if not all(math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios):
+                raise ConfigError(f"{name}: delta_list must be geometric, got ratios {ratios}")
         else:
             if not all(x < y for x, y in zip(deltas, deltas[1:])):
                 raise ConfigError(f"{name}: delta_list must be strictly increasing")
@@ -164,9 +169,7 @@ class SweepConfig:
         if not isinstance(seed, int):
             raise ConfigError(f"{name}: seed must be an integer, got {seed!r}")
 
-        known = {"schema_version", "study", "name", "p", "s", "a", "b", "delta_list",
-                 "k_list", "thresholds", "cells_per_horizon", "n_interior", "seed"}
-        unknown = sorted(set(d) - known)
+        unknown = sorted(set(d) - {f.name for f in fields(SweepConfig)} - {"schema_version"})
         if unknown:
             raise ConfigError(f"{name}: unknown keys {unknown}")
 
@@ -193,21 +196,9 @@ class SweepConfig:
         return SweepConfig.from_dict(data, name=os.path.splitext(os.path.basename(path))[0])
 
     def echo(self) -> dict:
-        return {
-            "schema_version": _SCHEMA_VERSION,
-            "name": self.name,
-            "study": self.study,
-            "p": self.p,
-            "s": self.s,
-            "a": self.a,
-            "b": self.b,
-            "delta_list": ["INF" if math.isinf(x) else x for x in self.delta_list],
-            "k_list": list(self.k_list),
-            "thresholds": list(self.thresholds),
-            "cells_per_horizon": self.cells_per_horizon,
-            "n_interior": self.n_interior,
-            "seed": self.seed,
-        }
+        """The config as a schema-v1 object, with the INF horizon as "INF"."""
+        return dict(asdict(self), schema_version=_SCHEMA_VERSION,
+                    delta_list=["INF" if math.isinf(x) else x for x in self.delta_list])
 
     @property
     def length(self) -> float:
@@ -223,7 +214,7 @@ class SweepConfig:
 
 @dataclass
 class Row:
-    """One (delta, k) record of a sweep."""
+    """One (delta, k) record of a sweep; its eigenfunction is not reported."""
 
     delta_requested: float
     delta_effective: float
@@ -232,6 +223,7 @@ class Row:
     lambda_scaled: float
     converged: bool = True
     runtime: float = 0.0
+    eigenfunction: DiscreteFunction | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -344,7 +336,8 @@ def _horizon_mesh(config: SweepConfig, delta: float):
 def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0):
     """One row per k of the config from the pairs solved at kernel horizon params.delta."""
     return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
-                pairs[k - 1].converged) for k in config.k_list]
+                pairs[k - 1].converged, eigenfunction=pairs[k - 1].eigenfunction)
+            for k in config.k_list]
 
 
 def _timed_rows(rows_of, deltas, threads: int):
@@ -405,28 +398,28 @@ def _zero_study(report: SweepReport, threads: int) -> None:
                   flag_ok)
 
 
-def _inf_study(report: SweepReport) -> None:
+def _inf_study(report: SweepReport, threads: int) -> None:
     """Horizon-to-infinity sweep on a fixed collarless mesh of Omega.
 
     ``SweepConfig.from_dict`` ensures every finite horizon is at least the
     domain length, so the collar carries only the analytic tail. Checks
     monotonicity in delta, the norm-equivalence sandwich, and the gap at the
     largest finite horizon; a failed check fails the verdicts of the report.
-    Rows are computed sequentially so each horizon warm-starts from the last.
+    The smallest horizon is solved cold, and every other horizon goes to
+    `threads` workers warm-started from its eigenfunction.
     """
     config = report.config
     finite = config.delta_list[:-1]
     mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
-    warm = None
 
-    def rows_of(delta):
-        nonlocal warm
+    def rows_of(delta, initial=None):
         params = KernelParams(config.s, config.p, delta)
-        pairs = solve_eigenpairs(mesh, params, max(config.k_list), initial=warm)
-        warm = pairs[0].eigenfunction
+        pairs = solve_eigenpairs(mesh, params, max(config.k_list), initial=initial)
         return _eigen_rows(config, delta, params, pairs)
 
-    report.rows = _timed_rows(rows_of, config.delta_list, threads=1)
+    cold = _timed_rows(rows_of, config.delta_list[:1], threads=1)
+    warm = functools.partial(rows_of, initial=cold[0].eigenfunction)
+    report.rows = cold + _timed_rows(warm, config.delta_list[1:], threads)
     lam = {(r.delta_requested, r.k): r.lambda_raw for r in report.rows}
 
     monotone_ok = True
@@ -477,15 +470,11 @@ def _bbm_study(report: SweepReport, threads: int) -> None:
 
 
 def run_study(config: SweepConfig, threads: int = 1) -> SweepReport:
-    """Run the study of config's kind; zero and bbm horizons go to `threads` workers."""
+    """Run the study of config's kind; its horizons go to `threads` workers."""
     t_start = time.perf_counter()
     report = SweepReport(config=config)
-    if config.study == "zero":
-        _zero_study(report, threads)
-    elif config.study == "bbm":
-        _bbm_study(report, threads)
-    else:
-        _inf_study(report)
+    study = {"zero": _zero_study, "inf": _inf_study, "bbm": _bbm_study}[config.study]
+    study(report, threads)
     report.runtime = time.perf_counter() - t_start
     return report
 
@@ -494,29 +483,30 @@ def write_report(report: SweepReport, out_dir) -> None:
     """Write <name>.json, <name>.csv and <name>.meta.json under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, report.config.name)
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    with open(base + ".meta.json", "w", encoding="utf-8") as fh:
-        fh.write(report.metadata())
+    for suffix, text in ((".json", report.to_json()), (".csv", report.to_csv()),
+                         (".meta.json", report.metadata())):
+        with open(base + suffix, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
-    """Run each study config file in order, writing its reports under out_dir
-    and printing its status line; 0 pass, 1 fail, 2 config error (at the first
-    one, also for a config that is not of kind `study` when one is given)."""
-    all_pass = True
-    for path in paths:
-        try:
+    """Parse every study config file, then run each in order, writing its reports
+    under out_dir and printing its status line; 0 pass, 1 fail, 2 config error
+    before any study runs (also for a config not of kind `study`, if given)."""
+    configs = []
+    try:
+        for path in paths:
             config = SweepConfig.from_file(path)
             if study is not None and config.study != study:
                 raise ConfigError(f"{config.name}: config is a {config.study!r} study, "
                                   f"but the {study!r} runner was requested")
-            report = run_study(config, threads=threads)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+            configs.append(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    all_pass = True
+    for config in configs:
+        report = run_study(config, threads=threads)
         write_report(report, out_dir)
         print(f"{'PASS' if report.passed else 'FAIL'} {config.name} [{config.study}] "
               f"rel_errors={ {k: float(f'{v:.3e}') for k, v in report.rel_errors.items()} }")

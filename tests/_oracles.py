@@ -4,8 +4,9 @@ Everything here deliberately avoids the element-pair tableau used by the
 production energy assembly: the brute-force energy reduces the double
 integral to an exact inner integral in the offset variable plus 1-D adaptive
 quadrature, and the sphere moment is evaluated by direct quadrature over the
-sphere.  Agreement between these routes and the library is what the oracle
-tests assert.
+sphere.  The local p-Laplacian eigenvalue is found by shooting on its ODE,
+independently of the closed form the library uses.  Agreement between these
+routes and the library is what the oracle tests assert.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from perispec.mesh import DiscreteFunction
+
+
+class OracleFailureError(RuntimeError):
+    """Shooting oracle could not bracket the eigenvalue."""
 
 
 def sphere_moment_quadrature(N: int, p: float) -> float:
@@ -137,3 +142,62 @@ def fd_gradient(fun, values: np.ndarray, indices, rel_step: float = 1e-6) -> np.
         dn = base.copy(); dn[i] -= step
         out[j] = (fun(up) - fun(dn)) / (2.0 * step)
     return out
+
+
+def _first_zero(p: float, lam: float, t_max: float):
+    """Location of the first zero of the p-Laplacian shooting solution, or None."""
+    pm1 = p - 1.0
+
+    def rhs(_t, z):
+        u, w = z
+        du = np.sign(w) * np.abs(w) ** (1.0 / pm1)
+        dw = -lam * np.sign(u) * np.abs(u) ** pm1
+        return (du, dw)
+
+    def hit_zero(t, z):
+        return z[0] if t > 1e-12 else 1.0
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+    sol = solve_ivp(rhs, (0.0, t_max), (0.0, 1.0), method="DOP853",
+                    rtol=1e-12, atol=1e-14, events=hit_zero, dense_output=False)
+    if sol.t_events[0].size:
+        return float(sol.t_events[0][0])
+    return None
+
+
+def shooting_oracle_lambda1(p: float, length: float) -> float:
+    """First local p-Laplacian eigenvalue by shooting + bisection on lambda."""
+    if not p > 1.0:
+        raise ValueError(f"exponent p must exceed 1, got {p}")
+    t_max = 8.0 * length
+
+    def zero_pos(lam):
+        z = _first_zero(p, lam, t_max)
+        return z if z is not None else math.inf
+
+    lo, hi = 1.0, 1.0
+    for _ in range(80):
+        if zero_pos(lo) > length:
+            break
+        lo /= 2.0
+    else:
+        raise OracleFailureError("could not bracket the eigenvalue from below")
+    for _ in range(80):
+        if zero_pos(hi) < length:
+            break
+        hi *= 2.0
+    else:
+        raise OracleFailureError("could not bracket the eigenvalue from above")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z = zero_pos(mid)
+        if abs(z - length) <= 1e-10:
+            return mid
+        if z > length:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    return 0.5 * (lo + hi)

@@ -24,13 +24,17 @@ from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh
 from perispec.energy import energy_gradient, energy_total, nonlocal_energy
 from perispec.eigensolver import (
     assemble_p2_matrices,
-    shooting_oracle_lambda1,
     solve_first_eigenpair,
     solve_p2_spectrum,
 )
 from perispec.harness import run_all
 
-from _oracles import brute_force_energy, fd_gradient, sphere_moment_quadrature
+from _oracles import (
+    brute_force_energy,
+    fd_gradient,
+    shooting_oracle_lambda1,
+    sphere_moment_quadrature,
+)
 from test_energy import random_function, random_instance
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -15,11 +15,12 @@ from perispec.eigensolver import (
     WrongExponentError,
     assemble_p2_matrices,
     local_reference_lambda,
-    shooting_oracle_lambda1,
     solve_eigenpairs,
     solve_first_eigenpair,
     solve_p2_spectrum,
 )
+
+from _oracles import shooting_oracle_lambda1
 
 
 def embed(mesh, x):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from perispec.kernelmath import INFINITE, KernelParams
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
+from perispec import energy as en
 from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
@@ -206,3 +208,21 @@ class TestTableauMemory:
         finally:
             tracemalloc.stop()
         assert 2 ** 16 < retained < 4 * 2 ** 20  # the lower bound shows the build was cold
+
+    def test_collarless_horizons_share_one_tableau(self, monkeypatch):
+        # a finite delta >= |Omega| only lowers the tail weights of the INF tableau
+        built = []
+
+        class Counting(en._Tableau):
+            def __init__(self, mesh, params):
+                built.append(params.delta)
+                super().__init__(mesh, params)
+
+        monkeypatch.setattr(en, "_Tableau", Counting)
+        monkeypatch.setattr(en, "_CACHE", OrderedDict())
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
+        u = random_function(mesh, np.random.default_rng(6))
+        for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
+            energy_total(u, KernelParams(0.5, 3.0, delta))
+            energy_gradient(u, KernelParams(0.5, 3.0, delta))
+        assert len(built) == 1

@@ -52,6 +52,7 @@ class TestConfigValidation:
         {"cells_per_horizon": 2},
         {"unexpected_key": 1},
         {"k_list": [1, 12], "thresholds": [0.5, 0.5]},  # coarsest mesh has 9 nodes
+        {"delta_list": [0.4, 0.2, 0.15]},           # not geometric: breaks extrapolation
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -145,11 +146,26 @@ class TestStudies:
         assert (tmp_path / "out" / "mono.csv").exists()
 
     def test_report_determinism_across_threads(self):
-        cfg = SweepConfig.from_dict(base_config(), name="det")
-        serial = run_study(cfg, threads=1)
-        threaded = run_study(cfg, threads=2)
-        assert serial.to_csv() == threaded.to_csv()
-        assert serial.to_json() == threaded.to_json()
+        for overrides in ({}, {"study": "inf", "p": 3.0, "delta_list": [1.0, 2.0, 4.0, "INF"],
+                               "n_interior": 12}):
+            cfg = SweepConfig.from_dict(base_config(**overrides), name="det")
+            serial = run_study(cfg, threads=1)
+            threaded = run_study(cfg, threads=2)
+            assert serial.to_csv() == threaded.to_csv()
+            assert serial.to_json() == threaded.to_json()
+
+    def test_inf_rows_obey_horizon_shift_identity(self):
+        # on a collarless mesh, lambda(delta) = lambda(inf) - (4/(ps)) delta^(-ps)
+        cfg = SweepConfig.from_dict(base_config(
+            study="inf", p=3.0, delta_list=[1.0, 2.0, 4.0, 8.0, "INF"], n_interior=16),
+            name="shift")
+        report = run_study(cfg, threads=2)
+        lam = {r.delta_requested: r.lambda_raw for r in report.rows}
+        ps = cfg.p * cfg.s
+        for delta in cfg.delta_list[:-1]:
+            expected = lam[math.inf] - 4.0 / ps * delta ** (-ps)
+            assert abs(lam[delta] - expected) <= 1e-9 * abs(expected)
+        assert all(r.converged for r in report.rows)
 
     def test_write_report_files(self, tmp_path):
         cfg = SweepConfig.from_dict(base_config(), name="files")
@@ -186,6 +202,21 @@ class TestRunAll:
         (tmp_path / "strict.json").write_text(json.dumps(cfg))
         assert run_all(tmp_path, out_dir=tmp_path / "reports") == 1
 
+    def test_every_config_parsed_before_any_study(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.solve_eigenpairs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_eigenpairs", counting)
+        (tmp_path / "a.json").write_text(json.dumps(base_config()))
+        (tmp_path / "b.json").write_text(json.dumps(base_config(p=0.5)))
+        assert run_all(tmp_path, out_dir=tmp_path / "reports") == 2
+        assert calls == []
+        assert not list(tmp_path.glob("reports/a.*"))
+
     def test_passing_study_exits_0(self, tmp_path):
         (tmp_path / "ok.json").write_text(json.dumps(base_config()))
         assert run_all(tmp_path, out_dir=tmp_path / "reports") == 0
@@ -213,6 +244,16 @@ class TestCli:
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(base_config()))
         assert cli.main(["bbm", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep-zero", "sweep-inf", "bbm", "all"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, command, threads):
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        config = str(tmp_path if command == "all" else cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", config, "--threads", threads])
+        assert exc.value.code == 2
 
     def test_eigen_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "eig.json"

@@ -14,9 +14,8 @@ from perispec.kernelmath import (
     p_pi,
     scaling_factor,
 )
-from perispec.eigensolver import shooting_oracle_lambda1
 
-from _oracles import sphere_moment_quadrature
+from _oracles import shooting_oracle_lambda1, sphere_moment_quadrature
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 4.0]
 
