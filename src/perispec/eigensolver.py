@@ -7,14 +7,25 @@ eigenpair is computed by a nonlinear inverse power method: each outer step
 minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
 L^p.  The local reference eigenvalue of the delta -> 0 limit comes from the
 closed form of the 1-D p-Laplacian (``local_reference_lambda``).
+
+While a solve runs, OpenBLAS runs on one thread (``_one_blas_thread``): the
+matrices are a few hundred wide at most, where its worker threads cost more
+than they save and, when another process holds a core, stall a single
+factorization for up to a second.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
@@ -206,6 +217,46 @@ def available_pairs(p: float, n_nodes: int) -> int:
     return n_nodes if abs(p - 2.0) < 1e-12 else 1
 
 
+class _OneBlasThread:
+    """Context in which the OpenBLAS builds of the numpy and scipy wheels run on
+    one thread.  Their count is process-wide, so the first solve to enter lowers
+    it and the last to leave restores it."""
+
+    def __init__(self):
+        self.lock, self.inside, self.saved = threading.Lock(), 0, []
+
+    @functools.cached_property
+    def libs(self):
+        """(get, set) thread-count functions per bundled OpenBLAS; none elsewhere."""
+        found = []
+        for pkg in (np, scipy):
+            for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+                lib = ctypes.CDLL(path)
+                names = [n for n in ("scipy_openblas_%s_num_threads64_",
+                                     "scipy_openblas_%s_num_threads", "openblas_%s_num_threads")
+                         if hasattr(lib, n % "get")]
+                found += [(getattr(lib, n % "get"), getattr(lib, n % "set")) for n in names[:1]]
+        return found
+
+    def __enter__(self):
+        with self.lock:
+            if self.inside == 0:
+                self.saved = [get() for get, _ in self.libs]
+                for _, set_ in self.libs:
+                    set_(1)
+            self.inside += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.inside -= 1
+            if self.inside == 0:
+                for (_, set_), count in zip(self.libs, self.saved):
+                    set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
                      initial: DiscreteFunction | None = None):
     """The k_max smallest eigenpairs: the dense spectrum at p=2, otherwise the
@@ -218,9 +269,10 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
     if not 1 <= k_max <= limit:
         raise SpectrumRequestError(
             f"k_max={k_max} must lie in [1, {limit}] at p={params.p} with {n} interior nodes")
-    if abs(params.p - 2.0) < 1e-12:
-        return solve_p2_spectrum(mesh, params, k_max)
-    return [solve_first_eigenpair(mesh, params, initial=initial)]
+    with _one_blas_thread:
+        if abs(params.p - 2.0) < 1e-12:
+            return solve_p2_spectrum(mesh, params, k_max)
+        return [solve_first_eigenpair(mesh, params, initial=initial)]
 
 
 def local_reference_lambda(p: float, length: float, k: int = 1) -> float:

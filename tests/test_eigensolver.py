@@ -11,6 +11,7 @@ from perispec.kernelmath import (
 )
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
 from perispec.energy import energy_total, lp_mass
+from perispec import eigensolver
 from perispec.eigensolver import (
     WrongExponentError,
     assemble_p2_matrices,
@@ -184,6 +185,24 @@ class TestSolveEigenpairs:
         assert [ep.lam for ep in pairs] == [ep.lam for ep in direct]
         for ep, ref in zip(pairs, direct):
             assert np.array_equal(ep.eigenfunction.values, ref.eigenfunction.values)
+
+    def test_solves_run_on_one_blas_thread_and_restore_it(self, monkeypatch):
+        libs = eigensolver._one_blas_thread.libs
+        if not libs:
+            pytest.skip("no bundled OpenBLAS")
+        inside = []
+        real_eigh = eigensolver.eigh
+
+        def eigh(*args, **kwargs):
+            inside.append([get() for get, _ in libs])
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "eigh", eigh)
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
+        before = [get() for get, _ in libs]
+        solve_eigenpairs(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
+        assert inside == [[1] * len(libs)]
+        assert [get() for get, _ in libs] == before
 
 
 class TestShootingOracle:
