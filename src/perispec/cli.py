@@ -15,7 +15,6 @@ Exit codes: 0 all verdicts pass, 1 a study failed, 2 config error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -25,20 +24,6 @@ from .kernelmath import INFINITE, KernelParams, gamma_constant
 from .mesh import DomainSpec, build_mesh
 from .harness import run_all, run_configs
 from .eigensolver import SpectrumRequestError, solve_eigenpairs
-
-
-def _keep_freed_heap() -> None:
-    """Raise glibc's trim and mmap thresholds (a no-op without glibc). An energy
-    call allocates and frees a few hundred KB of numpy temporaries; at the
-    default 128 KB both go back to the system, and every call faults its pages
-    in again, unless an allocation made earlier happened to raise them."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +108,6 @@ def _cmd_eigen(args) -> int:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "threads", 1) < 1:

@@ -8,6 +8,10 @@ minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
 L^p.  The local reference eigenvalue of the delta -> 0 limit comes from the
 closed form of the 1-D p-Laplacian (``local_reference_lambda``).
 
+For p >= 2 the inner minimization takes damped Newton steps on the exact Hessian
+(``energy.energy_hessian``), and their count does not grow with the mesh; below
+p = 2, where the Hessian weight |d|^(p-2) blows up, it stays L-BFGS.
+
 While a solve runs, OpenBLAS runs on one thread (``_one_blas_thread``): the
 matrices are a few hundred wide at most, where its worker threads cost more
 than they save and, when another process holds a core, stall a single
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.optimize import minimize
 
 from . import energy as en
@@ -52,6 +56,9 @@ _TOL_U = 1e-8               # L^p step between normalized iterates
 _MAX_OUTER = 200
 _MAX_INNER = 20000
 _INNER_TOL = 1e-10          # inner gradient target, relative to 1 + lambda
+_ARMIJO = 1e-4              # sufficient-decrease constant of the Newton line search
+_MIN_STEP = 1e-12           # Newton step length below which the line search has stalled
+_F_ROUNDING = 1e-15         # Newton decrease, relative to |obj|, below its rounding level
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,11 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
 def _minimize_inner(obj, grad, x0, gtol, max_iter):
     """Gradient-only quasi-Newton descent (L-BFGS with line search).
 
-    Builds descent directions from gradient differences only — no Hessian
-    evaluations, which matters for 1 < p < 2 where the gradient is merely
-    Hölder at vanishing differences.  The solve stops at the gradient target
-    or when the line search can make no further double-precision progress;
-    the outer inverse-power loop absorbs the residual inexactness.
+    The inner solver for 1 < p < 2, where the gradient is merely Hölder at
+    vanishing differences and the Hessian unbounded, and the finish of a
+    Newton solve whose Hessian fails to factor.  It stops at the gradient
+    target or when the line search can make no further double-precision
+    progress; the outer inverse-power loop absorbs the residual inexactness.
     """
     n = len(x0)
     res = minimize(
@@ -136,6 +143,38 @@ def _minimize_inner(obj, grad, x0, gtol, max_iter):
     return res.x, int(res.nit), float(np.linalg.norm(res.jac))
 
 
+def _newton_inner(obj, grad, hess, x0, gtol, max_iter):
+    """Damped Newton descent: Cholesky steps on the exact Hessian, Armijo backtracking.
+
+    A step is taken only if it strictly lowers obj.  The solve stops at the
+    gradient target, when the predicted decrease -g.step is below the rounding
+    level of obj, or when halving the step length below _MIN_STEP finds no
+    decrease (like the line search stall of _minimize_inner).  A Hessian that
+    fails to factor hands the rest of the solve to _minimize_inner."""
+    x, f, g, its = x0, obj(x0), grad(x0), 0
+    while its < max_iter and np.linalg.norm(g) > gtol:
+        try:
+            step = cho_solve(cho_factor(hess(x)), -g)
+        except LinAlgError:
+            x, more, gnorm = _minimize_inner(obj, grad, x, gtol, max_iter - its)
+            return x, its + more, gnorm
+        slope = float(g @ step)
+        if -slope <= _F_ROUNDING * abs(f):
+            break
+        t = 1.0
+        while t >= _MIN_STEP:
+            x_t = x + t * step
+            f_t = obj(x_t)
+            if f_t < f and f_t <= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        x, f, g = x_t, f_t, grad(x_t)
+        its += 1
+    return x, its, float(np.linalg.norm(g))
+
+
 def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                           initial: DiscreteFunction | None = None) -> EigenPair:
     """First eigenpair for general p by the inverse power scheme."""
@@ -148,6 +187,9 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
 
     def gradE(x):
         return en.energy_gradient(_embed(mesh, x), params)[ii]
+
+    def hess(x):
+        return en.energy_hessian(_embed(mesh, x), params)[np.ix_(ii, ii)] / p
 
     if initial is not None:
         u = initial.values[ii].copy()
@@ -171,7 +213,10 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
 
         warm = u / lam ** (1.0 / (p - 1.0))
         gtol = _INNER_TOL * (1.0 + abs(lam))
-        v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, _MAX_INNER)
+        if p >= 2.0:
+            v, inner_its, _ = _newton_inner(obj, grad, hess, warm, gtol, _MAX_INNER)
+        else:
+            v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, _MAX_INNER)
         total_inner += inner_its
         nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
         if nrm <= 0:

@@ -25,12 +25,14 @@ gap stores only its contiguous element range and its weight vector.  The
 per-element tail and the L^p mass use the same layout with one element per
 row.  The tableau of these templates is cached per (mesh, s, p, delta), with
 delta = infinity for every horizon of a collarless mesh; the energy, its
-exact gradient and the p=2 stiffness all evaluate its rules, so the
-polarization identity holds to rounding error.
+exact gradient and the nodal Gram matrix ``_gram`` all evaluate its rules.  The
+Gram matrix is the p=2 stiffness (the polarization identity holds to rounding
+error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from collections import OrderedDict
@@ -49,6 +51,23 @@ class InconsistentHorizonError(ValueError):
 
 class ConstraintViolationError(ValueError):
     """Function is nonzero on the collar / outside the domain."""
+
+
+def _keep_freed_heap() -> None:
+    """Raise glibc's trim and mmap thresholds (a no-op without glibc). An energy
+    call allocates and frees a few hundred KB of numpy temporaries; at the
+    default 128 KB both go back to the system, and every call faults its pages
+    in again. Runs once, at import, for every caller."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 # quadrature controls
@@ -302,22 +321,27 @@ def _power_gradient(rules, vals: np.ndarray, p: float) -> np.ndarray:
     return p * grad
 
 
-def _gram(rules, nn: int) -> np.ndarray:
+def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
     """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
 
     Each block adds its 4x4 (2x2 for one-element rules) matrix
-    basis diag(w) basis^T along the node diagonals at offsets 0, 1, g, g+1."""
+    basis diag(w) basis^T along the node diagonals at offsets 0, 1, g, g+1.
+    Given vals, each point's weight is scaled by |d|^(p-2), d the point's
+    value of vals, and p(p-1) G is the Hessian of _power_parts' total there."""
     G = np.zeros((nn, nn))
     flat = G.reshape(-1)
-    for rule in rules:
-        for lo, hi, g, w, _ in rule.blocks:
-            local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
-            span = (hi - lo) * (nn + 1)
-            offsets = rule.offsets(g)
-            for i, oi in enumerate(offsets):
-                for j, oj in enumerate(offsets):
-                    start = (lo + oi) * nn + lo + oj
-                    flat[start:start + span:nn + 1] += local[..., i, j]
+    blocks = (((rule, block, None) for rule in rules for block in rule.blocks)
+              if vals is None else _block_values(rules, vals))
+    for rule, (lo, hi, g, w, _), d in blocks:
+        if d is not None:
+            w = w * np.abs(d) ** (p - 2.0)
+        local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
+        span = (hi - lo) * (nn + 1)
+        offsets = rule.offsets(g)
+        for i, oi in enumerate(offsets):
+            for j, oj in enumerate(offsets):
+                start = (lo + oi) * nn + lo + oj
+                flat[start:start + span:nn + 1] += local[..., i, j]
     return 0.5 * (G + G.T)
 
 
@@ -348,6 +372,13 @@ def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     """Exact nodal gradient of energy_total (collar entries included)."""
     _check_constrained(u)
     return _power_gradient(_tableau(u.mesh, params), u.values, params.p)
+
+
+def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
+    """Exact nodal Hessian of energy_total at u for p >= 2 (collar entries included)."""
+    _check_constrained(u)
+    p = params.p
+    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), u.values, p)
 
 
 def _mass_rules(mesh: Mesh):

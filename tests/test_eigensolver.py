@@ -170,6 +170,56 @@ class TestInversePower:
         assert {"lambda", "k", "residual", "iterations", "converged"} <= set(d)
 
 
+class TestInnerSolvers:
+    @pytest.mark.parametrize("f_rounding", [None, 0.0], ids=["default", "no-floor"])
+    def test_newton_returns_at_zero_inner_tolerance(self, monkeypatch, f_rounding):
+        # the gradient target is unreachable: every inner solve must end at the
+        # rounding floor of the objective or, without it, at a line search
+        # stall instead of running to the iteration cap
+        monkeypatch.setattr(eigensolver, "_INNER_TOL", 0.0)
+        if f_rounding is not None:
+            monkeypatch.setattr(eigensolver, "_F_ROUNDING", f_rounding)
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        ep = solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
+        assert ep.converged
+        assert ep.diagnostics["inner_iterations"] <= 10 * ep.iterations
+
+    def test_unfactorable_hessian_falls_back_to_lbfgs(self, monkeypatch):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        base = solve_first_eigenpair(mesh, params)
+
+        def cho_factor(*args, **kwargs):
+            raise eigensolver.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(eigensolver, "cho_factor", cho_factor)
+        ep = solve_first_eigenpair(mesh, params)
+        assert ep.converged
+        assert abs(ep.lam - base.lam) <= 1e-10 * base.lam
+
+    def test_newton_steps_do_not_grow_with_the_mesh(self):
+        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80
+        inner = []
+        for delta in (0.2, 0.1, 0.05):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
+            ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))[0]
+            assert ep.converged
+            assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
+            inner.append(ep.diagnostics["inner_iterations"])
+        assert max(inner) - min(inner) <= 3
+
+    def test_lbfgs_below_p2(self):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        ep = solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.delta_effective))
+        assert ep.converged
+        history = ep.diagnostics["rayleigh_history"]
+        for before, after in zip(history, history[1:]):
+            assert after <= before * (1.0 + 1e-10)
+        vals = ep.eigenfunction.values
+        assert np.all(vals >= -1e-10 * np.max(np.abs(vals)))
+        assert ep.residual <= 1e-5
+
+
 class TestSolveEigenpairs:
     def test_dispatch_and_k_max(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)

@@ -12,6 +12,7 @@ from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
     energy_gradient,
+    energy_hessian,
     energy_total,
     lp_mass,
     lp_mass_gradient,
@@ -95,6 +96,33 @@ class TestGradients:
             numeric = fd_gradient(f, u.values, ii)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic))
+
+
+# (mesh horizon, kernel horizon): collar mesh, collarless INF, collarless finite
+HORIZONS = [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)]
+
+
+class TestHessian:
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_matches_finite_differences_of_gradient(self, p, mesh_delta, kernel_delta):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
+        params = KernelParams(0.5, p, kernel_delta or mesh.delta_effective)
+        u = random_function(mesh, np.random.default_rng(31))
+        ii = mesh.interior_indices()
+        analytic = energy_hessian(u, params)[np.ix_(ii, ii)]
+        numeric = np.array([fd_gradient(
+            lambda vals: energy_gradient(DiscreteFunction(vals, mesh), params)[i],
+            u.values, ii) for i in ii])
+        assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
+
+    def test_p2_hessian_is_twice_the_stiffness(self):
+        for mesh_delta, kernel_delta in HORIZONS:
+            mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
+            params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
+            u = random_function(mesh, np.random.default_rng(37))
+            assert np.array_equal(energy_hessian(u, params),
+                                  2 * en._p2_matrices(mesh, params)[0])
 
 
 class TestStructuralInvariants:

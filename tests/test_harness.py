@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +170,26 @@ class TestStudies:
             expected = lam[math.inf] - 4.0 / ps * delta ** (-ps)
             assert abs(lam[delta] - expected) <= 1e-9 * abs(expected)
         assert all(r.converged for r in report.rows)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds need glibc")
+    def test_run_study_keeps_freed_heap(self):
+        # importing the energy module raises glibc's heap thresholds, so the
+        # temporaries of each energy call reuse pages instead of faulting them in
+        config = base_config(p=3.0, delta_list=[0.2, 0.1, 0.05], thresholds=[0.05])
+        script = (
+            "import resource\n"
+            "from perispec.harness import SweepConfig, run_study\n"
+            f"cfg = SweepConfig.from_dict({config!r}, name='collar-p3')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_study(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 5000
 
     def test_write_report_files(self, tmp_path):
         cfg = SweepConfig.from_dict(base_config(), name="files")
