@@ -12,24 +12,16 @@ For p >= 2 the inner minimization takes damped Newton steps on the exact Hessian
 (``energy.energy_hessian``), and their count does not grow with the mesh; below
 p = 2, where the Hessian weight |d|^(p-2) blows up, it stays L-BFGS.
 
-While a solve runs, OpenBLAS runs on one thread (``_one_blas_thread``): the
-matrices are a few hundred wide at most, where its worker threads cost more
-than they save and, when another process holds a core, stall a single
-factorization for up to a second.
+Every solve runs OpenBLAS on one thread: importing ``energy`` sets it for the
+process (``energy._process_settings``).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from scipy.optimize import minimize
 
@@ -40,10 +32,6 @@ from .mesh import DiscreteFunction, Mesh, interpolate
 
 class WrongExponentError(ValueError):
     """Matrix path requested with p != 2."""
-
-
-class AssemblyCorruptionError(RuntimeError):
-    """Mass matrix failed its positive-definiteness check."""
 
 
 class SpectrumRequestError(ValueError):
@@ -99,12 +87,9 @@ def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
 
 
 def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
-    """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega)."""
+    """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega).
+    A mass matrix that is not positive definite raises eigh's LinAlgError."""
     A, M = assemble_p2_matrices(mesh, params)
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyCorruptionError("mass matrix is not positive definite") from exc
     vals, vecs = eigh(A, M, subset_by_index=[0, k_max - 1])
     pairs = []
     for k in range(k_max):
@@ -262,46 +247,6 @@ def available_pairs(p: float, n_nodes: int) -> int:
     return n_nodes if abs(p - 2.0) < 1e-12 else 1
 
 
-class _OneBlasThread:
-    """Context in which the OpenBLAS builds of the numpy and scipy wheels run on
-    one thread.  Their count is process-wide, so the first solve to enter lowers
-    it and the last to leave restores it."""
-
-    def __init__(self):
-        self.lock, self.inside, self.saved = threading.Lock(), 0, []
-
-    @functools.cached_property
-    def libs(self):
-        """(get, set) thread-count functions per bundled OpenBLAS; none elsewhere."""
-        found = []
-        for pkg in (np, scipy):
-            for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
-                lib = ctypes.CDLL(path)
-                names = [n for n in ("scipy_openblas_%s_num_threads64_",
-                                     "scipy_openblas_%s_num_threads", "openblas_%s_num_threads")
-                         if hasattr(lib, n % "get")]
-                found += [(getattr(lib, n % "get"), getattr(lib, n % "set")) for n in names[:1]]
-        return found
-
-    def __enter__(self):
-        with self.lock:
-            if self.inside == 0:
-                self.saved = [get() for get, _ in self.libs]
-                for _, set_ in self.libs:
-                    set_(1)
-            self.inside += 1
-
-    def __exit__(self, *exc):
-        with self.lock:
-            self.inside -= 1
-            if self.inside == 0:
-                for (_, set_), count in zip(self.libs, self.saved):
-                    set_(count)
-
-
-_one_blas_thread = _OneBlasThread()
-
-
 def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
                      initial: DiscreteFunction | None = None):
     """The k_max smallest eigenpairs: the dense spectrum at p=2, otherwise the
@@ -314,10 +259,9 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
     if not 1 <= k_max <= limit:
         raise SpectrumRequestError(
             f"k_max={k_max} must lie in [1, {limit}] at p={params.p} with {n} interior nodes")
-    with _one_blas_thread:
-        if abs(params.p - 2.0) < 1e-12:
-            return solve_p2_spectrum(mesh, params, k_max)
-        return [solve_first_eigenpair(mesh, params, initial=initial)]
+    if abs(params.p - 2.0) < 1e-12:
+        return solve_p2_spectrum(mesh, params, k_max)
+    return [solve_first_eigenpair(mesh, params, initial=initial)]
 
 
 def local_reference_lambda(p: float, length: float, k: int = 1) -> float:

@@ -23,22 +23,29 @@ point set (adjacent-pair profile, separated tensor rule, cutoff triangle) is
 stored once as the weights of the element end values at its points, and a
 gap stores only its contiguous element range and its weight vector.  The
 per-element tail and the L^p mass use the same layout with one element per
-row.  The tableau of these templates is cached per (mesh, s, p, delta), with
-delta = infinity for every horizon of a collarless mesh; the energy, its
-exact gradient and the nodal Gram matrix ``_gram`` all evaluate its rules.  The
-Gram matrix is the p=2 stiffness (the polarization identity holds to rounding
-error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``.
+row.  The tableau of these templates is memoized per (mesh, s, p, delta), with
+delta = infinity for every horizon of a collarless mesh, and equal meshes
+built separately share it; the energy, its exact gradient and the nodal Gram
+matrix ``_gram`` all evaluate its rules.  The Gram matrix is the p=2
+stiffness (the polarization identity holds to rounding error) and, weighted
+by |u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``.
+
+Importing the module makes the process-wide settings once for every caller
+(``_process_settings``): larger glibc heap thresholds, and one thread for the
+OpenBLAS builds that numpy and scipy bundle.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
 import math
-import threading
-from collections import OrderedDict
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
 
 from .kernelmath import KernelParams
@@ -53,21 +60,37 @@ class ConstraintViolationError(ValueError):
     """Function is nonzero on the collar / outside the domain."""
 
 
-def _keep_freed_heap() -> None:
-    """Raise glibc's trim and mmap thresholds (a no-op without glibc). An energy
+def _process_settings() -> None:
+    """Run once, at import, for every caller.
+
+    glibc's trim and mmap thresholds go up (a no-op without glibc): an energy
     call allocates and frees a few hundred KB of numpy temporaries; at the
     default 128 KB both go back to the system, and every call faults its pages
-    in again. Runs once, at import, for every caller."""
+    in again.  The OpenBLAS builds of the numpy and scipy wheels run on one
+    thread: the eigensolver's matrices are a few hundred wide at most, where
+    worker threads cost more than they save and, when another process holds a
+    core, stall a single factorization for up to a second."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
+    for pkg in (np, scipy):
+        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads"):
+                if hasattr(lib, name):
+                    set_threads = getattr(lib, name)
+                    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                    set_threads(1)
+                    break
 
 
-_keep_freed_heap()
+_process_settings()
 
 
 # quadrature controls
@@ -82,9 +105,14 @@ _TAIL_LEVELS = 6            # graded levels toward the domain endpoints
 _TAIL_RATIO = 0.15
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss01(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1], built once per order, read-only."""
     x, w = leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -126,11 +154,11 @@ def _pair_rule(xt: np.ndarray, yt: np.ndarray) -> _Rule:
 
 
 class _Tableau:
-    """Per-gap quadrature templates for one (mesh, s, p), truncated at params.delta
-    on a collar mesh; ``tail`` holds each tail rule, its mass weights and kernel."""
+    """Per-gap quadrature templates for one (mesh, s, p), truncated at delta on a
+    collar mesh; ``tail`` holds each tail rule, its mass weights and kernel."""
 
-    def __init__(self, mesh: Mesh, params: KernelParams):
-        p, s, h = params.p, params.s, mesh.h
+    def __init__(self, mesh: Mesh, s: float, p: float, delta: float):
+        h = mesh.h
         self.ps = ps = p * s
         alpha = p * (1.0 - s)
         near_even = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
@@ -146,15 +174,14 @@ class _Tableau:
         nin = mesh.n_interior_elements
         omega_lo, omega_hi = collar, collar + nin  # Omega elements are [omega_lo, omega_hi)
 
-        if mesh.has_collar and not params.is_infinite:
+        if mesh.has_collar and not math.isinf(delta):
             # truncated regime on the collar mesh
-            if not math.isclose(params.delta, mesh.delta_effective,
-                                rel_tol=1e-9, abs_tol=1e-12):
+            if not math.isclose(delta, mesh.delta_effective, rel_tol=1e-9, abs_tol=1e-12):
                 raise InconsistentHorizonError(
-                    f"kernel horizon {params.delta} does not match mesh "
+                    f"kernel horizon {delta} does not match mesh "
                     f"delta_effective {mesh.delta_effective}"
                 )
-            truncated_gap = int(round(params.delta / h))
+            truncated_gap = int(round(delta / h))
             gaps = range(1, truncated_gap + 1)
             elem_lo, elem_hi = 0, mesh.element_count
         else:
@@ -250,29 +277,20 @@ class _Tableau:
             for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
 
 
-_CACHE: "OrderedDict[tuple, _Tableau]" = OrderedDict()
-_CACHE_CAP = 24
-_CACHE_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=24)
+def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
+    """The tableau of one key, built once; equal meshes (Mesh.__eq__) share it."""
+    return _Tableau(mesh, s, p, delta)
 
 
 def _tableau(mesh: Mesh, params: KernelParams) -> list:
-    """The quadrature rules of the energy at params, read from the cached tableau."""
+    """The quadrature rules of the energy at params, read from the memoized tableau."""
     length = mesh.domain.length
     if not mesh.has_collar and params.delta < length * (1.0 - 1e-12):
         raise InconsistentHorizonError(
             f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}")
-    key = (mesh.fingerprint, params.s, params.p, params.delta if mesh.has_collar else math.inf)
-    with _CACHE_LOCK:
-        tab = _CACHE.get(key)
-        if tab is not None:
-            _CACHE.move_to_end(key)
-    if tab is None:
-        tab = _Tableau(mesh, params)
-        with _CACHE_LOCK:
-            tab = _CACHE.setdefault(key, tab)
-            while len(_CACHE) > _CACHE_CAP:
-                _CACHE.popitem(last=False)
-    return tab.rules_at(params.delta)
+    delta = params.delta if mesh.has_collar else math.inf
+    return _built(mesh, params.s, params.p, delta).rules_at(params.delta)
 
 
 def _check_constrained(u: DiscreteFunction):

@@ -51,7 +51,8 @@ class Mesh:
 
     ``collar_cells`` elements sit outside (a, b) on each side; for an infinite
     horizon there is no collar and tail interactions are handled analytically
-    by the energy module.
+    by the energy module.  Meshes with equal fingerprints compare and hash
+    equal, so separately built copies share one memoized tableau.
     """
 
     domain: DomainSpec
@@ -84,6 +85,12 @@ class Mesh:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
+
+    def __eq__(self, other):
+        return isinstance(other, Mesh) and self._fingerprint == other._fingerprint
+
+    def __hash__(self):
+        return hash(self._fingerprint)
 
     def interior_indices(self) -> np.ndarray:
         return np.flatnonzero(self.interior_mask)

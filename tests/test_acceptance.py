@@ -2,7 +2,8 @@
 
 Criteria 2-5 and 9 consume the reports of the canonical study configs under
 configs/, which a session fixture runs once with --threads 1 (and once more
-with --threads 4 for the determinism criterion).
+with --threads 4 for the determinism criterion, which compares the CSVs, and
+for the test that compares the JSON reports).
 """
 
 import json
@@ -230,3 +231,12 @@ def test_criterion_9_determinism(suite_serial, suite_threaded):
     verdict_line(9, identical, f"--threads 1 vs --threads 4: {len(names)} CSV reports "
                                "byte-identical")
     assert identical
+
+
+def test_json_reports_identical_across_threads(suite_serial, suite_threaded):
+    def reports(out):
+        return {f.name: f.read_bytes() for f in (out / "reports").glob("*.json")
+                if not f.name.endswith(".meta.json")}
+
+    serial = reports(suite_serial[0])
+    assert serial and serial == reports(suite_threaded[0])

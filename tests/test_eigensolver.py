@@ -1,7 +1,12 @@
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy
+from scipy.linalg import LinAlgError
 
 from perispec.kernelmath import (
     INFINITE,
@@ -12,6 +17,7 @@ from perispec.kernelmath import (
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
 from perispec.energy import energy_total, lp_mass
 from perispec import eigensolver
+from perispec import energy as en
 from perispec.eigensolver import (
     WrongExponentError,
     assemble_p2_matrices,
@@ -22,6 +28,22 @@ from perispec.eigensolver import (
 )
 
 from _oracles import shooting_oracle_lambda1
+
+
+def blas_thread_getters():
+    """The thread-count getter of each OpenBLAS bundled with numpy and scipy."""
+    getters = []
+    for pkg in (np, scipy):
+        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads"):
+                if hasattr(lib, name):
+                    get = getattr(lib, name)
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    getters.append(get)
+                    break
+    return getters
 
 
 def embed(mesh, x):
@@ -92,6 +114,17 @@ class TestP2Spectrum:
         signs = np.sign(second[np.abs(second) > 1e-10 * np.max(np.abs(second))])
         changes = int(np.sum(signs[:-1] != signs[1:]))
         assert changes == 1
+
+    def test_indefinite_mass_raises(self, monkeypatch):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
+        params = KernelParams(0.5, 2.0, mesh.delta_effective)
+        A, M = en._p2_matrices(mesh, params)
+        M = M.copy()
+        i = mesh.interior_indices()[2]
+        M[i, i] = -M[i, i]
+        monkeypatch.setattr(en, "_p2_matrices", lambda *_: (A, M))
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            solve_p2_spectrum(mesh, params, 1)
 
     def test_eigenvalues_monotone_in_horizon(self):
         params_small = KernelParams(0.5, 2.0, 0.25)
@@ -236,23 +269,25 @@ class TestSolveEigenpairs:
         for ep, ref in zip(pairs, direct):
             assert np.array_equal(ep.eigenfunction.values, ref.eigenfunction.values)
 
-    def test_solves_run_on_one_blas_thread_and_restore_it(self, monkeypatch):
-        libs = eigensolver._one_blas_thread.libs
-        if not libs:
+    def test_direct_solves_run_on_one_blas_thread(self, monkeypatch):
+        getters = blas_thread_getters()
+        if not getters:
             pytest.skip("no bundled OpenBLAS")
         inside = []
-        real_eigh = eigensolver.eigh
 
-        def eigh(*args, **kwargs):
-            inside.append([get() for get, _ in libs])
-            return real_eigh(*args, **kwargs)
+        def watch(fn):
+            def counted(*args, **kwargs):
+                inside.append([get() for get in getters])
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(eigensolver, "eigh", eigh)
+        monkeypatch.setattr(eigensolver, "cho_factor", watch(eigensolver.cho_factor))
+        monkeypatch.setattr(eigensolver, "eigh", watch(eigensolver.eigh))
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        before = [get() for get, _ in libs]
-        solve_eigenpairs(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
-        assert inside == [[1] * len(libs)]
-        assert [get() for get, _ in libs] == before
+        solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
+        solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
+        assert len(inside) > 1
+        assert inside == [[1] * len(getters)] * len(inside)
 
 
 class TestShootingOracle:

@@ -1,9 +1,9 @@
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from perispec.kernelmath import INFINITE, KernelParams
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
@@ -210,8 +210,9 @@ class TestMassAndLocalEnergy:
     def test_lp_mass_matches_exact_norm(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
-        # Gauss order 8 is exact for polynomial powers of a sign-constant
-        # linear function, and accurate (not exact) for fractional powers
+        # the 16-point Gauss rule (_TAIL_ORDER) is exact for polynomial powers of
+        # a sign-constant linear function, and accurate (not exact) for
+        # fractional powers
         for p, tol in ((1.5, 1e-8), (2.0, 1e-14), (3.0, 1e-14)):
             assert lp_mass(u, p) == pytest.approx(exact_lp_norm_p(u, p), rel=tol)
 
@@ -220,6 +221,42 @@ class TestMassAndLocalEnergy:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 512)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         assert lp_mass(u, 3.0) == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-4)
+
+    def test_gauss_rule_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(en, "leggauss", counting)
+        en._gauss01.cache_clear()
+        try:
+            u = random_function(build_mesh(DomainSpec(0.0, 1.0, 0.25), 16),
+                                np.random.default_rng(8))
+            for _ in range(10):
+                lp_mass(u, 3.0)
+            x, w = en._gauss01(en._TAIL_ORDER)
+        finally:
+            en._gauss01.cache_clear()
+        assert calls == [en._TAIL_ORDER]
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(s, p, delta) of every tableau built during the test, from an empty memo."""
+    keys = []
+
+    class Counting(en._Tableau):
+        def __init__(self, mesh, s, p, delta):
+            keys.append((s, p, delta))
+            super().__init__(mesh, s, p, delta)
+
+    monkeypatch.setattr(en, "_Tableau", Counting)
+    en._built.cache_clear()
+    yield keys
+    en._built.cache_clear()
 
 
 class TestTableauMemory:
@@ -237,20 +274,24 @@ class TestTableauMemory:
             tracemalloc.stop()
         assert 2 ** 16 < retained < 4 * 2 ** 20  # the lower bound shows the build was cold
 
-    def test_collarless_horizons_share_one_tableau(self, monkeypatch):
+    def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau
-        built = []
-
-        class Counting(en._Tableau):
-            def __init__(self, mesh, params):
-                built.append(params.delta)
-                super().__init__(mesh, params)
-
-        monkeypatch.setattr(en, "_Tableau", Counting)
-        monkeypatch.setattr(en, "_CACHE", OrderedDict())
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
         u = random_function(mesh, np.random.default_rng(6))
         for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
             energy_total(u, KernelParams(0.5, 3.0, delta))
             energy_gradient(u, KernelParams(0.5, 3.0, delta))
+        assert built == [(0.5, 3.0, INFINITE)]
+
+    def test_equal_meshes_share_one_tableau(self, built):
+        # the zero-p2 and bbm studies build equal meshes separately
+        spec = DomainSpec(0.0, 1.0, 0.125)
+        params = KernelParams(0.5, 2.0, 0.125)
+        first, second = build_mesh(spec, 32), build_mesh(spec, 32)
+        assert first is not second and first == second
+        rng = np.random.default_rng(9)
+        for mesh in (first, second):
+            energy_total(random_function(mesh, rng), params)
         assert len(built) == 1
+        energy_total(random_function(build_mesh(spec, 16), rng), params)
+        assert len(built) == 2
