@@ -14,6 +14,7 @@ from .kernelmath import (
 from .mesh import DiscreteFunction, DomainSpec, Mesh, build_mesh, interpolate
 from .energy import (
     EnergyBreakdown,
+    energy_and_gradient,
     energy_gradient,
     energy_total,
     lp_mass,

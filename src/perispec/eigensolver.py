@@ -8,7 +8,9 @@ minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
 L^p.  The local reference eigenvalue of the delta -> 0 limit comes from the
 closed form of the 1-D p-Laplacian (``local_reference_lambda``).
 
-For p >= 2 the inner minimization takes damped Newton steps on the exact Hessian
+Both inner solvers read the objective and its gradient from one fused call
+(``energy.energy_and_gradient``) per trial point.  For p >= 2 the inner
+minimization takes damped Newton steps on the exact Hessian
 (``energy.energy_hessian``), and their count does not grow with the mesh; below
 p = 2, where the Hessian weight |d|^(p-2) blows up, it stays L-BFGS.
 
@@ -105,8 +107,8 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     return pairs
 
 
-def _minimize_inner(obj, grad, x0, gtol, max_iter):
-    """Gradient-only quasi-Newton descent (L-BFGS with line search).
+def _minimize_inner(fun, x0, gtol, max_iter):
+    """Gradient-only quasi-Newton descent (L-BFGS with line search) of fun(x) = (obj, grad).
 
     The inner solver for 1 < p < 2, where the gradient is merely Hölder at
     vanishing differences and the Hessian unbounded, and the finish of a
@@ -114,34 +116,27 @@ def _minimize_inner(obj, grad, x0, gtol, max_iter):
     target or when the line search can make no further double-precision
     progress; the outer inverse-power loop absorbs the residual inexactness.
     """
-    n = len(x0)
-    res = minimize(
-        obj, x0, jac=grad, method="L-BFGS-B",
-        options={
-            "maxiter": max_iter,
-            # L-BFGS-B tests max|g|; our target is the 2-norm.
-            "gtol": gtol / math.sqrt(n),
-            "ftol": 1e-18,
-            "maxls": 40,
-        },
-    )
+    # L-BFGS-B tests max|g|; our target is the 2-norm.
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={
+        "maxiter": max_iter, "gtol": gtol / math.sqrt(len(x0)), "ftol": 1e-18, "maxls": 40})
     return res.x, int(res.nit), float(np.linalg.norm(res.jac))
 
 
-def _newton_inner(obj, grad, hess, x0, gtol, max_iter):
-    """Damped Newton descent: Cholesky steps on the exact Hessian, Armijo backtracking.
+def _newton_inner(fun, hess, x0, gtol, max_iter):
+    """Damped Newton descent of fun(x) = (obj, grad): Cholesky steps on the exact
+    Hessian, Armijo backtracking, one call of fun per trial point.
 
     A step is taken only if it strictly lowers obj.  The solve stops at the
     gradient target, when the predicted decrease -g.step is below the rounding
     level of obj, or when halving the step length below _MIN_STEP finds no
     decrease (like the line search stall of _minimize_inner).  A Hessian that
     fails to factor hands the rest of the solve to _minimize_inner."""
-    x, f, g, its = x0, obj(x0), grad(x0), 0
+    x, (f, g), its = x0, fun(x0), 0
     while its < max_iter and np.linalg.norm(g) > gtol:
         try:
             step = cho_solve(cho_factor(hess(x)), -g)
         except LinAlgError:
-            x, more, gnorm = _minimize_inner(obj, grad, x, gtol, max_iter - its)
+            x, more, gnorm = _minimize_inner(fun, x, gtol, max_iter - its)
             return x, its + more, gnorm
         slope = float(g @ step)
         if -slope <= _F_ROUNDING * abs(f):
@@ -149,13 +144,13 @@ def _newton_inner(obj, grad, hess, x0, gtol, max_iter):
         t = 1.0
         while t >= _MIN_STEP:
             x_t = x + t * step
-            f_t = obj(x_t)
+            f_t, g_t = fun(x_t)
             if f_t < f and f_t <= f + _ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             break
-        x, f, g = x_t, f_t, grad(x_t)
+        x, f, g = x_t, f_t, g_t
         its += 1
     return x, its, float(np.linalg.norm(g))
 
@@ -167,12 +162,6 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     ii = mesh.interior_indices()
     a, b = mesh.domain.a, mesh.domain.b
 
-    def E(x):
-        return en.energy_total(_embed(mesh, x), params)
-
-    def gradE(x):
-        return en.energy_gradient(_embed(mesh, x), params)[ii]
-
     def hess(x):
         return en.energy_hessian(_embed(mesh, x), params)[np.ix_(ii, ii)] / p
 
@@ -181,7 +170,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     else:
         u = interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii]
     u = u / en.lp_mass(_embed(mesh, u), p) ** (1.0 / p)
-    lam = E(u)
+    lam = en.energy_total(_embed(mesh, u), params)
     history = [lam]
     total_inner = 0
     recoveries = 0
@@ -190,18 +179,16 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     for outer in range(1, _MAX_OUTER + 1):
         bvec = en.lp_mass_gradient(_embed(mesh, u), p)[ii] / p
 
-        def obj(x):
-            return E(x) / p - float(bvec @ x)
-
-        def grad(x):
-            return gradE(x) / p - bvec
+        def fun(x):  # energy / p - <b, x> and its gradient, from one pass
+            energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
+            return energy / p - float(bvec @ x), grad[ii] / p - bvec
 
         warm = u / lam ** (1.0 / (p - 1.0))
         gtol = _INNER_TOL * (1.0 + abs(lam))
         if p >= 2.0:
-            v, inner_its, _ = _newton_inner(obj, grad, hess, warm, gtol, _MAX_INNER)
+            v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER)
         else:
-            v, inner_its, _ = _minimize_inner(obj, grad, warm, gtol, _MAX_INNER)
+            v, inner_its, _ = _minimize_inner(fun, warm, gtol, _MAX_INNER)
         total_inner += inner_its
         nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
         if nrm <= 0:
@@ -214,7 +201,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             u_new = np.abs(u_new)
             u_new = u_new / en.lp_mass(_embed(mesh, u_new), p) ** (1.0 / p)
             recoveries += 1
-        lam_new = E(u_new)
+        lam_new = en.energy_total(_embed(mesh, u_new), params)
         step_p = en.lp_mass(_embed(mesh, u_new - u), p) ** (1.0 / p)
         dl = abs(lam_new - lam)
         history.append(lam_new)
@@ -224,21 +211,12 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             break
 
     uf = _embed(mesh, u)
-    resvec = gradE(u) - lam * en.lp_mass_gradient(uf, p)[ii]
+    resvec = en.energy_gradient(uf, params)[ii] - lam * en.lp_mass_gradient(uf, p)[ii]
     residual = float(np.linalg.norm(resvec))
-    return EigenPair(
-        lam=float(lam),
-        eigenfunction=uf,
-        index_k=1,
-        residual=residual,
-        iterations=outer,
-        converged=converged,
-        diagnostics={
-            "inner_iterations": total_inner,
-            "recoveries": recoveries,
-            "rayleigh_history": history,
-        },
-    )
+    return EigenPair(lam=float(lam), eigenfunction=uf, index_k=1, residual=residual,
+                     iterations=outer, converged=converged,
+                     diagnostics={"inner_iterations": total_inner, "recoveries": recoveries,
+                                  "rayleigh_history": history})
 
 
 def available_pairs(p: float, n_nodes: int) -> int:

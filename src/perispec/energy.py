@@ -25,10 +25,12 @@ gap stores only its contiguous element range and its weight vector.  The
 per-element tail and the L^p mass use the same layout with one element per
 row.  The tableau of these templates is memoized per (mesh, s, p, delta), with
 delta = infinity for every horizon of a collarless mesh, and equal meshes
-built separately share it; the energy, its exact gradient and the nodal Gram
-matrix ``_gram`` all evaluate its rules.  The Gram matrix is the p=2
-stiffness (the polarization identity holds to rounding error) and, weighted
-by |u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``.
+built separately share it.  ``energy_and_gradient`` computes |d|^(p-1) once per
+point for the energy and its exact gradient.  The nodal Gram matrix ``_gram``
+takes each block's entries from one product of its weights with the rule's
+stored basis products; it is the p=2 stiffness (the polarization identity
+holds to rounding error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian
+``energy_hessian``.
 
 Importing the module makes the process-wide settings once for every caller
 (``_process_settings``): larger glibc heap thresholds, and one thread for the
@@ -144,6 +146,11 @@ class _Rule:
     def __init__(self, basis: np.ndarray, blocks=()):
         self.basis = basis
         self.blocks = list(blocks)
+        # per point, the Gram entries (a, b), a <= b: basis[a] basis[b], one column
+        # per pair, halved on the diagonal because _gram adds the transpose
+        self.pairs = [(a, b) for a in range(len(basis)) for b in range(a, len(basis))]
+        self.products = np.stack([basis[a] * basis[b] * (0.5 if a == b else 1.0)
+                                  for a, b in self.pairs], axis=1)
 
     def offsets(self, g: int):
         return (0, 1) if len(self.basis) == 2 else (0, 1, g, g + 1)
@@ -245,7 +252,7 @@ class _Tableau:
         self.rules += [r for r in (adjacent, separated, triangle) if r.blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        self.tail = []
+        self.tail, self._at = [], {}
         if truncated_gap < 0:
             a, b = mesh.domain.a, mesh.domain.b
             tx, twt = _gauss01(tail_order)
@@ -266,15 +273,18 @@ class _Tableau:
             self.rules += [rule for rule, _, _ in self.tail]
 
     def rules_at(self, delta: float) -> list:
-        """The rules at horizon delta: the tail kernel lowered by c = (2/(ps)) delta^-ps.
-        A weight is mass * (kernel - c), not weight - c * mass: the two differ in
-        the last bit, and the inner solver's iteration count is chaotic in that."""
+        """The rules at horizon delta, built once: the tail kernel lowered by
+        c = (2/(ps)) delta^-ps.  A weight is mass * (kernel - c), not weight - c * mass:
+        the two differ in the last bit, and the inner solver's iteration count is
+        chaotic in that."""
         if math.isinf(delta) or not self.tail:
             return self.rules
-        c = 2.0 / (self.ps * delta ** self.ps)
-        return self.rules[:-len(self.tail)] + [
-            _Rule(rule.basis, [(lo, hi, g, mass * (kernel - c), main)])
-            for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
+        if delta not in self._at:
+            c = 2.0 / (self.ps * delta ** self.ps)
+            self._at[delta] = self.rules[:-len(self.tail)] + [
+                _Rule(rule.basis, [(lo, hi, g, mass * (kernel - c), main)])
+                for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
+        return self._at[delta]
 
 
 @functools.lru_cache(maxsize=24)
@@ -315,52 +325,52 @@ def _block_values(rules, vals: np.ndarray):
             yield rule, block, d
 
 
-def _power_parts(rules, vals: np.ndarray, p: float):
-    """(principal, interaction): the weighted sums of |value|^p over the points."""
+def _power_parts(rules, vals: np.ndarray, p: float, gradient: bool = False):
+    """(principal, interaction, grad): the weighted sums of |value|^p over the points
+    and, given gradient, the exact nodal gradient of their total (else None).
+    Per block f = |d|^(p-1) sign(d), a square at p = 3, is computed once: the
+    value reads f d = |d|^p, the gradient f w."""
     principal, interaction = [], []
-    for _, (_, _, _, w, (a, b)), d in _block_values(rules, vals):
-        powered = np.abs(d) ** p
+    grad = np.zeros(len(vals)) if gradient else None
+    for rule, (lo, hi, g, w, (a, b)), d in _block_values(rules, vals):
+        f = d * np.abs(d) if p == 3.0 else np.copysign(np.abs(d) ** (p - 1.0), d)
+        powered = f * d
         rows = powered @ w if w.ndim == 1 else np.einsum("ij,ij->i", powered, w)
         principal.append(rows[a:b])
         interaction += [rows[:a], rows[b:]]
-    return float(np.sum(np.concatenate(principal))), float(np.sum(np.concatenate(interaction)))
-
-
-def _power_gradient(rules, vals: np.ndarray, p: float) -> np.ndarray:
-    """Exact nodal gradient of the total of _power_parts."""
-    grad = np.zeros(len(vals))
-    for rule, (lo, hi, g, w, _), d in _block_values(rules, vals):
-        f = np.abs(d) ** (p - 1.0)
-        f *= np.sign(d)
-        f *= w
-        per_node = f @ rule.basis.T
-        for k, off in enumerate(rule.offsets(g)):
-            grad[lo + off:hi + off] += per_node[:, k]
-    return p * grad
+        if gradient:
+            f *= w
+            per_node = f @ rule.basis.T
+            for k, off in enumerate(rule.offsets(g)):
+                grad[lo + off:hi + off] += per_node[:, k]
+    return (float(np.sum(np.concatenate(principal))),
+            float(np.sum(np.concatenate(interaction))),
+            p * grad if gradient else None)
 
 
 def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
     """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
 
-    Each block adds its 4x4 (2x2 for one-element rules) matrix
-    basis diag(w) basis^T along the node diagonals at offsets 0, 1, g, g+1.
-    Given vals, each point's weight is scaled by |d|^(p-2), d the point's
-    value of vals, and p(p-1) G is the Hessian of _power_parts' total there."""
+    Each block's 4x4 (2x2 for one-element rules) matrix basis diag(w) basis^T
+    goes along the node diagonals at offsets 0, 1, g, g+1.  Its upper half,
+    diagonal halved, is w @ rule.products (one matrix product per block); G
+    is the sum of those halves plus its transpose.  Given vals, each point's
+    weight is scaled by |d|^(p-2), d the point's value of vals, and p(p-1) G
+    is the Hessian of _power_parts' total there."""
     G = np.zeros((nn, nn))
     flat = G.reshape(-1)
     blocks = (((rule, block, None) for rule in rules for block in rule.blocks)
               if vals is None else _block_values(rules, vals))
     for rule, (lo, hi, g, w, _), d in blocks:
         if d is not None:
-            w = w * np.abs(d) ** (p - 2.0)
-        local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
+            w = w * (np.abs(d) if p == 3.0 else np.abs(d) ** (p - 2.0))
+        local = w @ rule.products
         span = (hi - lo) * (nn + 1)
         offsets = rule.offsets(g)
-        for i, oi in enumerate(offsets):
-            for j, oj in enumerate(offsets):
-                start = (lo + oi) * nn + lo + oj
-                flat[start:start + span:nn + 1] += local[..., i, j]
-    return 0.5 * (G + G.T)
+        for col, (i, j) in enumerate(rule.pairs):
+            start = (lo + offsets[i]) * nn + lo + offsets[j]
+            flat[start:start + span:nn + 1] += local[..., col]
+    return G + G.T
 
 
 def _p2_matrices(mesh: Mesh, params: KernelParams):
@@ -374,7 +384,7 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
     if params.is_infinite:
         raise InconsistentHorizonError("use energy_total for the infinite horizon")
     _check_constrained(u)
-    principal, interaction = _power_parts(_tableau(u.mesh, params), u.values, params.p)
+    principal, interaction, _ = _power_parts(_tableau(u.mesh, params), u.values, params.p)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
@@ -382,30 +392,38 @@ def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
     """Total seminorm^p for any horizon (finite truncated or infinite); for the
     infinite horizon the complement tail is integrated analytically."""
     _check_constrained(u)
-    principal, interaction = _power_parts(_tableau(u.mesh, params), u.values, params.p)
+    principal, interaction, _ = _power_parts(_tableau(u.mesh, params), u.values, params.p)
     return principal + interaction
+
+
+def energy_and_gradient(u: DiscreteFunction, params: KernelParams):
+    """(energy_total, energy_gradient) at u from one pass over the quadrature points."""
+    _check_constrained(u)
+    principal, interaction, grad = _power_parts(_tableau(u.mesh, params), u.values,
+                                                params.p, gradient=True)
+    return principal + interaction, grad
 
 
 def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     """Exact nodal gradient of energy_total (collar entries included)."""
-    _check_constrained(u)
-    return _power_gradient(_tableau(u.mesh, params), u.values, params.p)
+    return energy_and_gradient(u, params)[1]
 
 
 def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    """Exact nodal Hessian of energy_total at u for p >= 2 (collar entries included)."""
+    """Exact nodal Hessian of energy_total at u for p >= 2 (collar entries included);
+    at p = 2 the weight |d|^0 = 1 does not read u: twice the stiffness, bit for bit."""
     _check_constrained(u)
     p = params.p
-    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), u.values, p)
+    vals = None if p == 2.0 else u.values
+    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), vals, p)
 
 
+@functools.lru_cache(maxsize=24)
 def _mass_rules(mesh: Mesh):
+    """The per-element Gauss rule of lp_mass, built once per mesh."""
     gx, gw = _gauss01(_TAIL_ORDER)
-    lo = mesh.collar_cells
-    nin = mesh.n_interior_elements
-    rule = _Rule(_basis(gx))
-    rule.blocks.append((lo, lo + nin, 0, gw * mesh.h, (0, nin)))
-    return [rule]
+    lo, nin = mesh.collar_cells, mesh.n_interior_elements
+    return [_Rule(_basis(gx), [(lo, lo + nin, 0, gw * mesh.h, (0, nin))])]
 
 
 def lp_mass(u: DiscreteFunction, p: float) -> float:
@@ -415,4 +433,4 @@ def lp_mass(u: DiscreteFunction, p: float) -> float:
 
 def lp_mass_gradient(u: DiscreteFunction, p: float) -> np.ndarray:
     """Exact nodal gradient of lp_mass under the same quadrature."""
-    return _power_gradient(_mass_rules(u.mesh), u.values, p)
+    return _power_parts(_mass_rules(u.mesh), u.values, p, gradient=True)[2]

@@ -11,6 +11,7 @@ from perispec import energy as en
 from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
+    energy_and_gradient,
     energy_gradient,
     energy_hessian,
     energy_total,
@@ -46,6 +47,38 @@ def random_instance(rng, trial):
     return random_function(mesh, rng), params
 
 
+# (mesh horizon, kernel horizon): collar mesh, collarless INF, collarless finite
+HORIZONS = [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)]
+
+
+def horizon_instance(mesh_delta, kernel_delta, p, seed):
+    mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
+    params = KernelParams(0.5, p, kernel_delta or mesh.delta_effective)
+    return random_function(mesh, np.random.default_rng(seed)), params
+
+
+def einsum_gram(rules, nn, vals=None, p=2.0):
+    """Reference Gram matrix: each block's local matrices by the 4-index einsum
+    basis diag(w) basis^T, added entry by entry at node offsets 0, 1, g, g+1."""
+    G = np.zeros((nn, nn))
+    for rule in rules:
+        for lo, hi, g, w, _ in rule.blocks:
+            offsets = rule.offsets(g)
+            if vals is not None:
+                # the point values u(x) - u(y), or u(x) for one-element rules
+                d = np.stack([vals[lo:hi], vals[lo + 1:hi + 1]], axis=1) @ rule.basis[:2]
+                if len(offsets) == 4:
+                    d += np.stack([vals[lo + g:hi + g], vals[lo + g + 1:hi + g + 1]],
+                                  axis=1) @ rule.basis[2:]
+                w = w * np.abs(d) ** (p - 2.0)
+            rows = np.arange(lo, hi)
+            local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
+            for i, oi in enumerate(offsets):
+                for j, oj in enumerate(offsets):
+                    np.add.at(G, (rows + oi, rows + oj), local[..., i, j])
+    return G
+
+
 class TestBruteForceOracle:
     def test_assembly_matches_double_quadrature(self):
         rng = np.random.default_rng(0)
@@ -57,7 +90,7 @@ class TestBruteForceOracle:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_energy_gradient_matches_finite_differences(self, p):
         rng = np.random.default_rng(17)
         for trial in range(10):
@@ -81,6 +114,14 @@ class TestGradients:
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic))
 
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    def test_fused_evaluator_matches_separate_calls(self, p, mesh_delta, kernel_delta):
+        u, params = horizon_instance(mesh_delta, kernel_delta, p, 29)
+        value, grad = energy_and_gradient(u, params)
+        assert value == energy_total(u, params)
+        assert np.array_equal(grad, energy_gradient(u, params))
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_lp_mass_gradient_matches_finite_differences(self, p):
         rng = np.random.default_rng(23)
@@ -98,23 +139,28 @@ class TestGradients:
                 1.0, np.linalg.norm(analytic))
 
 
-# (mesh horizon, kernel horizon): collar mesh, collarless INF, collarless finite
-HORIZONS = [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)]
-
-
 class TestHessian:
     @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_matches_finite_differences_of_gradient(self, p, mesh_delta, kernel_delta):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
-        params = KernelParams(0.5, p, kernel_delta or mesh.delta_effective)
-        u = random_function(mesh, np.random.default_rng(31))
-        ii = mesh.interior_indices()
+        u, params = horizon_instance(mesh_delta, kernel_delta, p, 31)
+        mesh, ii = u.mesh, u.mesh.interior_indices()
         analytic = energy_hessian(u, params)[np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
             lambda vals: energy_gradient(DiscreteFunction(vals, mesh), params)[i],
             u.values, ii) for i in ii])
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
+
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["stiffness", "p3-weighted"])
+    def test_gram_matches_einsum_reference(self, weighted, mesh_delta, kernel_delta):
+        u, params = horizon_instance(mesh_delta, kernel_delta, 3.0, 41)
+        rules, nn = en._tableau(u.mesh, params), len(u.values)
+        vals = u.values if weighted else None
+        reference = einsum_gram(rules, nn, vals, 3.0)
+        gram = en._gram(rules, nn, vals, 3.0)
+        assert np.array_equal(gram, gram.T)
+        assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
 
     def test_p2_hessian_is_twice_the_stiffness(self):
         for mesh_delta, kernel_delta in HORIZONS:
@@ -242,6 +288,25 @@ class TestMassAndLocalEnergy:
         assert calls == [en._TAIL_ORDER]
         assert not x.flags.writeable and not w.flags.writeable
 
+    def test_mass_rule_is_built_once(self, monkeypatch):
+        rules = []
+
+        class Counting(en._Rule):
+            def __init__(self, basis, blocks=()):
+                rules.append(len(basis))
+                super().__init__(basis, blocks)
+
+        monkeypatch.setattr(en, "_Rule", Counting)
+        en._mass_rules.cache_clear()
+        try:
+            u = random_function(build_mesh(DomainSpec(0.0, 1.0, 0.25), 16),
+                                np.random.default_rng(8))
+            for _ in range(10):
+                lp_mass(u, 3.0)
+        finally:
+            en._mass_rules.cache_clear()
+        assert rules == [2]
+
 
 @pytest.fixture
 def built(monkeypatch):
@@ -281,7 +346,17 @@ class TestTableauMemory:
         for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
             energy_total(u, KernelParams(0.5, 3.0, delta))
             energy_gradient(u, KernelParams(0.5, 3.0, delta))
+            energy_and_gradient(u, KernelParams(0.5, 3.0, delta))
         assert built == [(0.5, 3.0, INFINITE)]
+
+    def test_finite_horizon_rules_are_built_once(self):
+        # a finite delta's lowered tail rules are built on its first call only
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
+        first = en._tableau(mesh, KernelParams(0.5, 3.0, 2.0))
+        again = en._tableau(mesh, KernelParams(0.5, 3.0, 2.0))
+        other = en._tableau(mesh, KernelParams(0.5, 3.0, 4.0))
+        assert len(first) == len(again) and all(a is b for a, b in zip(first, again))
+        assert first[-1] is not other[-1] and first[0] is other[0]
 
     def test_equal_meshes_share_one_tableau(self, built):
         # the zero-p2 and bbm studies build equal meshes separately
