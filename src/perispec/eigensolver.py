@@ -3,16 +3,21 @@
 ``solve_eigenpairs`` is the entry point.  For p=2 the problem is a dense
 symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from
 the same quadrature the energy and the L^p mass use).  For general p the first
-eigenpair is computed by a nonlinear inverse power method: each outer step
-minimizes the convex functional E(v)/p - <|u|^(p-2) u, v> and renormalizes in
-L^p.  The local reference eigenvalue of the delta -> 0 limit comes from the
-closed form of the 1-D p-Laplacian (``local_reference_lambda``).
-
-Both inner solvers read the objective and its gradient from one fused call
-(``energy.energy_and_gradient``) per trial point.  For p >= 2 the inner
-minimization takes damped Newton steps on the exact Hessian
-(``energy.energy_hessian``), and their count does not grow with the mesh; below
-p = 2, where the Hessian weight |d|^(p-2) blows up, it stays L-BFGS.
+eigenpair comes from outer steps on iterates u with M(u) = 1 and lam = E(u),
+E the energy and M the L^p mass.  For p >= 2 an outer step is a Newton step on
+(grad E - lam grad M, M - 1): one bordered symmetric solve with the exact
+Hessians (``energy.energy_hessian``, ``energy.lp_mass_hessian``), kept only if
+the normalized iterate strictly lowers the Rayleigh quotient and keeps its
+sign.  Otherwise, and below p = 2, it is a nonlinear inverse power step: the
+convex functional E(v)/p - <|u|^(p-2) u, v> is minimized by damped Newton
+(p >= 2) or L-BFGS (below p = 2, where the Hessian weight |d|^(p-2) blows up),
+one fused ``energy.energy_and_gradient`` call per trial point, and the
+minimizer is renormalized in L^p.  For p >= 2 the solve ends before any Hessian
+once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an inverse
+power step would take no inner step, since its inner gradient at the warm start
+is that residual over p lam.  The local reference eigenvalue of the
+delta -> 0 limit comes from the closed form of the 1-D p-Laplacian
+(``local_reference_lambda``).
 
 Every solve runs OpenBLAS on one thread: importing ``energy`` sets it for the
 process (``energy._process_settings``).
@@ -24,8 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
-from scipy.optimize import minimize
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve
 
 from . import energy as en
 from .kernelmath import KernelParams, local_p_laplacian_lambda1
@@ -116,6 +120,8 @@ def _minimize_inner(fun, x0, gtol, max_iter):
     target or when the line search can make no further double-precision
     progress; the outer inverse-power loop absorbs the residual inexactness.
     """
+    from scipy.optimize import minimize  # ~0.25 s to import, and only this path needs it
+
     # L-BFGS-B tests max|g|; our target is the 2-norm.
     res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={
         "maxiter": max_iter, "gtol": gtol / math.sqrt(len(x0)), "ftol": 1e-18, "maxls": 40})
@@ -157,66 +163,91 @@ def _newton_inner(fun, hess, x0, gtol, max_iter):
 
 def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                           initial: DiscreteFunction | None = None) -> EigenPair:
-    """First eigenpair for general p by the inverse power scheme."""
+    """First eigenpair for general p: safeguarded Newton on the eigen-equation for
+    p >= 2, inverse power below p = 2 and as its fallback."""
     p = params.p
+    newton = p >= 2.0
     ii = mesh.interior_indices()
     a, b = mesh.domain.a, mesh.domain.b
 
     def hess(x):
         return en.energy_hessian(_embed(mesh, x), params)[np.ix_(ii, ii)] / p
 
+    def normalized(v):  # unit L^p mass and a positive sum; None for v = 0
+        nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
+        if nrm <= 0:
+            return None
+        v = v / nrm
+        return -v if np.sum(v) < 0 else v
+
+    def state(x):  # E(x), grad M(x) and the residual grad E(x) - E(x) grad M(x)
+        energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
+        grad_m = en.lp_mass_gradient(_embed(mesh, x), p)[ii]
+        return energy, grad_m, grad[ii] - energy * grad_m
+
     if initial is not None:
         u = initial.values[ii].copy()
     else:
         u = interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii]
     u = u / en.lp_mass(_embed(mesh, u), p) ** (1.0 / p)
-    lam = en.energy_total(_embed(mesh, u), params)
+    lam, grad_m, res = state(u)
     history = [lam]
-    total_inner = 0
-    recoveries = 0
+    total_inner = newton_steps = recoveries = 0
     converged = False
     outer = 0
     for outer in range(1, _MAX_OUTER + 1):
-        bvec = en.lp_mass_gradient(_embed(mesh, u), p)[ii] / p
-
-        def fun(x):  # energy / p - <b, x> and its gradient, from one pass
-            energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
-            return energy / p - float(bvec @ x), grad[ii] / p - bvec
-
-        warm = u / lam ** (1.0 / (p - 1.0))
-        gtol = _INNER_TOL * (1.0 + abs(lam))
-        if p >= 2.0:
-            v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER)
-        else:
-            v, inner_its, _ = _minimize_inner(fun, warm, gtol, _MAX_INNER)
-        total_inner += inner_its
-        nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
-        if nrm <= 0:
+        if newton and np.linalg.norm(res) <= _INNER_TOL * p * lam * (1.0 + lam):
+            converged = True
             break
-        u_new = v / nrm
-        if np.sum(u_new) < 0:
-            u_new = -u_new
-        if np.min(u_new) < -1e-10 * np.max(np.abs(u_new)):
-            # sign-changing iterate: taking |u| cannot increase the energy
-            u_new = np.abs(u_new)
-            u_new = u_new / en.lp_mass(_embed(mesh, u_new), p) ** (1.0 / p)
-            recoveries += 1
-        lam_new = en.energy_total(_embed(mesh, u_new), params)
-        step_p = en.lp_mass(_embed(mesh, u_new - u), p) ** (1.0 / p)
-        dl = abs(lam_new - lam)
-        history.append(lam_new)
-        u, lam = u_new, lam_new
+        new = None
+        if newton:
+            uf = _embed(mesh, u)
+            jac = (en.energy_hessian(uf, params) - lam * en.lp_mass_hessian(uf, p))[np.ix_(ii, ii)]
+            bordered = np.block([[jac, -grad_m[:, None]], [-grad_m[None, :], np.zeros((1, 1))]])
+            try:
+                v = normalized(u + solve(bordered, np.append(-res, 0.0), assume_a="sym")[:-1])
+            except LinAlgError:
+                v = None
+            if v is not None and np.min(v) >= -1e-10 * np.max(np.abs(v)):
+                new = state(v)
+                if new[0] < lam:
+                    newton_steps += 1
+                else:
+                    new = None
+        if new is None:
+            bvec = grad_m / p
+
+            def fun(x):  # energy / p - <b, x> and its gradient, from one pass
+                energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
+                return energy / p - float(bvec @ x), grad[ii] / p - bvec
+
+            warm = u / lam ** (1.0 / (p - 1.0))
+            gtol = _INNER_TOL * (1.0 + abs(lam))
+            if newton:
+                v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER)
+            else:
+                v, inner_its, _ = _minimize_inner(fun, warm, gtol, _MAX_INNER)
+            total_inner += inner_its
+            v = normalized(v)
+            if v is None:
+                break
+            if np.min(v) < -1e-10 * np.max(np.abs(v)):
+                # sign-changing iterate: taking |u| cannot increase the energy
+                v = normalized(np.abs(v))
+                recoveries += 1
+            new = state(v)
+        step_p = en.lp_mass(_embed(mesh, v - u), p) ** (1.0 / p)
+        dl = abs(new[0] - lam)
+        u, (lam, grad_m, res) = v, new
+        history.append(lam)
         if dl <= _TOL_LAMBDA * max(1.0, abs(lam)) and step_p <= _TOL_U:
             converged = True
             break
 
-    uf = _embed(mesh, u)
-    resvec = en.energy_gradient(uf, params)[ii] - lam * en.lp_mass_gradient(uf, p)[ii]
-    residual = float(np.linalg.norm(resvec))
-    return EigenPair(lam=float(lam), eigenfunction=uf, index_k=1, residual=residual,
-                     iterations=outer, converged=converged,
-                     diagnostics={"inner_iterations": total_inner, "recoveries": recoveries,
-                                  "rayleigh_history": history})
+    return EigenPair(lam=float(lam), eigenfunction=_embed(mesh, u), index_k=1,
+                     residual=float(np.linalg.norm(res)), iterations=outer, converged=converged,
+                     diagnostics={"inner_iterations": total_inner, "newton_steps": newton_steps,
+                                  "recoveries": recoveries, "rayleigh_history": history})
 
 
 def available_pairs(p: float, n_nodes: int) -> int:

@@ -356,11 +356,12 @@ def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
     diagonal halved, is w @ rule.products (one matrix product per block); G
     is the sum of those halves plus its transpose.  Given vals, each point's
     weight is scaled by |d|^(p-2), d the point's value of vals, and p(p-1) G
-    is the Hessian of _power_parts' total there."""
+    is the Hessian of _power_parts' total there; at p = 2 the scale is 1 and
+    vals is not read, so G is the unweighted matrix bit for bit."""
     G = np.zeros((nn, nn))
     flat = G.reshape(-1)
     blocks = (((rule, block, None) for rule in rules for block in rule.blocks)
-              if vals is None else _block_values(rules, vals))
+              if vals is None or p == 2.0 else _block_values(rules, vals))
     for rule, (lo, hi, g, w, _), d in blocks:
         if d is not None:
             w = w * (np.abs(d) if p == 3.0 else np.abs(d) ** (p - 2.0))
@@ -411,11 +412,10 @@ def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
 
 def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     """Exact nodal Hessian of energy_total at u for p >= 2 (collar entries included);
-    at p = 2 the weight |d|^0 = 1 does not read u: twice the stiffness, bit for bit."""
+    at p = 2 twice the stiffness, bit for bit."""
     _check_constrained(u)
     p = params.p
-    vals = None if p == 2.0 else u.values
-    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), vals, p)
+    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), u.values, p)
 
 
 @functools.lru_cache(maxsize=24)
@@ -434,3 +434,9 @@ def lp_mass(u: DiscreteFunction, p: float) -> float:
 def lp_mass_gradient(u: DiscreteFunction, p: float) -> np.ndarray:
     """Exact nodal gradient of lp_mass under the same quadrature."""
     return _power_parts(_mass_rules(u.mesh), u.values, p, gradient=True)[2]
+
+
+def lp_mass_hessian(u: DiscreteFunction, p: float) -> np.ndarray:
+    """Exact nodal Hessian of lp_mass at u for p >= 2, under the same quadrature;
+    at p = 2 twice the mass matrix, bit for bit."""
+    return p * (p - 1.0) * _gram(_mass_rules(u.mesh), len(u.values), u.values, p)

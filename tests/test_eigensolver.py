@@ -15,9 +15,10 @@ from perispec.kernelmath import (
     p_pi,
 )
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
-from perispec.energy import energy_total, lp_mass
+from perispec.energy import energy_hessian, energy_total, lp_mass
 from perispec import eigensolver
 from perispec import energy as en
+from perispec.harness import SweepConfig, run_study
 from perispec.eigensolver import (
     WrongExponentError,
     assemble_p2_matrices,
@@ -206,9 +207,10 @@ class TestInversePower:
 class TestInnerSolvers:
     @pytest.mark.parametrize("f_rounding", [None, 0.0], ids=["default", "no-floor"])
     def test_newton_returns_at_zero_inner_tolerance(self, monkeypatch, f_rounding):
-        # the gradient target is unreachable: every inner solve must end at the
-        # rounding floor of the objective or, without it, at a line search
-        # stall instead of running to the iteration cap
+        # the gradient target and the residual stop of the outer loop are
+        # unreachable: every inner solve must end at the rounding floor of the
+        # objective or, without it, at a line search stall instead of running
+        # to the iteration cap, and the lambda/step exit must end the solve
         monkeypatch.setattr(eigensolver, "_INNER_TOL", 0.0)
         if f_rounding is not None:
             monkeypatch.setattr(eigensolver, "_F_ROUNDING", f_rounding)
@@ -222,24 +224,66 @@ class TestInnerSolvers:
         params = KernelParams(0.5, 3.0, mesh.delta_effective)
         base = solve_first_eigenpair(mesh, params)
 
-        def cho_factor(*args, **kwargs):
+        def unfactorable(*args, **kwargs):
             raise eigensolver.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(eigensolver, "cho_factor", cho_factor)
+        # neither the bordered Newton step nor an inner Newton step can run
+        monkeypatch.setattr(eigensolver, "solve", unfactorable)
+        monkeypatch.setattr(eigensolver, "cho_factor", unfactorable)
         ep = solve_first_eigenpair(mesh, params)
         assert ep.converged
+        assert ep.diagnostics["newton_steps"] == 0 and ep.diagnostics["inner_iterations"] > 0
         assert abs(ep.lam - base.lam) <= 1e-10 * base.lam
 
     def test_newton_steps_do_not_grow_with_the_mesh(self):
-        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80
-        inner = []
-        for delta in (0.2, 0.1, 0.05):
+        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160
+        inner, outer = [], []
+        for delta in (0.2, 0.1, 0.05, 0.025):
             mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
             ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))[0]
             assert ep.converged
             assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
             inner.append(ep.diagnostics["inner_iterations"])
+            outer.append(ep.iterations)
         assert max(inner) - min(inner) <= 3
+        assert max(outer) <= 8 and max(outer) - min(outer) <= 2
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("s", [0.1, 0.9])
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", [(0.25, None), (INFINITE, 1.0)],
+                             ids=["collar", "collarless"])
+    def test_eigen_newton_matches_inverse_power(self, monkeypatch, p, s, mesh_delta,
+                                                kernel_delta):
+        # without the safeguard the Newton steps at s = 0.9, p = 4 and 6 end at
+        # a wrong eigenvalue or run to the iteration cap
+        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 16)
+        params = KernelParams(s, p, kernel_delta or mesh.delta_effective)
+        newton = solve_first_eigenpair(mesh, params)
+
+        def unsolvable(*args, **kwargs):
+            raise eigensolver.LinAlgError("singular")
+
+        monkeypatch.setattr(eigensolver, "solve", unsolvable)
+        power = solve_first_eigenpair(mesh, params)
+        assert newton.converged and power.converged
+        assert newton.diagnostics["newton_steps"] > 0 and power.diagnostics["newton_steps"] == 0
+        assert abs(newton.lam - power.lam) <= 1e-9 * power.lam
+
+    def test_warm_inf_rows_build_no_hessian(self, monkeypatch):
+        deltas = []
+
+        def hessian(u, params):
+            deltas.append(params.delta)
+            return energy_hessian(u, params)
+
+        monkeypatch.setattr(en, "energy_hessian", hessian)
+        cfg = SweepConfig.from_dict({
+            "schema_version": 1, "study": "inf", "p": 3.0, "s": 0.5,
+            "delta_list": [1.0, 2.0, 4.0, "INF"], "n_interior": 24, "k_list": [1],
+            "thresholds": [0.5]}, name="warm")
+        report = run_study(cfg)
+        assert all(r.converged for r in report.rows)
+        assert deltas and set(deltas) == {1.0}
 
     def test_lbfgs_below_p2(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
@@ -281,8 +325,8 @@ class TestSolveEigenpairs:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(eigensolver, "cho_factor", watch(eigensolver.cho_factor))
-        monkeypatch.setattr(eigensolver, "eigh", watch(eigensolver.eigh))
+        for name in ("cho_factor", "eigh", "solve"):
+            monkeypatch.setattr(eigensolver, name, watch(getattr(eigensolver, name)))
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
         solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
         solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)

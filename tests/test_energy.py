@@ -17,6 +17,7 @@ from perispec.energy import (
     energy_total,
     lp_mass,
     lp_mass_gradient,
+    lp_mass_hessian,
     nonlocal_energy,
 )
 
@@ -151,6 +152,16 @@ class TestHessian:
             u.values, ii) for i in ii])
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_lp_mass_hessian_matches_finite_differences_of_gradient(self, p):
+        u, _ = horizon_instance(0.25, None, p, 43)
+        mesh, ii = u.mesh, u.mesh.interior_indices()
+        analytic = lp_mass_hessian(u, p)[np.ix_(ii, ii)]
+        numeric = np.array([fd_gradient(
+            lambda vals: lp_mass_gradient(DiscreteFunction(vals, mesh), p)[i], u.values, ii)
+            for i in ii])
+        assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
+
     @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["stiffness", "p3-weighted"])
     def test_gram_matches_einsum_reference(self, weighted, mesh_delta, kernel_delta):
@@ -167,8 +178,9 @@ class TestHessian:
             mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
             params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
             u = random_function(mesh, np.random.default_rng(37))
-            assert np.array_equal(energy_hessian(u, params),
-                                  2 * en._p2_matrices(mesh, params)[0])
+            stiffness, mass = en._p2_matrices(mesh, params)
+            assert np.array_equal(energy_hessian(u, params), 2 * stiffness)
+            assert np.array_equal(lp_mass_hessian(u, 2.0), 2 * mass)
 
 
 class TestStructuralInvariants:

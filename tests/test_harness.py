@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from scipy.integrate import quad
 
 from perispec.harness import (
     ConfigError,
@@ -32,6 +33,15 @@ def base_config(**overrides):
     }
     d.update(overrides)
     return d
+
+
+def run_python(script):
+    """stdout of script run by a fresh interpreter that imports perispec from this checkout."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 class TestConfigValidation:
@@ -124,6 +134,13 @@ class TestStudies:
         assert report.references[1] == pytest.approx(math.pi ** 2, rel=1e-9)
         assert report.verdicts[1]
 
+    @pytest.mark.parametrize("length", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_sine_gradient_integral_matches_quadrature(self, p, length):
+        integral, _ = quad(lambda x: abs(math.pi / length * math.cos(math.pi * x / length)) ** p,
+                           0.0, length, limit=200)
+        assert abs(harness._sine_gradient_integral(p, length) - integral) <= 1e-10 * integral
+
     def test_inf_study_requires_horizon_at_least_domain(self):
         d = base_config(study="inf", delta_list=[0.5, 1.0, "INF"], n_interior=16)
         with pytest.raises(ConfigError):
@@ -184,12 +201,7 @@ class TestStudies:
             "run_study(cfg)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert int(out) < 5000
+        assert int(run_python(script)) < 5000
 
     def test_write_report_files(self, tmp_path):
         cfg = SweepConfig.from_dict(base_config(), name="files")
@@ -248,6 +260,13 @@ class TestRunAll:
 
 
 class TestCli:
+    def test_import_leaves_out_integrate_and_optimize(self):
+        # together they take ~0.6 s to import, and only the p < 2 solver uses one
+        out = run_python("import sys, perispec.cli\n"
+                         "print([m for m in ('scipy.integrate', 'scipy.optimize')"
+                         " if m in sys.modules])")
+        assert out.strip() == "[]"
+
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0
         assert capsys.readouterr().out.strip() == "2.0"
