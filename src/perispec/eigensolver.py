@@ -2,7 +2,8 @@
 
 ``solve_eigenpairs`` is the entry point.  For p=2 the problem is a dense
 symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from
-the same quadrature the energy and the L^p mass use).  For general p the first
+the same quadrature the energy and the L^p mass use), which the reflection
+symmetry of the mesh splits into an even and an odd half.  For general p the first
 eigenpair comes from outer steps on iterates u with M(u) = 1 and lam = E(u),
 E the energy and M the L^p mass.  For p >= 2 an outer step is a Newton step on
 (grad E - lam grad M, M - 1): one bordered symmetric solve with the exact
@@ -19,17 +20,18 @@ is that residual over p lam.  The local reference eigenvalue of the
 delta -> 0 limit comes from the closed form of the 1-D p-Laplacian
 (``local_reference_lambda``).
 
-Every solve runs OpenBLAS on one thread: importing ``energy`` sets it for the
-process (``energy._process_settings``).
+The linear algebra is numpy.linalg, on the one OpenBLAS thread that importing
+``energy`` sets (``energy._process_settings``); only L-BFGS imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, solve
+from numpy.linalg import LinAlgError, cholesky, eigh, inv, solve
 
 from . import energy as en
 from .kernelmath import KernelParams, local_p_laplacian_lambda1
@@ -81,32 +83,67 @@ def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
     and of the L^2 mass, under the quadrature their evaluators use."""
     if abs(params.p - 2.0) > 1e-12:
         raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
-    A, M = en._p2_matrices(mesh, params)
-    ii = mesh.interior_indices()
-    return A[np.ix_(ii, ii)], M[np.ix_(ii, ii)]
+    ii = mesh.interior
+    return en._gram(en._tableau(mesh, params), len(mesh.nodes))[ii, ii], _mass_factors(mesh)[0]
+
+
+def _fold(X: np.ndarray, sign: float) -> np.ndarray:
+    """X[:m, :m] + sign X[:m, J cols], J the reversal of the nodes: for an X that commutes
+    with J, its even block (sign 1, with the middle node of odd n) or its odd block."""
+    m = (len(X) + (sign > 0)) // 2
+    return X[:m, :m] + sign * X[:m, ::-1][:, :m]
+
+
+@functools.lru_cache(maxsize=24)
+def _mass_factors(mesh: Mesh) -> tuple:
+    """(M, W, U for sign 1, W, U for sign -1), built once per mesh, read-only: the
+    interior mass matrix M, the inverse Cholesky factor W of _fold(M, sign) and the
+    unfold U = B W^T, B = E + sign JE with E = eye(n, m), so _fold(X) = B^T X B / 2."""
+    ii = mesh.interior
+    factors = [en._gram(en._mass_rules(mesh), len(mesh.nodes))[ii, ii]]
+    for sign in (1.0, -1.0):
+        W = inv(cholesky(_fold(factors[0], sign)))  # LinAlgError if M is indefinite
+        EW = np.pad(W.T, ((0, len(factors[0]) - len(W)), (0, 0)))  # E W^T
+        factors += [W, EW + sign * EW[::-1]]
+    for f in factors:
+        f.setflags(write=False)
+    return tuple(factors)
 
 
 def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
     vals = np.zeros(len(mesh.nodes))
-    vals[mesh.interior_indices()] = x
+    vals[mesh.interior] = x
     return DiscreteFunction(vals, mesh)
 
 
 def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega).
-    A mass matrix that is not positive definite raises eigh's LinAlgError."""
+    The reflection x -> a+b-x commutes with A and M, so the pencil splits into an even
+    and an odd _fold block, each solved by eigh of C = W A W^T (_mass_factors), the odd
+    one only if it holds some of the k_max smallest.  An indefinite M raises LinAlgError."""
     A, M = assemble_p2_matrices(mesh, params)
-    vals, vecs = eigh(A, M, subset_by_index=[0, k_max - 1])
+    factors, found = _mass_factors(mesh), []
+    for sign, W, U in zip((1.0, -1.0), factors[1::2], factors[2::2]):
+        C = W @ _fold(A, sign) @ W.T
+        if len(found) == k_max:  # Sylvester's law of inertia: the odd block holds none of
+            try:                 # the k_max smallest if C - mu I, mu the largest kept, factors
+                cholesky(C - found[-1][0] * np.eye(len(C)))
+                continue
+            except LinAlgError:
+                pass
+        lam, y = eigh(C)
+        found += zip(lam[:k_max], (U @ y[:, :k_max]).T)
     pairs = []
-    for k in range(k_max):
-        x = vecs[:, k] / en.lp_mass(_embed(mesh, vecs[:, k]), 2.0) ** 0.5
-        # deterministic sign: first eigenfunction positive, others positive at
-        # the first interior node
+    for k, (_, v) in enumerate(sorted(found, key=lambda pair: pair[0])[:k_max]):
+        x = v / en.lp_mass(_embed(mesh, v), 2.0) ** 0.5
+        # deterministic sign: the first eigenfunction positive, the others at x[0]
         if (np.sum(x) if k == 0 else x[0]) < 0:
             x = -x
-        res = A @ x - vals[k] * (M @ x)
-        residual = float(np.linalg.norm(res) / max(np.linalg.norm(M @ x), 1e-300))
-        pairs.append(EigenPair(lam=float(vals[k]), eigenfunction=_embed(mesh, x), index_k=k + 1,
+        # eigh's value has a relative error of ~eps ||A|| / lam, the quotient of ~eps
+        Ax, Mx = A @ x, M @ x
+        lam = float(x @ Ax) / float(x @ Mx)
+        residual = float(np.linalg.norm(Ax - lam * Mx) / max(np.linalg.norm(Mx), 1e-300))
+        pairs.append(EigenPair(lam=lam, eigenfunction=_embed(mesh, x), index_k=k + 1,
                                residual=residual, iterations=0))
     return pairs
 
@@ -120,17 +157,17 @@ def _minimize_inner(fun, x0, gtol, max_iter):
     target or when the line search can make no further double-precision
     progress; the outer inverse-power loop absorbs the residual inexactness.
     """
-    from scipy.optimize import minimize  # ~0.25 s to import, and only this path needs it
-
+    import scipy.optimize  # ~0.25 s to import, and only this path needs it
+    en._one_blas_thread(scipy)
     # L-BFGS-B tests max|g|; our target is the 2-norm.
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B", options={
+    res = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options={
         "maxiter": max_iter, "gtol": gtol / math.sqrt(len(x0)), "ftol": 1e-18, "maxls": 40})
     return res.x, int(res.nit), float(np.linalg.norm(res.jac))
 
 
 def _newton_inner(fun, hess, x0, gtol, max_iter):
-    """Damped Newton descent of fun(x) = (obj, grad): Cholesky steps on the exact
-    Hessian, Armijo backtracking, one call of fun per trial point.
+    """Damped Newton descent of fun(x) = (obj, grad): steps on the exact Hessian
+    once it passes a Cholesky test, Armijo backtracking, one fun call per trial point.
 
     A step is taken only if it strictly lowers obj.  The solve stops at the
     gradient target, when the predicted decrease -g.step is below the rounding
@@ -140,7 +177,8 @@ def _newton_inner(fun, hess, x0, gtol, max_iter):
     x, (f, g), its = x0, fun(x0), 0
     while its < max_iter and np.linalg.norm(g) > gtol:
         try:
-            step = cho_solve(cho_factor(hess(x)), -g)
+            cholesky(H := hess(x))  # raises unless H is positive definite
+            step = solve(H, -g)
         except LinAlgError:
             x, more, gnorm = _minimize_inner(fun, x, gtol, max_iter - its)
             return x, its + more, gnorm
@@ -167,11 +205,11 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     p >= 2, inverse power below p = 2 and as its fallback."""
     p = params.p
     newton = p >= 2.0
-    ii = mesh.interior_indices()
+    ii = mesh.interior
     a, b = mesh.domain.a, mesh.domain.b
 
     def hess(x):
-        return en.energy_hessian(_embed(mesh, x), params)[np.ix_(ii, ii)] / p
+        return en.energy_hessian(_embed(mesh, x), params)[ii, ii] / p
 
     def normalized(v):  # unit L^p mass and a positive sum; None for v = 0
         nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
@@ -202,10 +240,10 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         new = None
         if newton:
             uf = _embed(mesh, u)
-            jac = (en.energy_hessian(uf, params) - lam * en.lp_mass_hessian(uf, p))[np.ix_(ii, ii)]
+            jac = (en.energy_hessian(uf, params) - lam * en.lp_mass_hessian(uf, p))[ii, ii]
             bordered = np.block([[jac, -grad_m[:, None]], [-grad_m[None, :], np.zeros((1, 1))]])
             try:
-                v = normalized(u + solve(bordered, np.append(-res, 0.0), assume_a="sym")[:-1])
+                v = normalized(u + solve(bordered, np.append(-res, 0.0))[:-1])
             except LinAlgError:
                 v = None
             if v is not None and np.min(v) >= -1e-10 * np.max(np.abs(v)):

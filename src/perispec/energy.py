@@ -34,7 +34,7 @@ holds to rounding error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian
 
 Importing the module makes the process-wide settings once for every caller
 (``_process_settings``): larger glibc heap thresholds, and one thread for the
-OpenBLAS builds that numpy and scipy bundle.
+OpenBLAS that numpy bundles (``_one_blas_thread``; the p < 2 solver sets scipy's).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 from numpy.polynomial.legendre import leggauss
 
 from .kernelmath import KernelParams
@@ -68,10 +67,7 @@ def _process_settings() -> None:
     glibc's trim and mmap thresholds go up (a no-op without glibc): an energy
     call allocates and frees a few hundred KB of numpy temporaries; at the
     default 128 KB both go back to the system, and every call faults its pages
-    in again.  The OpenBLAS builds of the numpy and scipy wheels run on one
-    thread: the eigensolver's matrices are a few hundred wide at most, where
-    worker threads cost more than they save and, when another process holds a
-    core, stall a single factorization for up to a second."""
+    in again.  numpy's OpenBLAS runs on one thread."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -80,16 +76,22 @@ def _process_settings() -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
         mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
-    for pkg in (np, scipy):
-        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
-            lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                         "openblas_set_num_threads"):
-                if hasattr(lib, name):
-                    set_threads = getattr(lib, name)
-                    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-                    set_threads(1)
-                    break
+    _one_blas_thread(np)
+
+
+def _one_blas_thread(pkg) -> None:
+    """Set the OpenBLAS of pkg's wheel (numpy, scipy) to one thread: at a few hundred
+    unknowns worker threads cost more than they save and, when another process
+    holds a core, stall a single factorization for up to a second."""
+    for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                set_threads(1)
+                break
 
 
 _process_settings()
@@ -372,12 +374,6 @@ def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
             start = (lo + offsets[i]) * nn + lo + offsets[j]
             flat[start:start + span:nn + 1] += local[..., col]
     return G + G.T
-
-
-def _p2_matrices(mesh: Mesh, params: KernelParams):
-    """Nodal (stiffness, mass): the quadratic forms of energy_total at p=2 and of lp_mass."""
-    nn = len(mesh.nodes)
-    return _gram(_tableau(mesh, params), nn), _gram(_mass_rules(mesh), nn)
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:

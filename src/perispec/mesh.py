@@ -92,8 +92,10 @@ class Mesh:
     def __hash__(self):
         return hash(self._fingerprint)
 
-    def interior_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.interior_mask)
+    @property
+    def interior(self) -> slice:
+        """The interior nodes, a contiguous range of the nodal vector."""
+        return slice(self.collar_cells + 1, -self.collar_cells - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,7 +144,7 @@ def test_criterion_6_oracle_equivalence():
     for _ in range(20):
         x = rng.standard_normal(A.shape[0])
         vals = np.zeros(len(mesh.nodes))
-        vals[mesh.interior_indices()] = x
+        vals[mesh.interior] = x
         form = float(x @ A @ x)
         via_energy = nonlocal_energy(DiscreteFunction(vals, mesh), params).total
         quad_ok = quad_ok and abs(form - via_energy) <= 1e-10 * abs(via_energy)
@@ -169,7 +169,7 @@ def test_criterion_7_gradient_checks():
                 mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
                 params = KernelParams(s, p, INFINITE)
             u = random_function(mesh, rng)
-            ii = mesh.interior_indices()
+            ii = np.flatnonzero(mesh.interior_mask)
 
             def f(vals):
                 return energy_total(DiscreteFunction(vals, mesh), params)

@@ -1,12 +1,13 @@
 import ctypes
 import glob
+import importlib
 import math
 import os
 
 import numpy as np
 import pytest
-import scipy
-from scipy.linalg import LinAlgError
+import scipy.linalg
+from numpy.linalg import LinAlgError
 
 from perispec.kernelmath import (
     INFINITE,
@@ -31,25 +32,34 @@ from perispec.eigensolver import (
 from _oracles import shooting_oracle_lambda1
 
 
-def blas_thread_getters():
-    """The thread-count getter of each OpenBLAS bundled with numpy and scipy."""
-    getters = []
-    for pkg in (np, scipy):
+def _openblas_functions(kind, packages):
+    """The get_num_threads (kind "get") or set_num_threads (kind "set") function of
+    each OpenBLAS bundled with the named packages."""
+    found = []
+    for pkg in map(importlib.import_module, packages):
         for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
             lib = ctypes.CDLL(path)
-            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                         "openblas_get_num_threads"):
+            for name in (f"scipy_openblas_{kind}_num_threads64_",
+                         f"scipy_openblas_{kind}_num_threads", f"openblas_{kind}_num_threads"):
                 if hasattr(lib, name):
-                    get = getattr(lib, name)
-                    get.argtypes, get.restype = (), ctypes.c_int
-                    getters.append(get)
+                    fn = getattr(lib, name)
+                    if kind == "get":
+                        fn.argtypes, fn.restype = (), ctypes.c_int
+                    else:
+                        fn.argtypes, fn.restype = (ctypes.c_int,), None
+                    found.append(fn)
                     break
-    return getters
+    return found
+
+
+def blas_thread_getters(packages=("numpy", "scipy")):
+    """The thread-count getter of each OpenBLAS bundled with the named packages."""
+    return _openblas_functions("get", packages)
 
 
 def embed(mesh, x):
     vals = np.zeros(len(mesh.nodes))
-    vals[mesh.interior_indices()] = x
+    vals[mesh.interior] = x
     return DiscreteFunction(vals, mesh)
 
 
@@ -119,13 +129,16 @@ class TestP2Spectrum:
     def test_indefinite_mass_raises(self, monkeypatch):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
         params = KernelParams(0.5, 2.0, mesh.delta_effective)
-        A, M = en._p2_matrices(mesh, params)
-        M = M.copy()
-        i = mesh.interior_indices()[2]
-        M[i, i] = -M[i, i]
-        monkeypatch.setattr(en, "_p2_matrices", lambda *_: (A, M))
-        with pytest.raises(LinAlgError, match="not positive definite"):
-            solve_p2_spectrum(mesh, params, 1)
+        (rule,) = en._mass_rules(mesh)
+        negated = [en._Rule(rule.basis, [(lo, hi, g, -w, main)
+                                         for lo, hi, g, w, main in rule.blocks])]
+        monkeypatch.setattr(en, "_mass_rules", lambda _: negated)
+        eigensolver._mass_factors.cache_clear()
+        try:
+            with pytest.raises(LinAlgError, match="not positive definite"):
+                solve_p2_spectrum(mesh, params, 1)
+        finally:
+            eigensolver._mass_factors.cache_clear()
 
     def test_eigenvalues_monotone_in_horizon(self):
         params_small = KernelParams(0.5, 2.0, 0.25)
@@ -148,6 +161,65 @@ class TestP2Spectrum:
         l23 = v3 + (v3 - v2) * r / (1.0 - r)
         l12 = v2 + (v2 - v1) * r / (1.0 - r)
         assert abs(l23 - l12) / abs(l23) <= 0.005
+
+
+# collar and collarless meshes with 11 (12 elements) and 12 (13 elements) interior
+# nodes; the collarless finite horizon lowers the tail weights of the INF tableau
+FOLD_MESHES = [(mesh_delta, kernel_delta, n) for mesh_delta, kernel_delta in
+               [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)] for n in (12, 13)]
+
+
+def fold_instance(mesh_delta, kernel_delta, n, s):
+    mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
+    return mesh, KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
+
+
+class TestP2Fold:
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("mesh_delta, kernel_delta, n", FOLD_MESHES)
+    def test_reflection_commutes_with_the_pencil(self, mesh_delta, kernel_delta, n, s):
+        A, M = assemble_p2_matrices(*fold_instance(mesh_delta, kernel_delta, n, s))
+        assert np.max(np.abs(A[::-1, ::-1] - A)) <= 1e-14 * np.max(np.abs(A))
+        assert np.array_equal(M[::-1, ::-1], M)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("mesh_delta, kernel_delta, n",
+                             FOLD_MESHES + [(0.05, None, 40), (INFINITE, INFINITE, 41)])
+    def test_matches_unfolded_generalized_eigh(self, mesh_delta, kernel_delta, n, s):
+        mesh, params = fold_instance(mesh_delta, kernel_delta, n, s)
+        A, M = assemble_p2_matrices(mesh, params)
+        lams, vecs = scipy.linalg.eigh(A, M)  # unit M-norm: normalized in L^2(Omega)
+        # k_max = 1 solves only the even block; at 2 the odd block holds lambda_2
+        for k_max in (1, 2, len(A)):
+            pairs = solve_p2_spectrum(mesh, params, k_max)
+            assert len(pairs) == k_max
+            for ep, lam, v in zip(pairs, lams, vecs.T):
+                assert abs(ep.lam - lam) <= 1e-12 * lam
+                x = ep.eigenfunction.values[mesh.interior_mask]
+                assert min(np.max(np.abs(x - v)), np.max(np.abs(x + v))) <= 1e-10
+            first = pairs[0].eigenfunction.values[mesh.interior_mask]
+            assert np.max(np.abs(first - first[::-1])) <= 1e-15 * np.max(first)
+            assert np.all(first > 0)
+
+    def test_mass_factors_are_built_once(self, monkeypatch):
+        inverted = []
+
+        def counting(factor):
+            inverted.append(len(factor))
+            return np.linalg.inv(factor)
+
+        monkeypatch.setattr(eigensolver, "inv", counting)
+        eigensolver._mass_factors.cache_clear()
+        try:
+            for s in (0.3, 0.7):
+                for delta in (1.0, 2.0, INFINITE):  # the rows of an inf study
+                    mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 16)
+                    solve_p2_spectrum(mesh, KernelParams(s, 2.0, delta), 2)
+            factors = eigensolver._mass_factors(mesh)
+        finally:
+            eigensolver._mass_factors.cache_clear()
+        assert inverted == [8, 7]  # the even and the odd block of 15 interior nodes
+        assert len(factors) == 5 and not any(f.flags.writeable for f in factors)
 
 
 class TestInversePower:
@@ -229,7 +301,7 @@ class TestInnerSolvers:
 
         # neither the bordered Newton step nor an inner Newton step can run
         monkeypatch.setattr(eigensolver, "solve", unfactorable)
-        monkeypatch.setattr(eigensolver, "cho_factor", unfactorable)
+        monkeypatch.setattr(eigensolver, "cholesky", unfactorable)
         ep = solve_first_eigenpair(mesh, params)
         assert ep.converged
         assert ep.diagnostics["newton_steps"] == 0 and ep.diagnostics["inner_iterations"] > 0
@@ -314,7 +386,8 @@ class TestSolveEigenpairs:
             assert np.array_equal(ep.eigenfunction.values, ref.eigenfunction.values)
 
     def test_direct_solves_run_on_one_blas_thread(self, monkeypatch):
-        getters = blas_thread_getters()
+        # every direct solve runs on numpy's OpenBLAS
+        getters = blas_thread_getters(("numpy",))
         if not getters:
             pytest.skip("no bundled OpenBLAS")
         inside = []
@@ -325,13 +398,25 @@ class TestSolveEigenpairs:
                 return fn(*args, **kwargs)
             return counted
 
-        for name in ("cho_factor", "eigh", "solve"):
+        for name in ("cholesky", "eigh", "solve"):
             monkeypatch.setattr(eigensolver, name, watch(getattr(eigensolver, name)))
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
         solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
         solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
         assert len(inside) > 1
         assert inside == [[1] * len(getters)] * len(inside)
+
+    def test_scipy_blas_set_to_one_thread_below_p2(self):
+        # the 1 < p < 2 path loads scipy.optimize, and with it scipy's OpenBLAS, at
+        # its first solve; start that OpenBLAS at two threads, as if just loaded
+        getters = blas_thread_getters()
+        if not getters:
+            pytest.skip("no bundled OpenBLAS")
+        for set_threads in _openblas_functions("set", ("scipy",)):
+            set_threads(2)
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
+        assert solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.delta_effective)).converged
+        assert [get() for get in getters] == [1] * len(getters)
 
 
 class TestShootingOracle:

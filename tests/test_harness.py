@@ -260,12 +260,20 @@ class TestRunAll:
 
 
 class TestCli:
-    def test_import_leaves_out_integrate_and_optimize(self):
-        # together they take ~0.6 s to import, and only the p < 2 solver uses one
-        out = run_python("import sys, perispec.cli\n"
-                         "print([m for m in ('scipy.integrate', 'scipy.optimize')"
-                         " if m in sys.modules])")
-        assert out.strip() == "[]"
+    def test_import_and_p2_p3_studies_load_no_scipy(self):
+        # scipy.linalg alone takes ~0.15 s to import; only the p < 2 solver uses
+        # scipy (scipy.optimize), and it imports it itself
+        script = ("import sys, perispec.cli\n"
+                  "from perispec.harness import SweepConfig, run_study\n"
+                  "def scipy_modules():\n"
+                  "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                  "print(scipy_modules())\n")
+        for p in (3.0, 2.0):
+            config = base_config(p=p, delta_list=[0.4, 0.2, 0.1], thresholds=[0.5])
+            script += (f"assert run_study(SweepConfig.from_dict({config!r}, name='tiny'))"
+                       ".rows[0].converged\n"
+                       "print(scipy_modules())\n")
+        assert run_python(script).split() == ["[]"] * 3
 
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0

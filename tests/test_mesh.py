@@ -48,6 +48,12 @@ class TestBuildMesh:
         assert np.array_equal(mesh.interior_mask, inside)
         assert mesh.interior_mask.sum() == 15  # endpoints are pinned
 
+    @pytest.mark.parametrize("delta", [0.25, INFINITE])
+    def test_interior_slice_matches_mask(self, delta):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, delta), 16)
+        nodes = np.arange(len(mesh.nodes))
+        assert np.array_equal(nodes[mesh.interior], np.flatnonzero(mesh.interior_mask))
+
     def test_underresolved_horizon(self):
         with pytest.raises(HorizonUnderresolvedError):
             build_mesh(DomainSpec(0.0, 1.0, 0.01), 10)
