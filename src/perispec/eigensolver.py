@@ -1,24 +1,25 @@
 """Eigenpairs of the discrete truncated fractional p-Laplacian.
 
 ``solve_eigenpairs`` is the entry point.  For p=2 the problem is a dense
-symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from
-the same quadrature the energy and the L^p mass use), which the reflection
-symmetry of the mesh splits into an even and an odd half.  For general p the first
-eigenpair comes from outer steps on iterates u with M(u) = 1 and lam = E(u),
-E the energy and M the L^p mass.  For p >= 2 an outer step is a Newton step on
-(grad E - lam grad M, M - 1): one bordered symmetric solve with the exact
-Hessians (``energy.energy_hessian``, ``energy.lp_mass_hessian``), kept only if
-the normalized iterate strictly lowers the Rayleigh quotient and keeps its
-sign.  Otherwise, and below p = 2, it is a nonlinear inverse power step: the
-convex functional E(v)/p - <|u|^(p-2) u, v> is minimized by damped Newton
-(p >= 2) or L-BFGS (below p = 2, where the Hessian weight |d|^(p-2) blows up),
-one fused ``energy.energy_and_gradient`` call per trial point, and the
-minimizer is renormalized in L^p.  For p >= 2 the solve ends before any Hessian
-once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an inverse
-power step would take no inner step, since its inner gradient at the warm start
-is that residual over p lam.  The local reference eigenvalue of the
-delta -> 0 limit comes from the closed form of the 1-D p-Laplacian
-(``local_reference_lambda``).
+symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from the
+same quadrature the energy and the L^p mass use), which the reflection symmetry of
+the mesh splits into an even and an odd half.  The stiffness is the tableau's
+(``energy._Tableau.stiffness``): on a collarless mesh one shared Gram plus the tail
+Gram of the horizon.  For general p the first eigenpair comes from outer steps on
+iterates u with M(u) = 1 and lam = E(u), E the energy and M the L^p mass.  For
+p >= 2 an outer step is a Newton step on (grad E - lam grad M, M - 1): one bordered
+symmetric solve with the exact Hessians (``energy.energy_hessian``,
+``energy.lp_mass_hessian``), kept only if the normalized iterate strictly lowers
+the Rayleigh quotient and keeps its sign.  Otherwise, and below p = 2, it is a
+nonlinear inverse power step: the convex functional E(v)/p - <|u|^(p-2) u, v> is
+minimized by damped Newton (p >= 2, starting from the bordered step's Hessian of E,
+scaled since E is p-homogeneous) or L-BFGS (below p = 2, where the Hessian weight
+|d|^(p-2) blows up), one fused ``energy.energy_and_gradient`` call per trial point,
+and the minimizer is renormalized in L^p.  For p >= 2 the solve ends before any
+Hessian once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an inverse
+power step would take no inner step, since its inner gradient at the warm start is
+that residual over p lam.  The local reference eigenvalue of the delta -> 0 limit
+comes from the closed form of the 1-D p-Laplacian (``local_reference_lambda``).
 
 The linear algebra is numpy.linalg, on the one OpenBLAS thread that importing
 ``energy`` sets (``energy._process_settings``); only L-BFGS imports scipy.
@@ -84,7 +85,7 @@ def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
     if abs(params.p - 2.0) > 1e-12:
         raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
     ii = mesh.interior
-    return en._gram(en._tableau(mesh, params), len(mesh.nodes))[ii, ii], _mass_factors(mesh)[0]
+    return en._table(mesh, params).stiffness(params.delta)[ii, ii], _mass_factors(mesh)[0]
 
 
 def _fold(X: np.ndarray, sign: float) -> np.ndarray:
@@ -165,9 +166,9 @@ def _minimize_inner(fun, x0, gtol, max_iter):
     return res.x, int(res.nit), float(np.linalg.norm(res.jac))
 
 
-def _newton_inner(fun, hess, x0, gtol, max_iter):
-    """Damped Newton descent of fun(x) = (obj, grad): steps on the exact Hessian
-    once it passes a Cholesky test, Armijo backtracking, one fun call per trial point.
+def _newton_inner(fun, hess, x0, gtol, max_iter, H=None):
+    """Damped Newton descent of fun(x) = (obj, grad): steps on the exact Hessian (H at x0
+    if given) once it passes a Cholesky test, Armijo backtracking, one fun call per trial point.
 
     A step is taken only if it strictly lowers obj.  The solve stops at the
     gradient target, when the predicted decrease -g.step is below the rounding
@@ -177,7 +178,7 @@ def _newton_inner(fun, hess, x0, gtol, max_iter):
     x, (f, g), its = x0, fun(x0), 0
     while its < max_iter and np.linalg.norm(g) > gtol:
         try:
-            cholesky(H := hess(x))  # raises unless H is positive definite
+            cholesky(H := hess(x) if H is None else H)  # raises unless H is positive definite
             step = solve(H, -g)
         except LinAlgError:
             x, more, gnorm = _minimize_inner(fun, x, gtol, max_iter - its)
@@ -194,7 +195,7 @@ def _newton_inner(fun, hess, x0, gtol, max_iter):
             t *= 0.5
         else:
             break
-        x, f, g = x_t, f_t, g_t
+        x, f, g, H = x_t, f_t, g_t, None
         its += 1
     return x, its, float(np.linalg.norm(g))
 
@@ -240,7 +241,8 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         new = None
         if newton:
             uf = _embed(mesh, u)
-            jac = (en.energy_hessian(uf, params) - lam * en.lp_mass_hessian(uf, p))[ii, ii]
+            hess_u = en.energy_hessian(uf, params)[ii, ii]
+            jac = hess_u - lam * en.lp_mass_hessian(uf, p)[ii, ii]
             bordered = np.block([[jac, -grad_m[:, None]], [-grad_m[None, :], np.zeros((1, 1))]])
             try:
                 v = normalized(u + solve(bordered, np.append(-res, 0.0))[:-1])
@@ -261,8 +263,9 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
 
             warm = u / lam ** (1.0 / (p - 1.0))
             gtol = _INNER_TOL * (1.0 + abs(lam))
-            if newton:
-                v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER)
+            if newton:  # E is p-homogeneous, so its Hessian at warm is hess_u's, scaled
+                v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER,
+                                                hess_u * lam ** ((2.0 - p) / (p - 1.0)) / p)
             else:
                 v, inner_its, _ = _minimize_inner(fun, warm, gtol, _MAX_INNER)
             total_inner += inner_its

@@ -30,7 +30,8 @@ point for the energy and its exact gradient.  The nodal Gram matrix ``_gram``
 takes each block's entries from one product of its weights with the rule's
 stored basis products; it is the p=2 stiffness (the polarization identity
 holds to rounding error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian
-``energy_hessian``.
+``energy_hessian``.  A collarless tableau builds the Gram of its shared rules once,
+and each horizon adds its tail Gram (``_Tableau.stiffness``).
 
 Importing the module makes the process-wide settings once for every caller
 (``_process_settings``): larger glibc heap thresholds, and one thread for the
@@ -254,7 +255,7 @@ class _Tableau:
         self.rules += [r for r in (adjacent, separated, triangle) if r.blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        self.tail, self._at = [], {}
+        self.tail, self._at, self._shared, self.nn = [], {}, None, len(mesh.nodes)
         if truncated_gap < 0:
             a, b = mesh.domain.a, mesh.domain.b
             tx, twt = _gauss01(tail_order)
@@ -288,6 +289,17 @@ class _Tableau:
                 for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
         return self._at[delta]
 
+    def stiffness(self, delta: float) -> np.ndarray:
+        """_gram(rules_at(delta)) bit for bit: a tail's blocks (diagonals 0, +-1) add to the
+        upper half of the Gram of the rules all horizons share, built once, read-only."""
+        if not self.tail:
+            return _gram(self.rules, self.nn)
+        if self._shared is None:
+            full = _gram(self.rules[:-len(self.tail)], self.nn)
+            self._shared = np.triu(full) - np.diag(np.diag(full)) / 2.0  # exact
+            self._shared.setflags(write=False)
+        return _gram(self.rules_at(delta)[-len(self.tail):], self.nn, upper=self._shared)
+
 
 @functools.lru_cache(maxsize=24)
 def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
@@ -295,14 +307,18 @@ def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
     return _Tableau(mesh, s, p, delta)
 
 
-def _tableau(mesh: Mesh, params: KernelParams) -> list:
-    """The quadrature rules of the energy at params, read from the memoized tableau."""
+def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
+    """The memoized tableau of params on mesh, built at delta = infinity if collarless."""
     length = mesh.domain.length
     if not mesh.has_collar and params.delta < length * (1.0 - 1e-12):
         raise InconsistentHorizonError(
             f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}")
-    delta = params.delta if mesh.has_collar else math.inf
-    return _built(mesh, params.s, params.p, delta).rules_at(params.delta)
+    return _built(mesh, params.s, params.p, params.delta if mesh.has_collar else math.inf)
+
+
+def _tableau(mesh: Mesh, params: KernelParams) -> list:
+    """The quadrature rules of the energy at params, read from the memoized tableau."""
+    return _table(mesh, params).rules_at(params.delta)
 
 
 def _check_constrained(u: DiscreteFunction):
@@ -350,7 +366,7 @@ def _power_parts(rules, vals: np.ndarray, p: float, gradient: bool = False):
             p * grad if gradient else None)
 
 
-def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
+def _gram(rules, nn: int, vals=None, p: float = 2.0, upper=None) -> np.ndarray:
     """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
 
     Each block's 4x4 (2x2 for one-element rules) matrix basis diag(w) basis^T
@@ -359,8 +375,9 @@ def _gram(rules, nn: int, vals=None, p: float = 2.0) -> np.ndarray:
     is the sum of those halves plus its transpose.  Given vals, each point's
     weight is scaled by |d|^(p-2), d the point's value of vals, and p(p-1) G
     is the Hessian of _power_parts' total there; at p = 2 the scale is 1 and
-    vals is not read, so G is the unweighted matrix bit for bit."""
-    G = np.zeros((nn, nn))
+    vals is not read, so G is the unweighted matrix bit for bit.  Given upper, the
+    halves of earlier rules, the blocks add to a copy of it."""
+    G = np.zeros((nn, nn)) if upper is None else upper.copy()
     flat = G.reshape(-1)
     blocks = (((rule, block, None) for rule in rules for block in rule.blocks)
               if vals is None or p == 2.0 else _block_values(rules, vals))

@@ -93,6 +93,30 @@ class TestP2Assembly:
         assert np.allclose(sums[1:-1], mesh.h, rtol=1e-14)
         assert M.T is not M and np.max(np.abs(M - M.T)) == 0.0
 
+    def test_shared_stiffness_is_built_once(self, monkeypatch):
+        # the five horizons of an inf study on one collarless mesh: one Gram of the
+        # shared rules, then one tail Gram per horizon
+        grams = []
+
+        def counting(rules, nn, *args, **kwargs):
+            grams.append(rules)
+            return gram(rules, nn, *args, **kwargs)
+
+        gram = en._gram
+        monkeypatch.setattr(en, "_gram", counting)
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 16)
+        en._built.cache_clear()
+        try:
+            for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
+                assemble_p2_matrices(mesh, KernelParams(0.5, 2.0, delta))
+            table = en._table(mesh, KernelParams(0.5, 2.0, INFINITE))
+        finally:
+            en._built.cache_clear()
+        shared = [rules for rules in grams if rules[0] is table.rules[0]]
+        assert len(shared) == 1 and len(shared[0]) == len(table.rules) - len(table.tail)
+        assert sum(rules[0].basis is table.tail[0][0].basis for rules in grams) == 5
+        assert not table._shared.flags.writeable
+
     def test_wrong_exponent(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
         with pytest.raises(WrongExponentError):
@@ -356,6 +380,33 @@ class TestInnerSolvers:
         report = run_study(cfg)
         assert all(r.converged for r in report.rows)
         assert deltas and set(deltas) == {1.0}
+
+    def test_fallback_reuses_the_bordered_hessian(self, monkeypatch):
+        # the canonical zero-p3 row at delta = 0.2: its last Newton step is rejected
+        # and the inverse power fallback takes no inner step; the energy is
+        # p-homogeneous, so it scales the Hessian the bordered step built at u
+        count, starts = [], []
+
+        def hessian(u, params):
+            count.append(params.delta)
+            return energy_hessian(u, params)
+
+        def newton_inner(fun, hess, x0, gtol, max_iter, H):
+            starts.append((x0, H))
+            return newton(fun, hess, x0, gtol, max_iter, H)
+
+        newton = eigensolver._newton_inner
+        monkeypatch.setattr(en, "energy_hessian", hessian)
+        monkeypatch.setattr(eigensolver, "_newton_inner", newton_inner)
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
+        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        ep = solve_eigenpairs(mesh, params)[0]
+        assert ep.diagnostics["newton_steps"] == 5 and ep.diagnostics["inner_iterations"] == 0
+        assert len(count) == 6  # one per Newton step and one for the rejected step
+        assert abs(ep.lam - 2.8148237761991957) <= 1e-13 * ep.lam
+        ((x0, H),) = starts
+        direct = energy_hessian(embed(mesh, x0), params)[mesh.interior, mesh.interior] / 3.0
+        assert np.max(np.abs(H - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_lbfgs_below_p2(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)

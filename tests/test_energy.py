@@ -337,6 +337,20 @@ def built(monkeypatch):
     en._built.cache_clear()
 
 
+class TestSplitStiffness:
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [12, 13])  # 11 and 12 interior nodes
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", [
+        (INFINITE, 1.0), (INFINITE, 2.0), (INFINITE, 8.0), (INFINITE, INFINITE), (0.25, None),
+    ], ids=["inf-1", "inf-2", "inf-8", "inf", "0.25"])
+    def test_matches_the_full_gram(self, mesh_delta, kernel_delta, n, s):
+        # the tail blocks add to the shared upper half in the order _gram adds them
+        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
+        params = KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
+        full = en._gram(en._tableau(mesh, params), len(mesh.nodes))
+        assert np.array_equal(en._table(mesh, params).stiffness(params.delta), full)
+
+
 class TestTableauMemory:
     def test_cold_tableau_is_small(self):
         # per-gap templates: O(r q^2 + n) floats, not one copy per element pair
@@ -351,6 +365,30 @@ class TestTableauMemory:
         finally:
             tracemalloc.stop()
         assert 2 ** 16 < retained < 4 * 2 ** 20  # the lower bound shows the build was cold
+
+    def test_cold_p2_stiffness_keeps_only_the_shared_gram(self):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        params = KernelParams(0.4375, 2.0, 2.0)  # a key no other test builds
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            en._table(mesh, params).stiffness(params.delta)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 2 ** 16 < retained < 4 * 2 ** 20 + 8 * len(mesh.nodes) ** 2
+
+    def test_collar_p2_stiffness_keeps_no_gram(self):
+        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.0625), 256)
+        table = en._table(mesh, KernelParams(0.4375, 2.0, mesh.delta_effective))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table.stiffness(mesh.delta_effective)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * len(mesh.nodes)  # less than one row of the matrix
 
     def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau

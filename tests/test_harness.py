@@ -188,6 +188,19 @@ class TestStudies:
             assert abs(lam[delta] - expected) <= 1e-9 * abs(expected)
         assert all(r.converged for r in report.rows)
 
+    @pytest.mark.parametrize("n_interior", [16, 64])
+    def test_p2_inf_rows_obey_horizon_shift_identity(self, n_interior):
+        # at p = 2, A(delta) = A(inf) - 2 c(delta) M; the eigenvalues are Rayleigh
+        # quotients, good to ~1e-14
+        cfg = SweepConfig.from_dict(base_config(
+            study="inf", p=2.0, delta_list=[1.0, 2.0, 4.0, 8.0, "INF"],
+            n_interior=n_interior), name="shift-p2")
+        lam = {r.delta_requested: r.lambda_raw for r in run_study(cfg).rows}
+        ps = cfg.p * cfg.s
+        for delta in cfg.delta_list[:-1]:
+            expected = lam[math.inf] - 4.0 / ps * delta ** (-ps)
+            assert abs(lam[delta] - expected) <= 1e-12 * abs(expected)
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds need glibc")
     def test_run_study_keeps_freed_heap(self):
         # importing the energy module raises glibc's heap thresholds, so the
