@@ -15,8 +15,6 @@ from .mesh import DiscreteFunction, DomainSpec, Mesh, build_mesh, interpolate
 from .energy import (
     EnergyBreakdown,
     energy_and_gradient,
-    energy_gradient,
-    energy_total,
     lp_mass,
     nonlocal_energy,
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -82,17 +81,18 @@ def _cmd_eigen(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise TypeError(f"config must be a JSON object, got {type(d).__name__}")
+        a, b = float(d.get("a", 0.0)), float(d.get("b", 1.0))
         delta = INFINITE if d.get("delta") == "INF" else float(d["delta"])
         params = KernelParams(float(d["s"]), float(d["p"]), delta)
-        domain_delta = INFINITE if (math.isinf(delta) or delta >= float(d.get("b", 1.0)) -
-                                    float(d.get("a", 0.0))) else delta
-        domain = DomainSpec(float(d.get("a", 0.0)), float(d.get("b", 1.0)), domain_delta)
-        n_interior = int(d.get("n_interior", 128))
-        k_max = int(d.get("k_max", 1))
-        mesh = build_mesh(domain, n_interior)
+        n_interior, k_max = d.get("n_interior", 128), d.get("k_max", 1)
+        if not (isinstance(n_interior, int) and isinstance(k_max, int)):
+            raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
+        mesh = build_mesh(DomainSpec(a, b, INFINITE if delta >= b - a else delta), n_interior)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         return _config_error(exc)
-    if not math.isinf(params.delta) and mesh.has_collar:
+    if mesh.has_collar:
         params = params.with_delta(mesh.delta_effective)
     try:
         pairs = solve_eigenpairs(mesh, params, k_max)

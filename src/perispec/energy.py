@@ -25,8 +25,9 @@ gap stores only its contiguous element range and its weight vector.  The
 per-element tail and the L^p mass use the same layout with one element per
 row.  The tableau of these templates is memoized per (mesh, s, p, delta), with
 delta = infinity for every horizon of a collarless mesh, and equal meshes
-built separately share it.  ``energy_and_gradient`` computes |d|^(p-1) once per
-point for the energy and its exact gradient.  The nodal Gram matrix ``_gram``
+built separately share it.  ``nonlocal_energy`` is the energy at every horizon,
+split principal/interaction; ``energy_and_gradient`` computes |d|^(p-1) once per
+point for its total and exact gradient.  The nodal Gram matrix ``_gram``
 takes each block's entries from one product of its weights with the rule's
 stored basis products; it is the p=2 stiffness (the polarization identity
 holds to rounding error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian
@@ -122,7 +123,7 @@ def _gauss01(order: int):
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Nonlocal energy split into the domain-domain part and the collar cross terms."""
+    """Nonlocal energy split into the domain-domain part and the complement interaction."""
 
     principal: float
     interaction: float
@@ -394,37 +395,22 @@ def _gram(rules, nn: int, vals=None, p: float = 2.0, upper=None) -> np.ndarray:
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
-    """Truncated seminorm of u to the p-th power, split principal/interaction."""
-    if params.is_infinite:
-        raise InconsistentHorizonError("use energy_total for the infinite horizon")
+    """Truncated seminorm of u to the p-th power at any horizon, split principal/interaction."""
     _check_constrained(u)
     principal, interaction, _ = _power_parts(_tableau(u.mesh, params), u.values, params.p)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
-def energy_total(u: DiscreteFunction, params: KernelParams) -> float:
-    """Total seminorm^p for any horizon (finite truncated or infinite); for the
-    infinite horizon the complement tail is integrated analytically."""
-    _check_constrained(u)
-    principal, interaction, _ = _power_parts(_tableau(u.mesh, params), u.values, params.p)
-    return principal + interaction
-
-
 def energy_and_gradient(u: DiscreteFunction, params: KernelParams):
-    """(energy_total, energy_gradient) at u from one pass over the quadrature points."""
+    """(nonlocal_energy total, its exact nodal gradient) at u from one pass over the points."""
     _check_constrained(u)
     principal, interaction, grad = _power_parts(_tableau(u.mesh, params), u.values,
                                                 params.p, gradient=True)
     return principal + interaction, grad
 
 
-def energy_gradient(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    """Exact nodal gradient of energy_total (collar entries included)."""
-    return energy_and_gradient(u, params)[1]
-
-
 def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    """Exact nodal Hessian of energy_total at u for p >= 2 (collar entries included);
+    """Exact nodal Hessian of the nonlocal energy at u for p >= 2 (collar entries included);
     at p = 2 twice the stiffness, bit for bit."""
     _check_constrained(u)
     p = params.p

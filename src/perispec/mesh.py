@@ -120,9 +120,6 @@ class DiscreteFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def replace_values(self, values: np.ndarray) -> "DiscreteFunction":
-        return DiscreteFunction(np.asarray(values, dtype=float), self.mesh)
-
     def collar_is_zero(self) -> bool:
         return bool(np.all(self.values[~self.mesh.interior_mask] == 0.0))
 

@@ -12,9 +12,7 @@ from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
     energy_and_gradient,
-    energy_gradient,
     energy_hessian,
-    energy_total,
     lp_mass,
     lp_mass_gradient,
     lp_mass_hessian,
@@ -85,7 +83,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(0)
         for trial in range(10):
             u, params = random_instance(rng, trial)
-            lib = energy_total(u, params)
+            lib = nonlocal_energy(u, params).total
             oracle = brute_force_energy(u, params.s, params.p, params.delta)
             assert abs(lib - oracle) / abs(oracle) <= 1e-5
 
@@ -108,9 +106,9 @@ class TestGradients:
             ii = np.flatnonzero(mesh.interior_mask)
 
             def f(vals):
-                return energy_total(DiscreteFunction(vals, mesh), params)
+                return nonlocal_energy(DiscreteFunction(vals, mesh), params).total
 
-            analytic = energy_gradient(u, params)[ii]
+            analytic = energy_and_gradient(u, params)[1][ii]
             numeric = fd_gradient(f, u.values, ii)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic))
@@ -120,8 +118,8 @@ class TestGradients:
     def test_fused_evaluator_matches_separate_calls(self, p, mesh_delta, kernel_delta):
         u, params = horizon_instance(mesh_delta, kernel_delta, p, 29)
         value, grad = energy_and_gradient(u, params)
-        assert value == energy_total(u, params)
-        assert np.array_equal(grad, energy_gradient(u, params))
+        assert value == nonlocal_energy(u, params).total
+        assert np.array_equal(grad, energy_and_gradient(u, params)[1])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_lp_mass_gradient_matches_finite_differences(self, p):
@@ -148,7 +146,7 @@ class TestHessian:
         mesh, ii = u.mesh, np.flatnonzero(u.mesh.interior_mask)
         analytic = energy_hessian(u, params)[np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
-            lambda vals: energy_gradient(DiscreteFunction(vals, mesh), params)[i],
+            lambda vals: energy_and_gradient(DiscreteFunction(vals, mesh), params)[1][i],
             u.values, ii) for i in ii])
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
 
@@ -194,7 +192,7 @@ class TestStructuralInvariants:
     def test_decomposition_identity(self):
         br = nonlocal_energy(self.u, self.params)
         assert abs(br.total - (br.principal + br.interaction)) <= 1e-12 * abs(br.total)
-        fast = energy_total(self.u, self.params)
+        fast = energy_and_gradient(self.u, self.params)[0]
         assert abs(br.total - fast) <= 1e-12 * abs(br.total)
 
     def test_interaction_vanishes_away_from_collar(self):
@@ -208,25 +206,26 @@ class TestStructuralInvariants:
 
     @pytest.mark.parametrize("c", [2.0, -3.5, 0.1])
     def test_homogeneity(self, c):
-        base = energy_total(self.u, self.params)
-        scaled = energy_total(self.u.replace_values(c * self.u.values), self.params)
+        base = nonlocal_energy(self.u, self.params).total
+        scaled = nonlocal_energy(DiscreteFunction(c * self.u.values, self.mesh), self.params).total
         assert abs(scaled - abs(c) ** self.params.p * base) <= 1e-12 * abs(scaled)
 
     def test_reflection_symmetry(self):
-        base = energy_total(self.u, self.params)
-        reflected = energy_total(self.u.replace_values(self.u.values[::-1]), self.params)
+        base = nonlocal_energy(self.u, self.params).total
+        reflected = nonlocal_energy(DiscreteFunction(self.u.values[::-1], self.mesh),
+                                    self.params).total
         assert abs(base - reflected) <= 1e-12 * abs(base)
 
     def test_sign_symmetry(self):
-        assert energy_total(self.u.replace_values(-self.u.values), self.params) == \
-            energy_total(self.u, self.params)
+        flipped = DiscreteFunction(-self.u.values, self.mesh)
+        assert nonlocal_energy(flipped, self.params) == nonlocal_energy(self.u, self.params)
 
     def test_monotone_in_horizon_bounded_by_fractional(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
         u = random_function(mesh, np.random.default_rng(9))
         s, p = 0.5, 2.5
-        values = [energy_total(u, KernelParams(s, p, d)) for d in (1.0, 2.0, 4.0, 8.0)]
-        full = energy_total(u, KernelParams(s, p, INFINITE))
+        values = [nonlocal_energy(u, KernelParams(s, p, d)).total for d in (1.0, 2.0, 4.0, 8.0)]
+        full = nonlocal_energy(u, KernelParams(s, p, INFINITE)).total
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < full for v in values)
 
@@ -246,10 +245,19 @@ class TestStructuralInvariants:
         with pytest.raises(ConstraintViolationError):
             nonlocal_energy(u, self.params)
 
-    def test_infinite_finite_dispatch(self):
-        # the breakdown is of the truncated energy; energy_total covers INF
-        with pytest.raises(InconsistentHorizonError):
-            nonlocal_energy(self.u, KernelParams(0.5, 2.5, INFINITE))
+    def test_collarless_breakdown_at_finite_and_infinite_horizon(self):
+        # Without a collar the interaction is the analytic tail, at every horizon:
+        # a finite delta >= |Omega| lowers it by (4/(ps)) delta^(-ps) ||u||_p^p and
+        # leaves the pair rules, the principal part, as they are.
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
+        u = random_function(mesh, np.random.default_rng(2))
+        s, delta = 0.5, 2.0
+        at_inf = nonlocal_energy(u, KernelParams(s, 2.0, INFINITE))
+        at_delta = nonlocal_energy(u, KernelParams(s, 2.0, delta))
+        assert at_delta.principal == at_inf.principal
+        assert at_inf.interaction > 0.0
+        shift = 4.0 / (2.0 * s) * delta ** (-2.0 * s) * lp_mass(u, 2.0)
+        assert abs(at_inf.interaction - at_delta.interaction - shift) <= 1e-12 * shift
 
     def test_gradient_dispatchers(self):
         # On a collarless mesh a finite horizon delta >= |Omega| shifts the
@@ -258,8 +266,8 @@ class TestStructuralInvariants:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
         u = random_function(mesh, np.random.default_rng(2))
         s, delta = 0.5, 2.0
-        g_inf = energy_gradient(u, KernelParams(s, 2.0, INFINITE))
-        g_delta = energy_gradient(u, KernelParams(s, 2.0, delta))
+        g_inf = energy_and_gradient(u, KernelParams(s, 2.0, INFINITE))[1]
+        g_delta = energy_and_gradient(u, KernelParams(s, 2.0, delta))[1]
         shift = 4.0 / (2.0 * s) * delta ** (-2.0 * s)
         expected = g_inf - shift * lp_mass_gradient(u, 2.0)
         assert np.linalg.norm(g_delta - expected) <= 1e-12 * np.linalg.norm(g_inf)
@@ -360,7 +368,7 @@ class TestTableauMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            energy_total(u, params)
+            nonlocal_energy(u, params)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -395,8 +403,7 @@ class TestTableauMemory:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
         u = random_function(mesh, np.random.default_rng(6))
         for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
-            energy_total(u, KernelParams(0.5, 3.0, delta))
-            energy_gradient(u, KernelParams(0.5, 3.0, delta))
+            nonlocal_energy(u, KernelParams(0.5, 3.0, delta))
             energy_and_gradient(u, KernelParams(0.5, 3.0, delta))
         assert built == [(0.5, 3.0, INFINITE)]
 
@@ -417,7 +424,7 @@ class TestTableauMemory:
         assert first is not second and first == second
         rng = np.random.default_rng(9)
         for mesh in (first, second):
-            energy_total(random_function(mesh, rng), params)
+            nonlocal_energy(random_function(mesh, rng), params)
         assert len(built) == 1
-        energy_total(random_function(build_mesh(spec, 16), rng), params)
+        nonlocal_energy(random_function(build_mesh(spec, 16), rng), params)
         assert len(built) == 2

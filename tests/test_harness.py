@@ -18,6 +18,7 @@ from perispec.harness import (
 )
 from perispec import cli, harness
 from perispec.eigensolver import EigenPair
+from perispec.mesh import DiscreteFunction, interpolate
 
 
 def base_config(**overrides):
@@ -65,6 +66,7 @@ class TestConfigValidation:
         {"thresholds": [0.5, 0.5]},                 # one per k
         {"cells_per_horizon": 2},
         {"unexpected_key": 1},
+        {"seed": 0},                                # no solver read it; now an unknown key
         {"k_list": [1, 12], "thresholds": [0.5, 0.5]},  # coarsest mesh has 9 nodes
         {"delta_list": [0.4, 0.2, 0.15]},           # not geometric: breaks extrapolation
     ])
@@ -133,6 +135,19 @@ class TestStudies:
         report = run_study(cfg)
         assert report.references[1] == pytest.approx(math.pi ** 2, rel=1e-9)
         assert report.verdicts[1]
+        assert report.checks["interpolant_truncated_on_collar"] and report.passed
+
+    def test_bbm_check_reads_the_interpolant_flag(self, monkeypatch):
+        def untruncated(f, mesh):
+            return DiscreteFunction(interpolate(f, mesh).values, mesh)
+
+        monkeypatch.setattr(harness, "interpolate", untruncated)
+        cfg = SweepConfig.from_dict(base_config(study="bbm", thresholds=[0.1]),
+                                    name="tiny-bbm")
+        report = run_study(cfg)
+        assert report.verdicts[1]
+        assert report.checks["interpolant_truncated_on_collar"] is False
+        assert not report.passed
 
     @pytest.mark.parametrize("length", [1.0, 2.0])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
@@ -333,12 +348,14 @@ class TestCli:
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
         k_max_cfg = {"p": 2, "s": 0.5, "delta": 0.25, "n_interior": 8}
-        for cfg in ({"p": 2.0},
+        for cfg in ({"p": 2.0}, [1, 2],
                     # horizon below one cell: the mesh cannot be built
                     {"p": 3, "s": 0.5, "delta": 0.001, "n_interior": 8},
                     # k_max outside [1, interior nodes], or above 1 at p != 2
                     dict(k_max_cfg, k_max=0), dict(k_max_cfg, k_max=-1),
-                    dict(k_max_cfg, k_max=50), dict(k_max_cfg, p=3, k_max=2)):
+                    dict(k_max_cfg, k_max=50), dict(k_max_cfg, p=3, k_max=2),
+                    # non-integer sizes, not silently truncated
+                    dict(k_max_cfg, n_interior=16.5), dict(k_max_cfg, k_max=1.5)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 
