@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .kernelmath import INFINITE, KernelParams, gamma_constant
 from .mesh import DomainSpec, build_mesh
-from .harness import run_all, run_configs
+from .harness import _check_keys, run_all, run_configs
 from .eigensolver import SpectrumRequestError, solve_eigenpairs
 
 
@@ -81,8 +81,7 @@ def _cmd_eigen(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-        if not isinstance(d, dict):
-            raise TypeError(f"config must be a JSON object, got {type(d).__name__}")
+        _check_keys(d, {"p", "s", "delta", "a", "b", "n_interior", "k_max"}, args.config)
         a, b = float(d.get("a", 0.0)), float(d.get("b", 1.0))
         delta = INFINITE if d.get("delta") == "INF" else float(d["delta"])
         params = KernelParams(float(d["s"]), float(d["p"]), delta)

@@ -12,17 +12,18 @@ symmetric solve with the exact Hessians (``energy.energy_hessian``,
 ``energy.lp_mass_hessian``), kept only if the normalized iterate strictly lowers
 the Rayleigh quotient and keeps its sign.  Otherwise, and below p = 2, it is a
 nonlinear inverse power step: the convex functional E(v)/p - <|u|^(p-2) u, v> is
-minimized by damped Newton (p >= 2, starting from the bordered step's Hessian of E,
-scaled since E is p-homogeneous) or L-BFGS (below p = 2, where the Hessian weight
-|d|^(p-2) blows up), one fused ``energy.energy_and_gradient`` call per trial point,
-and the minimizer is renormalized in L^p.  For p >= 2 the solve ends before any
-Hessian once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an inverse
-power step would take no inner step, since its inner gradient at the warm start is
-that residual over p lam.  The local reference eigenvalue of the delta -> 0 limit
-comes from the closed form of the 1-D p-Laplacian (``local_reference_lambda``).
+minimized by one descent loop, ``_descend``, one fused ``energy.energy_and_gradient``
+call per trial point, and the minimizer is renormalized in L^p.  Its direction is
+the Newton step for p >= 2 (starting from the bordered step's Hessian of E, scaled
+since E is p-homogeneous), and L-BFGS below p = 2, where the Hessian weight |d|^(p-2)
+blows up, and after a Hessian that fails to factor.  For p >= 2 the solve ends before
+any Hessian once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an
+inverse power step would take no inner step, since its inner gradient at the warm
+start is that residual over p lam.  The local reference eigenvalue of the delta -> 0
+limit comes from the closed form of the 1-D p-Laplacian (``local_reference_lambda``).
 
 The linear algebra is numpy.linalg, on the one OpenBLAS thread that importing
-``energy`` sets (``energy._process_settings``); only L-BFGS imports scipy.
+``energy`` sets (``energy._process_settings``).
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ _TOL_U = 1e-8               # L^p step between normalized iterates
 _MAX_OUTER = 200
 _MAX_INNER = 20000
 _INNER_TOL = 1e-10          # inner gradient target, relative to 1 + lambda
-_ARMIJO = 1e-4              # sufficient-decrease constant of the Newton line search
-_MIN_STEP = 1e-12           # Newton step length below which the line search has stalled
-_F_ROUNDING = 1e-15         # Newton decrease, relative to |obj|, below its rounding level
+_ARMIJO = 1e-4              # sufficient-decrease constant of the line search
+_MIN_STEP = 1e-12           # step length below which the line search has stalled
+_F_ROUNDING = 1e-15         # predicted decrease, relative to |obj|, below its rounding level
+_LBFGS_MEMORY = 10          # (s, y) pairs of the L-BFGS direction
 
 
 @dataclass(frozen=True)
@@ -149,40 +151,32 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     return pairs
 
 
-def _minimize_inner(fun, x0, gtol, max_iter):
-    """Gradient-only quasi-Newton descent (L-BFGS with line search) of fun(x) = (obj, grad).
-
-    The inner solver for 1 < p < 2, where the gradient is merely Hölder at
-    vanishing differences and the Hessian unbounded, and the finish of a
-    Newton solve whose Hessian fails to factor.  It stops at the gradient
-    target or when the line search can make no further double-precision
-    progress; the outer inverse-power loop absorbs the residual inexactness.
-    """
-    import scipy.optimize  # ~0.25 s to import, and only this path needs it
-    en._one_blas_thread(scipy)
-    # L-BFGS-B tests max|g|; our target is the 2-norm.
-    res = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options={
-        "maxiter": max_iter, "gtol": gtol / math.sqrt(len(x0)), "ftol": 1e-18, "maxls": 40})
-    return res.x, int(res.nit), float(np.linalg.norm(res.jac))
-
-
-def _newton_inner(fun, hess, x0, gtol, max_iter, H=None):
-    """Damped Newton descent of fun(x) = (obj, grad): steps on the exact Hessian (H at x0
-    if given) once it passes a Cholesky test, Armijo backtracking, one fun call per trial point.
-
-    A step is taken only if it strictly lowers obj.  The solve stops at the
-    gradient target, when the predicted decrease -g.step is below the rounding
-    level of obj, or when halving the step length below _MIN_STEP finds no
-    decrease (like the line search stall of _minimize_inner).  A Hessian that
-    fails to factor hands the rest of the solve to _minimize_inner."""
-    x, (f, g), its = x0, fun(x0), 0
+def _descend(fun, x0, gtol, max_iter, hess=None, H=None):
+    """Armijo descent of the convex fun(x) = (obj, grad), one fun call per trial point:
+    (last iterate, steps).  The direction is the Newton step on the exact Hessian (H at
+    x0 if given, else hess(x)) while hess is given and the Hessian passes a Cholesky test;
+    otherwise, and from the first Hessian that fails to factor, the L-BFGS two-loop
+    direction over the last _LBFGS_MEMORY pairs (s, y), H0 = (s.y / y.y) I, a pair kept
+    only if s.y > 0 (Nocedal & Wright, alg. 7.4).  A step must strictly lower obj.  The
+    descent stops at the gradient target, when the predicted decrease -g.step is below
+    the rounding level of obj, or when halving the step below _MIN_STEP finds no decrease."""
+    x, (f, g), its, pairs, scale = x0, fun(x0), 0, [], 1.0
     while its < max_iter and np.linalg.norm(g) > gtol:
-        try:
-            cholesky(H := hess(x) if H is None else H)  # raises unless H is positive definite
-            step = solve(H, -g)
-        except LinAlgError:
-            x, more, gnorm = _minimize_inner(fun, x, gtol, max_iter - its)
-            return x, its + more, gnorm
+        step = None
+        if hess is not None:
+            try:
+                cholesky(H := hess(x) if H is None else H)  # raises unless H is positive definite
+                step = solve(H, -g)
+            except LinAlgError:
+                hess = None
+        if step is None:
+            step, alphas = -g, []
+            for s, y in reversed(pairs):
+                alphas.append(float(s @ step) / float(y @ s))
+                step = step - alphas[-1] * y
+            step = step * scale
+            for (s, y), alpha in zip(pairs, reversed(alphas)):
+                step = step + (alpha - float(y @ step) / float(y @ s)) * s
         slope = float(g @ step)
         if -slope <= _F_ROUNDING * abs(f):
             break
@@ -195,9 +189,12 @@ def _newton_inner(fun, hess, x0, gtol, max_iter, H=None):
             t *= 0.5
         else:
             break
+        s, y = x_t - x, g_t - g
+        if float(s @ y) > 0:
+            pairs, scale = (pairs + [(s, y)])[-_LBFGS_MEMORY:], float(s @ y) / float(y @ y)
         x, f, g, H = x_t, f_t, g_t, None
         its += 1
-    return x, its, float(np.linalg.norm(g))
+    return x, its
 
 
 def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
@@ -262,12 +259,10 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 return energy / p - float(bvec @ x), grad[ii] / p - bvec
 
             warm = u / lam ** (1.0 / (p - 1.0))
-            gtol = _INNER_TOL * (1.0 + abs(lam))
-            if newton:  # E is p-homogeneous, so its Hessian at warm is hess_u's, scaled
-                v, inner_its, _ = _newton_inner(fun, hess, warm, gtol, _MAX_INNER,
-                                                hess_u * lam ** ((2.0 - p) / (p - 1.0)) / p)
-            else:
-                v, inner_its, _ = _minimize_inner(fun, warm, gtol, _MAX_INNER)
+            # E is p-homogeneous, so its Hessian at warm is hess_u's, scaled
+            H = hess_u * lam ** ((2.0 - p) / (p - 1.0)) / p if newton else None
+            v, inner_its = _descend(fun, warm, _INNER_TOL * (1.0 + abs(lam)), _MAX_INNER,
+                                    hess if newton else None, H)
             total_inner += inner_its
             v = normalized(v)
             if v is None:

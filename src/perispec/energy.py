@@ -36,7 +36,7 @@ and each horizon adds its tail Gram (``_Tableau.stiffness``).
 
 Importing the module makes the process-wide settings once for every caller
 (``_process_settings``): larger glibc heap thresholds, and one thread for the
-OpenBLAS that numpy bundles (``_one_blas_thread``; the p < 2 solver sets scipy's).
+OpenBLAS that numpy bundles.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def _process_settings() -> None:
     glibc's trim and mmap thresholds go up (a no-op without glibc): an energy
     call allocates and frees a few hundred KB of numpy temporaries; at the
     default 128 KB both go back to the system, and every call faults its pages
-    in again.  numpy's OpenBLAS runs on one thread."""
+    in again.  numpy's OpenBLAS runs on one thread: at a few hundred unknowns
+    worker threads cost more than they save and, when another process holds a
+    core, stall a single factorization for up to a second."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -78,14 +80,7 @@ def _process_settings() -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
         mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
-    _one_blas_thread(np)
-
-
-def _one_blas_thread(pkg) -> None:
-    """Set the OpenBLAS of pkg's wheel (numpy, scipy) to one thread: at a few hundred
-    unknowns worker threads cost more than they save and, when another process
-    holds a core, stall a single factorization for up to a second."""
-    for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*")):
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads"):

@@ -56,6 +56,20 @@ class ConfigError(ValueError):
     """Malformed or schema-incompatible sweep configuration (CLI exit code 2)."""
 
 
+def _check_keys(d, allowed, name: str) -> None:
+    """ConfigError unless d is a JSON object whose keys all lie in allowed and whose
+    values hold no boolean: bool is an int in Python, so true would pass as 1."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name}: config must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    flags = sorted(k for k, v in d.items()
+                   if any(isinstance(x, bool) for x in (v if isinstance(v, list) else [v])))
+    if flags:
+        raise ConfigError(f"{name}: booleans are not config values, got one in {flags}")
+
+
 _SCHEMA_VERSION = 1
 _STUDIES = ("zero", "inf", "bbm")
 _CSV_HEADER = "delta_requested,delta_effective,k,lambda_raw,lambda_scaled,reference,rel_err,verdict"
@@ -79,8 +93,7 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: dict, name: str = "study") -> "SweepConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"{name}: config must be a JSON object, got {type(d).__name__}")
+        _check_keys(d, {f.name for f in fields(SweepConfig)} | {"schema_version"}, name)
         missing = [k for k in ("schema_version", "study", "p", "s", "delta_list") if k not in d]
         if missing:
             raise ConfigError(f"{name}: missing required keys {missing}")
@@ -162,10 +175,6 @@ class SweepConfig:
         n_interior = d.get("n_interior", 256)
         if not isinstance(n_interior, int) or n_interior < 2:
             raise ConfigError(f"{name}: n_interior must be an integer >= 2, got {n_interior!r}")
-
-        unknown = sorted(set(d) - {f.name for f in fields(SweepConfig)} - {"schema_version"})
-        if unknown:
-            raise ConfigError(f"{name}: unknown keys {unknown}")
 
         config = SweepConfig(
             name=str(d.get("name", name)), study=study, p=p, s=s, a=a, b=b,

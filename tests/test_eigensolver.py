@@ -1,6 +1,5 @@
 import ctypes
 import glob
-import importlib
 import math
 import os
 
@@ -32,29 +31,19 @@ from perispec.eigensolver import (
 from _oracles import shooting_oracle_lambda1
 
 
-def _openblas_functions(kind, packages):
-    """The get_num_threads (kind "get") or set_num_threads (kind "set") function of
-    each OpenBLAS bundled with the named packages."""
-    found = []
-    for pkg in map(importlib.import_module, packages):
-        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
-            lib = ctypes.CDLL(path)
-            for name in (f"scipy_openblas_{kind}_num_threads64_",
-                         f"scipy_openblas_{kind}_num_threads", f"openblas_{kind}_num_threads"):
-                if hasattr(lib, name):
-                    fn = getattr(lib, name)
-                    if kind == "get":
-                        fn.argtypes, fn.restype = (), ctypes.c_int
-                    else:
-                        fn.argtypes, fn.restype = (ctypes.c_int,), None
-                    found.append(fn)
-                    break
-    return found
-
-
-def blas_thread_getters(packages=("numpy", "scipy")):
-    """The thread-count getter of each OpenBLAS bundled with the named packages."""
-    return _openblas_functions("get", packages)
+def blas_thread_getters():
+    """The thread-count getter of each OpenBLAS bundled with numpy."""
+    getters = []
+    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                getters.append(get)
+                break
+    return getters
 
 
 def embed(mesh, x):
@@ -392,13 +381,13 @@ class TestInnerSolvers:
             count.append(params.delta)
             return energy_hessian(u, params)
 
-        def newton_inner(fun, hess, x0, gtol, max_iter, H):
+        def watched_descend(fun, x0, gtol, max_iter, hess=None, H=None):
             starts.append((x0, H))
-            return newton(fun, hess, x0, gtol, max_iter, H)
+            return descend(fun, x0, gtol, max_iter, hess, H)
 
-        newton = eigensolver._newton_inner
+        descend = eigensolver._descend
         monkeypatch.setattr(en, "energy_hessian", hessian)
-        monkeypatch.setattr(eigensolver, "_newton_inner", newton_inner)
+        monkeypatch.setattr(eigensolver, "_descend", watched_descend)
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
         params = KernelParams(0.5, 3.0, mesh.delta_effective)
         ep = solve_eigenpairs(mesh, params)[0]
@@ -410,15 +399,20 @@ class TestInnerSolvers:
         assert np.max(np.abs(H - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_lbfgs_below_p2(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        ep = solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.delta_effective))
-        assert ep.converged
-        history = ep.diagnostics["rayleigh_history"]
-        for before, after in zip(history, history[1:]):
-            assert after <= before * (1.0 + 1e-10)
-        vals = ep.eigenfunction.values
-        assert np.all(vals >= -1e-10 * np.max(np.abs(vals)))
-        assert ep.residual <= 1e-5
+        # collar and collarless meshes, lambda pinned where scipy's L-BFGS-B left it
+        for mesh_delta, kernel_delta, lam in ((0.25, None, 4.605825445135367),
+                                              (INFINITE, 1.0, 9.933379926733847)):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 16)
+            params = KernelParams(0.5, 1.5, kernel_delta or mesh.delta_effective)
+            ep = solve_first_eigenpair(mesh, params)
+            assert ep.converged
+            assert abs(ep.lam - lam) <= 1e-10 * lam
+            history = ep.diagnostics["rayleigh_history"]
+            for before, after in zip(history, history[1:]):
+                assert after <= before * (1.0 + 1e-10)
+            vals = ep.eigenfunction.values
+            assert np.all(vals >= -1e-10 * np.max(np.abs(vals)))
+            assert ep.residual <= 1e-5
 
 
 class TestSolveEigenpairs:
@@ -439,7 +433,7 @@ class TestSolveEigenpairs:
 
     def test_direct_solves_run_on_one_blas_thread(self, monkeypatch):
         # every direct solve runs on numpy's OpenBLAS
-        getters = blas_thread_getters(("numpy",))
+        getters = blas_thread_getters()
         if not getters:
             pytest.skip("no bundled OpenBLAS")
         inside = []
@@ -457,19 +451,6 @@ class TestSolveEigenpairs:
         solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
         assert len(inside) > 1
         assert inside == [[1] * len(getters)] * len(inside)
-
-    def test_scipy_blas_set_to_one_thread_below_p2(self):
-        # the 1 < p < 2 path loads scipy.optimize, and with it scipy's OpenBLAS, at
-        # its first solve; start that OpenBLAS at two threads, as if just loaded
-        getters = blas_thread_getters()
-        if not getters:
-            pytest.skip("no bundled OpenBLAS")
-        for set_threads in _openblas_functions("set", ("scipy",)):
-            set_threads(2)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        assert solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.delta_effective)).converged
-        assert [get() for get in getters] == [1] * len(getters)
-
 
 class TestShootingOracle:
     def test_p2_recovers_pi_squared(self):

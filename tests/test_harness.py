@@ -69,6 +69,11 @@ class TestConfigValidation:
         {"seed": 0},                                # no solver read it; now an unknown key
         {"k_list": [1, 12], "thresholds": [0.5, 0.5]},  # coarsest mesh has 9 nodes
         {"delta_list": [0.4, 0.2, 0.15]},           # not geometric: breaks extrapolation
+        # bool is an int in Python: true must not pass as 1
+        {"k_list": [True]},
+        {"thresholds": [True]},
+        {"schema_version": True},
+        {"b": True},
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -288,20 +293,19 @@ class TestRunAll:
 
 
 class TestCli:
-    def test_import_and_p2_p3_studies_load_no_scipy(self):
-        # scipy.linalg alone takes ~0.15 s to import; only the p < 2 solver uses
-        # scipy (scipy.optimize), and it imports it itself
+    def test_import_and_p15_p2_p3_studies_load_no_scipy(self):
+        # scipy.linalg alone takes ~0.15 s to import; scipy is a test dependency only
         script = ("import sys, perispec.cli\n"
                   "from perispec.harness import SweepConfig, run_study\n"
                   "def scipy_modules():\n"
                   "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
                   "print(scipy_modules())\n")
-        for p in (3.0, 2.0):
+        for p in (3.0, 2.0, 1.5):
             config = base_config(p=p, delta_list=[0.4, 0.2, 0.1], thresholds=[0.5])
             script += (f"assert run_study(SweepConfig.from_dict({config!r}, name='tiny'))"
                        ".rows[0].converged\n"
                        "print(scipy_modules())\n")
-        assert run_python(script).split() == ["[]"] * 3
+        assert run_python(script).split() == ["[]"] * 4
 
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0
@@ -355,7 +359,11 @@ class TestCli:
                     dict(k_max_cfg, k_max=0), dict(k_max_cfg, k_max=-1),
                     dict(k_max_cfg, k_max=50), dict(k_max_cfg, p=3, k_max=2),
                     # non-integer sizes, not silently truncated
-                    dict(k_max_cfg, n_interior=16.5), dict(k_max_cfg, k_max=1.5)):
+                    dict(k_max_cfg, n_interior=16.5), dict(k_max_cfg, k_max=1.5),
+                    # a misspelt key, not silently the default n_interior = 128
+                    {"p": 3.0, "s": 0.5, "delta": "INF", "n_interor": 8},
+                    # booleans, not silently 1
+                    dict(k_max_cfg, k_max=True), dict(k_max_cfg, delta=True)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 
