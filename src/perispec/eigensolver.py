@@ -5,22 +5,22 @@ symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from t
 same quadrature the energy and the L^p mass use), which the reflection symmetry of
 the mesh splits into an even and an odd half.  The stiffness is the tableau's
 (``energy._Tableau.stiffness``): on a collarless mesh one shared Gram plus the tail
-Gram of the horizon.  For general p the first eigenpair comes from outer steps on
-iterates u with M(u) = 1 and lam = E(u), E the energy and M the L^p mass.  For
-p >= 2 an outer step is a Newton step on (grad E - lam grad M, M - 1): one bordered
-symmetric solve with the exact Hessians (``energy.energy_hessian``,
-``energy.lp_mass_hessian``), kept only if the normalized iterate strictly lowers
-the Rayleigh quotient and keeps its sign.  Otherwise, and below p = 2, it is a
-nonlinear inverse power step: the convex functional E(v)/p - <|u|^(p-2) u, v> is
-minimized by one descent loop, ``_descend``, one fused ``energy.energy_and_gradient``
-call per trial point, and the minimizer is renormalized in L^p.  Its direction is
-the Newton step for p >= 2 (starting from the bordered step's Hessian of E, scaled
-since E is p-homogeneous), and L-BFGS below p = 2, where the Hessian weight |d|^(p-2)
-blows up, and after a Hessian that fails to factor.  For p >= 2 the solve ends before
-any Hessian once |grad E - lam grad M| <= _INNER_TOL p lam (1 + lam): there an
-inverse power step would take no inner step, since its inner gradient at the warm
-start is that residual over p lam.  The local reference eigenvalue of the delta -> 0
-limit comes from the closed form of the 1-D p-Laplacian (``local_reference_lambda``).
+Gram of the horizon.  For general p the first eigenpair comes from one loop over
+iterates u with M(u) = 1 and lam = E(u), E the energy and M the L^p mass; at M = 1,
+res = grad E - lam grad M is the gradient of the Rayleigh quotient R = E/M.  For
+p >= 2 a step is a Newton step on (res, M - 1): one bordered symmetric solve with the
+exact Hessians (``energy.energy_hessian``, ``energy.lp_mass_hessian``), kept only if
+the normalized iterate strictly lowers R and keeps its sign.  Otherwise it is one
+Armijo step of descent on R (Knyazev 2001), one fused ``energy.energy_and_gradient``
+call per trial point, along -H_E(u)^-1 res with the energy Hessian the bordered step
+built, or along the L-BFGS direction preconditioned by the unweighted Gram G of the
+row's tableau (``energy._Tableau.stiffness``) below p = 2, where the Hessian weight
+|d|^(p-2) blows up, and when H_E(u) does not factor.  A trial point that changes sign is
+replaced by its absolute value.  For p >= 2 the solve ends before any Hessian once
+|res| <= _RES_TOL p lam (1 + lam), so a warm-started row costs one fused call.
+A descent step ends the solve, converged, once R can only move at rounding level.
+The local reference eigenvalue of the delta -> 0 limit comes from the closed form of
+the 1-D p-Laplacian (``local_reference_lambda``).
 
 The linear algebra is numpy.linalg, on the one OpenBLAS thread that importing
 ``energy`` sets (``energy._process_settings``).
@@ -48,15 +48,14 @@ class SpectrumRequestError(ValueError):
     """More or other eigenpairs requested than the problem gives."""
 
 
-# inverse power method controls
-_TOL_LAMBDA = 1e-10         # relative change of the Rayleigh quotient
-_TOL_U = 1e-8               # L^p step between normalized iterates
-_MAX_OUTER = 200
-_MAX_INNER = 20000
-_INNER_TOL = 1e-10          # inner gradient target, relative to 1 + lambda
+# eigen-loop controls
+_TOL_LAMBDA = 1e-10         # relative change of the Rayleigh quotient after a Newton step
+_TOL_U = 1e-8               # L^p step between normalized iterates after a Newton step
+_MAX_ITER = 10000           # Newton and descent steps together
+_RES_TOL = 1e-10            # residual stop for p >= 2, relative to p lambda (1 + lambda)
 _ARMIJO = 1e-4              # sufficient-decrease constant of the line search
 _MIN_STEP = 1e-12           # step length below which the line search has stalled
-_F_ROUNDING = 1e-15         # predicted decrease, relative to |obj|, below its rounding level
+_F_ROUNDING = 1e-15         # relative change of the Rayleigh quotient at its rounding level
 _LBFGS_MEMORY = 10          # (s, y) pairs of the L-BFGS direction
 
 
@@ -151,70 +150,28 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     return pairs
 
 
-def _descend(fun, x0, gtol, max_iter, hess=None, H=None):
-    """Armijo descent of the convex fun(x) = (obj, grad), one fun call per trial point:
-    (last iterate, steps).  The direction is the Newton step on the exact Hessian (H at
-    x0 if given, else hess(x)) while hess is given and the Hessian passes a Cholesky test;
-    otherwise, and from the first Hessian that fails to factor, the L-BFGS two-loop
-    direction over the last _LBFGS_MEMORY pairs (s, y), H0 = (s.y / y.y) I, a pair kept
-    only if s.y > 0 (Nocedal & Wright, alg. 7.4).  A step must strictly lower obj.  The
-    descent stops at the gradient target, when the predicted decrease -g.step is below
-    the rounding level of obj, or when halving the step below _MIN_STEP finds no decrease."""
-    x, (f, g), its, pairs, scale = x0, fun(x0), 0, [], 1.0
-    while its < max_iter and np.linalg.norm(g) > gtol:
-        step = None
-        if hess is not None:
-            try:
-                cholesky(H := hess(x) if H is None else H)  # raises unless H is positive definite
-                step = solve(H, -g)
-            except LinAlgError:
-                hess = None
-        if step is None:
-            step, alphas = -g, []
-            for s, y in reversed(pairs):
-                alphas.append(float(s @ step) / float(y @ s))
-                step = step - alphas[-1] * y
-            step = step * scale
-            for (s, y), alpha in zip(pairs, reversed(alphas)):
-                step = step + (alpha - float(y @ step) / float(y @ s)) * s
-        slope = float(g @ step)
-        if -slope <= _F_ROUNDING * abs(f):
-            break
-        t = 1.0
-        while t >= _MIN_STEP:
-            x_t = x + t * step
-            f_t, g_t = fun(x_t)
-            if f_t < f and f_t <= f + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        s, y = x_t - x, g_t - g
-        if float(s @ y) > 0:
-            pairs, scale = (pairs + [(s, y)])[-_LBFGS_MEMORY:], float(s @ y) / float(y @ y)
-        x, f, g, H = x_t, f_t, g_t, None
-        its += 1
-    return x, its
-
-
 def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                           initial: DiscreteFunction | None = None) -> EigenPair:
-    """First eigenpair for general p: safeguarded Newton on the eigen-equation for
-    p >= 2, inverse power below p = 2 and as its fallback."""
+    """First eigenpair for general p, by one loop over iterates u with M(u) = 1: the
+    safeguarded eigen-Newton step for p >= 2, else one Armijo step of descent on the
+    Rayleigh quotient R = E/M, whose gradient at M = 1 is res = grad E - lam grad M."""
     p = params.p
     newton = p >= 2.0
     ii = mesh.interior
     a, b = mesh.domain.a, mesh.domain.b
 
-    def hess(x):
-        return en.energy_hessian(_embed(mesh, x), params)[ii, ii] / p
+    def mass_norm(v):
+        return en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
 
     def normalized(v):  # unit L^p mass and a positive sum; None for v = 0
-        nrm = en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
+        nrm = mass_norm(v)
         if nrm <= 0:
             return None
         v = v / nrm
         return -v if np.sum(v) < 0 else v
+
+    def sign_changing(v):
+        return np.min(v) < -1e-10 * np.max(np.abs(v))
 
     def state(x):  # E(x), grad M(x) and the residual grad E(x) - E(x) grad M(x)
         energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
@@ -225,17 +182,18 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         u = initial.values[ii].copy()
     else:
         u = interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii]
-    u = u / en.lp_mass(_embed(mesh, u), p) ** (1.0 / p)
+    u = u / mass_norm(u)
     lam, grad_m, res = state(u)
     history = [lam]
-    total_inner = newton_steps = recoveries = 0
+    descent_steps = newton_steps = recoveries = 0
+    pairs, g_inv = [], None  # L-BFGS pairs (s, y) of R, and G^-1 once needed
     converged = False
-    outer = 0
-    for outer in range(1, _MAX_OUTER + 1):
-        if newton and np.linalg.norm(res) <= _INNER_TOL * p * lam * (1.0 + lam):
+    it = 0
+    for it in range(1, _MAX_ITER + 1):
+        if newton and np.linalg.norm(res) <= _RES_TOL * p * lam * (1.0 + lam):
             converged = True
             break
-        new = None
+        new = d = None
         if newton:
             uf = _embed(mesh, u)
             hess_u = en.energy_hessian(uf, params)[ii, ii]
@@ -245,44 +203,71 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 v = normalized(u + solve(bordered, np.append(-res, 0.0))[:-1])
             except LinAlgError:
                 v = None
-            if v is not None and np.min(v) >= -1e-10 * np.max(np.abs(v)):
+            if v is not None and not sign_changing(v):
                 new = state(v)
                 if new[0] < lam:
                     newton_steps += 1
+                    pairs = []
+                    done = (abs(new[0] - lam) <= _TOL_LAMBDA * max(1.0, abs(lam))
+                            and mass_norm(v - u) <= _TOL_U)
                 else:
                     new = None
+            if new is None:
+                try:
+                    cholesky(hess_u)  # raises unless H_E(u) is positive definite
+                    d = solve(hess_u, -res)
+                except LinAlgError:
+                    pass
         if new is None:
-            bvec = grad_m / p
-
-            def fun(x):  # energy / p - <b, x> and its gradient, from one pass
-                energy, grad = en.energy_and_gradient(_embed(mesh, x), params)
-                return energy / p - float(bvec @ x), grad[ii] / p - bvec
-
-            warm = u / lam ** (1.0 / (p - 1.0))
-            # E is p-homogeneous, so its Hessian at warm is hess_u's, scaled
-            H = hess_u * lam ** ((2.0 - p) / (p - 1.0)) / p if newton else None
-            v, inner_its = _descend(fun, warm, _INNER_TOL * (1.0 + abs(lam)), _MAX_INNER,
-                                    hess if newton else None, H)
-            total_inner += inner_its
-            v = normalized(v)
-            if v is None:
+            if d is None:  # L-BFGS two-loop direction, H0 = gamma G^-1 (N&W alg. 7.4)
+                if g_inv is None:
+                    g_inv = inv(en._table(mesh, params).stiffness(params.delta)[ii, ii])
+                d, alphas = -res, []
+                for s, y in reversed(pairs):
+                    alphas.append(float(s @ d) / float(y @ s))
+                    d = d - alphas[-1] * y
+                if pairs:
+                    s, y = pairs[-1]
+                    d = float(s @ y) / float(y @ g_inv @ y) * d
+                d = g_inv @ d
+                for (s, y), alpha in zip(pairs, reversed(alphas)):
+                    d = d + (alpha - float(y @ d) / float(y @ s)) * s
+            slope = float(res @ d)
+            if -slope <= _F_ROUNDING * lam:  # predicted decrease at rounding level
+                converged = True
                 break
-            if np.min(v) < -1e-10 * np.max(np.abs(v)):
-                # sign-changing iterate: taking |u| cannot increase the energy
-                v = normalized(np.abs(v))
+            t = 1.0
+            while t >= _MIN_STEP:
+                c = mass_norm(w := u + t * d)
+                v = w / c
+                recovered = sign_changing(v)
+                if recovered:  # taking |v| cannot increase the energy
+                    v = np.abs(v) / mass_norm(np.abs(v))
+                new = state(v)
+                if new[0] < lam and new[0] <= lam + _ARMIJO * t * slope:
+                    break
+                t *= 0.5
+            else:  # no step lowers R
+                converged = True
+                break
+            descent_steps += 1
+            if recovered:
                 recoveries += 1
-            new = state(v)
-        step_p = en.lp_mass(_embed(mesh, v - u), p) ** (1.0 / p)
-        dl = abs(new[0] - lam)
+                pairs = []
+            else:  # R is 0-homogeneous: grad R(u + t d) = grad R(v) / c
+                s, y = t * d, new[2] / c - res
+                if float(s @ y) > 0:
+                    pairs = (pairs + [(s, y)])[-_LBFGS_MEMORY:]
+            done = abs(new[0] - lam) <= _F_ROUNDING * lam
         u, (lam, grad_m, res) = v, new
         history.append(lam)
-        if dl <= _TOL_LAMBDA * max(1.0, abs(lam)) and step_p <= _TOL_U:
+        if done:
             converged = True
             break
 
     return EigenPair(lam=float(lam), eigenfunction=_embed(mesh, u), index_k=1,
-                     residual=float(np.linalg.norm(res)), iterations=outer, converged=converged,
-                     diagnostics={"inner_iterations": total_inner, "newton_steps": newton_steps,
+                     residual=float(np.linalg.norm(res)), iterations=it, converged=converged,
+                     diagnostics={"inner_iterations": descent_steps, "newton_steps": newton_steps,
                                   "recoveries": recoveries, "rayleigh_history": history})
 
 
@@ -295,7 +280,7 @@ def available_pairs(p: float, n_nodes: int) -> int:
 def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
                      initial: DiscreteFunction | None = None):
     """The k_max smallest eigenpairs: the dense spectrum at p=2, otherwise the
-    first pair by the inverse power method, started from ``initial`` if given.
+    first pair by ``solve_first_eigenpair``, started from ``initial`` if given.
 
     A k_max outside [1, available_pairs] raises SpectrumRequestError before
     any compute."""

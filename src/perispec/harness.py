@@ -58,16 +58,19 @@ class ConfigError(ValueError):
 
 def _check_keys(d, allowed, name: str) -> None:
     """ConfigError unless d is a JSON object whose keys all lie in allowed and whose
-    values hold no boolean: bool is an int in Python, so true would pass as 1."""
+    values, but study and name, are numbers or arrays of numbers: "INF" only where a
+    horizon goes, and no boolean, since bool is an int in Python and true would pass as 1."""
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: config must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError(f"{name}: unknown keys {unknown}")
-    flags = sorted(k for k, v in d.items()
-                   if any(isinstance(x, bool) for x in (v if isinstance(v, list) else [v])))
-    if flags:
-        raise ConfigError(f"{name}: booleans are not config values, got one in {flags}")
+    bad = sorted(k for k, v in d.items() if k not in ("study", "name") and not all(
+        (x == "INF" and k in ("delta", "delta_list"))
+        or (isinstance(x, (int, float)) and not isinstance(x, bool))
+        for x in (v if isinstance(v, list) else [v])))
+    if bad:
+        raise ConfigError(f"{name}: {bad} must hold numbers only")
 
 
 _SCHEMA_VERSION = 1
@@ -126,14 +129,10 @@ class SweepConfig:
         for entry in raw_deltas:
             if entry == "INF":
                 deltas.append(INFINITE)
+            elif entry > 0.0:
+                deltas.append(float(entry))
             else:
-                try:
-                    val = float(entry)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{name}: bad delta entry {entry!r}") from exc
-                if not val > 0.0:
-                    raise ConfigError(f"{name}: horizons must be positive, got {val}")
-                deltas.append(val)
+                raise ConfigError(f"{name}: horizons must be positive, got {entry}")
         if study == "zero" or study == "bbm":
             if any(math.isinf(x) for x in deltas):
                 raise ConfigError(f"{name}: INF horizon is only valid in 'inf' studies")
@@ -166,7 +165,7 @@ class SweepConfig:
 
         thresholds = d.get("thresholds", [0.05] * len(k_list))
         if (not isinstance(thresholds, list) or len(thresholds) != len(k_list)
-                or any(not (isinstance(t, (int, float)) and t > 0) for t in thresholds)):
+                or any(not t > 0 for t in thresholds)):
             raise ConfigError(f"{name}: thresholds must be positive reals, one per k")
 
         m = d.get("cells_per_horizon", 8)

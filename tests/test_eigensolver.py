@@ -293,11 +293,10 @@ class TestInversePower:
 class TestInnerSolvers:
     @pytest.mark.parametrize("f_rounding", [None, 0.0], ids=["default", "no-floor"])
     def test_newton_returns_at_zero_inner_tolerance(self, monkeypatch, f_rounding):
-        # the gradient target and the residual stop of the outer loop are
-        # unreachable: every inner solve must end at the rounding floor of the
-        # objective or, without it, at a line search stall instead of running
-        # to the iteration cap, and the lambda/step exit must end the solve
-        monkeypatch.setattr(eigensolver, "_INNER_TOL", 0.0)
+        # the residual stop is unreachable: the solve must end on the lambda/step
+        # test of a Newton step or, after a rejected one, at the rounding floor of
+        # the Rayleigh quotient or a line search stall, instead of at the cap
+        monkeypatch.setattr(eigensolver, "_RES_TOL", 0.0)
         if f_rounding is not None:
             monkeypatch.setattr(eigensolver, "_F_ROUNDING", f_rounding)
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
@@ -313,7 +312,7 @@ class TestInnerSolvers:
         def unfactorable(*args, **kwargs):
             raise eigensolver.LinAlgError("not positive definite")
 
-        # neither the bordered Newton step nor an inner Newton step can run
+        # neither the bordered Newton step nor the step along H_E(u)^-1 can run
         monkeypatch.setattr(eigensolver, "solve", unfactorable)
         monkeypatch.setattr(eigensolver, "cholesky", unfactorable)
         ep = solve_first_eigenpair(mesh, params)
@@ -334,6 +333,17 @@ class TestInnerSolvers:
         assert max(inner) - min(inner) <= 3
         assert max(outer) <= 8 and max(outer) - min(outer) <= 2
 
+    def test_descent_steps_grow_slowly_with_the_mesh(self):
+        # p = 1.5 zero rows at 4 cells per horizon: n = 20, 40, 80; the G
+        # preconditioner keeps the step count from tripling per mesh doubling
+        steps = []
+        for delta in (0.2, 0.1, 0.05):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
+            ep = solve_eigenpairs(mesh, KernelParams(0.5, 1.5, mesh.delta_effective))[0]
+            assert ep.converged
+            steps.append(ep.diagnostics["inner_iterations"])
+        assert all(after <= 1.5 * before for before, after in zip(steps, steps[1:]))
+
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("s", [0.1, 0.9])
     @pytest.mark.parametrize("mesh_delta, kernel_delta", [(0.25, None), (INFINITE, 1.0)],
@@ -341,7 +351,8 @@ class TestInnerSolvers:
     def test_eigen_newton_matches_inverse_power(self, monkeypatch, p, s, mesh_delta,
                                                 kernel_delta):
         # without the safeguard the Newton steps at s = 0.9, p = 4 and 6 end at
-        # a wrong eigenvalue or run to the iteration cap
+        # a wrong eigenvalue or run to the iteration cap; without solve every
+        # step is L-BFGS descent on the Rayleigh quotient
         mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 16)
         params = KernelParams(s, p, kernel_delta or mesh.delta_effective)
         newton = solve_first_eigenpair(mesh, params)
@@ -350,10 +361,10 @@ class TestInnerSolvers:
             raise eigensolver.LinAlgError("singular")
 
         monkeypatch.setattr(eigensolver, "solve", unsolvable)
-        power = solve_first_eigenpair(mesh, params)
-        assert newton.converged and power.converged
-        assert newton.diagnostics["newton_steps"] > 0 and power.diagnostics["newton_steps"] == 0
-        assert abs(newton.lam - power.lam) <= 1e-9 * power.lam
+        descent = solve_first_eigenpair(mesh, params)
+        assert newton.converged and descent.converged
+        assert newton.diagnostics["newton_steps"] > 0 and descent.diagnostics["newton_steps"] == 0
+        assert abs(newton.lam - descent.lam) <= 1e-9 * descent.lam
 
     def test_warm_inf_rows_build_no_hessian(self, monkeypatch):
         deltas = []
@@ -372,31 +383,36 @@ class TestInnerSolvers:
         assert deltas and set(deltas) == {1.0}
 
     def test_fallback_reuses_the_bordered_hessian(self, monkeypatch):
-        # the canonical zero-p3 row at delta = 0.2: its last Newton step is rejected
-        # and the inverse power fallback takes no inner step; the energy is
-        # p-homogeneous, so it scales the Hessian the bordered step built at u
-        count, starts = [], []
+        # the canonical zero-p3 row at delta = 0.2: its last Newton step is rejected,
+        # and the descent step along -H_E(u)^-1 res, H_E(u) the Hessian the bordered
+        # step built, predicts a decrease at rounding level, so u is returned
+        hessians, fused, solved = [], [], []
 
         def hessian(u, params):
-            count.append(params.delta)
-            return energy_hessian(u, params)
+            hessians.append(energy_hessian(u, params))
+            return hessians[-1]
 
-        def watched_descend(fun, x0, gtol, max_iter, hess=None, H=None):
-            starts.append((x0, H))
-            return descend(fun, x0, gtol, max_iter, hess, H)
+        def energy_and_gradient(u, params):
+            fused.append(params.delta)
+            return fused_call(u, params)
 
-        descend = eigensolver._descend
+        def watched_solve(a, b):
+            solved.append(a)
+            return solve(a, b)
+
+        fused_call, solve = en.energy_and_gradient, eigensolver.solve
         monkeypatch.setattr(en, "energy_hessian", hessian)
-        monkeypatch.setattr(eigensolver, "_descend", watched_descend)
+        monkeypatch.setattr(en, "energy_and_gradient", energy_and_gradient)
+        monkeypatch.setattr(eigensolver, "solve", watched_solve)
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
         params = KernelParams(0.5, 3.0, mesh.delta_effective)
         ep = solve_eigenpairs(mesh, params)[0]
         assert ep.diagnostics["newton_steps"] == 5 and ep.diagnostics["inner_iterations"] == 0
-        assert len(count) == 6  # one per Newton step and one for the rejected step
+        assert len(hessians) == 6  # one per Newton step and one for the rejected step
+        # the start, one per Newton step and one for the rejected step
+        assert len(fused) == 7
         assert abs(ep.lam - 2.8148237761991957) <= 1e-13 * ep.lam
-        ((x0, H),) = starts
-        direct = energy_hessian(embed(mesh, x0), params)[mesh.interior, mesh.interior] / 3.0
-        assert np.max(np.abs(H - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert np.array_equal(solved[-1], hessians[-1][mesh.interior, mesh.interior])
 
     def test_lbfgs_below_p2(self):
         # collar and collarless meshes, lambda pinned where scipy's L-BFGS-B left it

@@ -74,6 +74,13 @@ class TestConfigValidation:
         {"thresholds": [True]},
         {"schema_version": True},
         {"b": True},
+        # float() parses strings: only a horizon may be the string "INF"
+        {"p": "2.0"},
+        {"s": "0.5"},
+        {"b": "INF"},
+        {"delta_list": ["0.4", 0.2, 0.1]},
+        {"thresholds": ["0.5"]},
+        {"b": None},
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -133,6 +140,14 @@ class TestStudies:
         scaled = [r.lambda_scaled for r in report.rows]
         assert all(a < b for a, b in zip(scaled, scaled[1:]))
         assert report.references[1] == pytest.approx(2.0 * math.pi ** 2, rel=1e-12)
+
+    def test_zero_study_below_p2(self):
+        # the delta -> 0+ limit at p = 1.5: gamma(1, p) times the local eigenvalue
+        cfg = SweepConfig.from_dict(base_config(p=1.5, delta_list=[0.2, 0.1, 0.05],
+                                                thresholds=[0.01]), name="zero-p15")
+        report = run_study(cfg)
+        assert all(r.converged for r in report.rows)
+        assert report.verdicts[1] and report.rel_errors[1] <= 0.01
 
     def test_small_bbm_study(self):
         cfg = SweepConfig.from_dict(base_config(study="bbm", thresholds=[0.1]),
@@ -363,7 +378,10 @@ class TestCli:
                     # a misspelt key, not silently the default n_interior = 128
                     {"p": 3.0, "s": 0.5, "delta": "INF", "n_interor": 8},
                     # booleans, not silently 1
-                    dict(k_max_cfg, k_max=True), dict(k_max_cfg, delta=True)):
+                    dict(k_max_cfg, k_max=True), dict(k_max_cfg, delta=True),
+                    # strings, not parsed as numbers; "INF" only as the horizon
+                    {"p": "3", "s": "0.5", "delta": "0.25", "n_interior": 8},
+                    dict(k_max_cfg, delta="0.25"), dict(k_max_cfg, b="INF")):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 
