@@ -7,7 +7,6 @@ from .kernelmath import (
     KernelParams,
     embedding_constant,
     gamma_constant,
-    k_constant,
     local_p_laplacian_lambda1,
     scaling_factor,
 )

@@ -18,21 +18,14 @@ k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps) [- (2/(ps)) delta^-ps].  The bracket
 does not depend on x, so a finite horizon lowers each tail weight by a
 constant times its mass weight and leaves every other rule unchanged.
 
-On a uniform mesh the quadrature of a pair depends only on its gap g, so each
-point set (adjacent-pair profile, separated tensor rule, cutoff triangle) is
-stored once as the weights of the element end values at its points, and a
-gap stores only its contiguous element range and its weight vector.  The
-per-element tail and the L^p mass use the same layout with one element per
-row.  The tableau of these templates is memoized per (mesh, s, p, delta), with
-delta = infinity for every horizon of a collarless mesh, and equal meshes
-built separately share it.  ``nonlocal_energy`` is the energy at every horizon,
-split principal/interaction; ``energy_and_gradient`` computes |d|^(p-1) once per
-point for its total and exact gradient.  The nodal Gram matrix ``_gram``
-takes each block's entries from one product of its weights with the rule's
-stored basis products; it is the p=2 stiffness (the polarization identity
-holds to rounding error) and, weighted by |u(x)-u(y)|^(p-2), the Hessian
-``energy_hessian``.  A collarless tableau builds the Gram of its shared rules once,
-and each horizon adds its tail Gram (``_Tableau.stiffness``).
+On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
+(adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
+``_Rule``, a block per gap, which every pass reads in a few chunks of rows.  The tableau
+of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless mesh.
+``nonlocal_energy`` splits the energy principal/interaction; ``energy_and_gradient``
+computes |d|^(p-1) once per point.  ``_gram`` is the p=2 stiffness and, weighted by
+|u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``; a collarless tableau builds the Gram
+of its shared rules once, and each horizon adds its tail Gram (``_Tableau.stiffness``).
 
 Importing the module makes the process-wide settings once for every caller
 (``_process_settings``): larger glibc heap thresholds, and one thread for the
@@ -41,6 +34,7 @@ OpenBLAS that numpy bundles.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import glob
@@ -100,6 +94,8 @@ _PAIR_ORDER_KINK = 10       # tensor order for p >= 2 (|.|^p ridge is C^(p-1)-sm
 _PAIR_ORDER_HOLDER = 20     # tensor order for 1 < p < 2 (|.|^p ridge is barely C^1)
 _ADJ_PANELS = 4             # composite panels per half for the vertex-pair profile
 _ADJ_ORDER = 10
+_CHUNK = 1 << 15            # point values (at least one row) per chunk of a pass over a rule
+_PAIRS = {n: (a, b, np.where(a == b, 0.5, 1.0)) for n in (2, 4) for a, b in [np.triu_indices(n)]}
 _TAIL_ORDER = 16            # per-element order for the analytic-tail weight
 _TAIL_ORDER_HOLDER = 32
 _TAIL_LEVELS = 6            # graded levels toward the domain endpoints
@@ -133,30 +129,58 @@ def _basis(t: np.ndarray) -> np.ndarray:
 class _Rule:
     """One point template shared by blocks of elements or element pairs.
 
-    ``basis`` holds, per point, the weights of the nodal values the point
-    reads: rows 0-1 for the two ends of element e and, in a pair rule, rows
-    2-3 for the two ends of element e + g with a minus sign, so the value at
-    a point is u(x) - u(y).  A block (lo, hi, g, w, main) applies the template
-    to every e in [lo, hi) with weights w, one vector for all rows or one row
-    per element; rows main[0]:main[1] (relative to lo) are principal energy,
-    the others interaction.
-    """
+    ``basis`` holds, per point, the weights of the nodal values the point reads: rows
+    0-1 for the two ends of element e and, in a pair rule, rows 2-3 for the two ends of
+    element e + g with a minus sign, so the value at a point is u(x) - u(y).  A block
+    (lo, hi, g, w, main) applies the template to every e in [lo, hi) with weights w,
+    one vector for all rows or one row per element; rows main[0]:main[1] (relative to
+    lo) are principal energy, the others interaction.  Per row, the layout built here
+    holds the first node of each element (``ends``: e, and e + g in a pair rule) and
+    its vector in ``weights`` (``widx``), the ``split`` principal rows first."""
 
-    def __init__(self, basis: np.ndarray, blocks=()):
+    def __init__(self, basis: np.ndarray, blocks):
         self.basis = basis
-        self.blocks = list(blocks)
+        # row segments [first, last) of e, each with g, per-row w?, widx - e * per-row w?
+        principal, interaction, starts = [], [], [0]
+        for lo, hi, g, w, (a, b) in blocks:
+            seg = (g, w.ndim == 2, starts[-1] - lo * (w.ndim == 2))
+            principal.append((lo + a, lo + b, *seg))
+            interaction += [(lo, lo + a, *seg), (lo + b, hi, *seg)]
+            starts.append(starts[-1] + (len(w) if w.ndim == 2 else 1))
+        first, last, gap, per_row, base = np.array(principal + interaction, dtype=np.int32).T
+        count = last - first
+        e = np.repeat(first - np.cumsum(count, dtype=np.int32) + count, count)
+        e += np.arange(len(e), dtype=np.int32)
+        self.ends = np.column_stack([e, e + np.repeat(gap, count)][:len(basis) // 2])
+        self.widx = np.repeat(base, count) + e * np.repeat(per_row, count)
+        self.split = int(count[:len(principal)].sum())
+        self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w, _ in blocks])
+        self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k],
+                        main) for (lo, hi, g, w, main), k in zip(blocks, starts)]
         # per point, the Gram entries (a, b), a <= b: basis[a] basis[b], one column
         # per pair, halved on the diagonal because _gram adds the transpose
-        self.pairs = [(a, b) for a in range(len(basis)) for b in range(a, len(basis))]
-        self.products = np.stack([basis[a] * basis[b] * (0.5 if a == b else 1.0)
-                                  for a, b in self.pairs], axis=1)
+        a, b, half = _PAIRS[len(basis)]
+        self.products = np.ascontiguousarray((basis[a] * basis[b]).T * half)
 
     def offsets(self, g: int):
         return (0, 1) if len(self.basis) == 2 else (0, 1, g, g + 1)
 
+    def reweighted(self, w):
+        """This one-block rule, its rows unchanged, with the weights w (one row per element)."""
+        rule = copy.copy(self)
+        rule.weights, rule.blocks = w, [self.blocks[0][:3] + (w, self.blocks[0][4])]
+        return rule
 
-def _pair_rule(xt: np.ndarray, yt: np.ndarray) -> _Rule:
-    return _Rule(np.vstack([_basis(xt), -_basis(yt)]))
+    def chunks(self, vals=None):
+        """(principal row count, weight ids, node ids, point values of vals or None) per chunk."""
+        step = max(1, _CHUNK // self.basis.shape[1])
+        for start in range(0, len(self.widx), step):
+            ends = self.ends[start:start + step]
+            nodes = np.empty((len(ends), 2 * ends.shape[1]), dtype=np.intp)
+            nodes[:, 0::2] = ends
+            np.add(ends, 1, out=nodes[:, 1::2])
+            yield (max(0, self.split - start), self.widx[start:start + step], nodes,
+                   None if vals is None else vals[nodes] @ self.basis)
 
 
 class _Tableau:
@@ -199,11 +223,9 @@ class _Tableau:
 
         # same-element closed form over Omega elements: the point value is the
         # nodal difference across the element
-        same = _Rule(np.array([[-1.0], [1.0]]))
-        same.blocks.append((omega_lo, omega_hi, 0,
-                            np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]),
-                            (0, nin)))
-        self.rules = [same]
+        self.rules = [_Rule(np.array([[-1.0], [1.0]]), [(
+            omega_lo, omega_hi, 0, np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]),
+            (0, nin))])]
 
         # adjacent (vertex-sharing) template: 1-D profile in tau
         tn, tw = [], []
@@ -216,21 +238,18 @@ class _Tableau:
         tau = np.concatenate(tn)
         wtau = np.concatenate(tw)
         that = np.ones_like(tau) if truncated_gap == 1 else 1.0 / np.maximum(tau, 1.0 - tau)
-        adjacent = _pair_rule(1.0 - that * (1.0 - tau), that * tau)
         w_adjacent = 2.0 * wtau * (h * that) ** (1.0 - ps) / (alpha + 1.0)
 
         gx, gw = _gauss01(q)
         xi = np.repeat(gx, q)
         eta = np.tile(gx, q)
         ww = np.repeat(gw, q) * np.tile(gw, q) * h ** (1.0 - ps)
-        separated = _pair_rule(xi, eta)
         # triangular subregion eta < xi of the cutoff pair; the rule is
         # symmetrized with its mirror image so reflecting the function
         # reproduces the energy to rounding error
         eta_t = xi * eta
-        triangle = _pair_rule(np.concatenate([xi, 1.0 - eta_t]),
-                              np.concatenate([eta_t, 1.0 - xi]))
 
+        adjacent, separated, triangle = [], [], []
         for g in gaps:
             # elements e with e or e + g in Omega; on a collar mesh with g
             # above the Omega element count the range also holds pairs with
@@ -241,14 +260,16 @@ class _Tableau:
                 continue
             main = (max(lo, omega_lo) - lo, max(lo, omega_lo, omega_hi - g) - lo)
             if g == 1:
-                adjacent.blocks.append((lo, hi, g, w_adjacent, main))
+                adjacent.append((lo, hi, g, w_adjacent, main))
             elif g == truncated_gap:
                 half = ww * xi * (g + eta_t - xi) ** (-(1.0 + ps))
-                triangle.blocks.append((lo, hi, g, np.concatenate([half, half]), main))
+                triangle.append((lo, hi, g, np.concatenate([half, half]), main))
             else:
-                separated.blocks.append((lo, hi, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)),
-                                         main))
-        self.rules += [r for r in (adjacent, separated, triangle) if r.blocks]
+                separated.append((lo, hi, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)), main))
+        self.rules += [_Rule(np.vstack([_basis(xt), -_basis(yt)]), blocks) for xt, yt, blocks in (
+            (1.0 - that * (1.0 - tau), that * tau, adjacent), (xi, eta, separated),
+            (np.concatenate([xi, 1.0 - eta_t]), np.concatenate([eta_t, 1.0 - xi]), triangle))
+            if blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
         self.tail, self._at, self._shared, self.nn = [], {}, None, len(mesh.nodes)
@@ -281,8 +302,7 @@ class _Tableau:
         if delta not in self._at:
             c = 2.0 / (self.ps * delta ** self.ps)
             self._at[delta] = self.rules[:-len(self.tail)] + [
-                _Rule(rule.basis, [(lo, hi, g, mass * (kernel - c), main)])
-                for rule, mass, kernel in self.tail for lo, hi, g, _, main in rule.blocks]
+                rule.reweighted(mass * (kernel - c)) for rule, mass, kernel in self.tail]
         return self._at[delta]
 
     def stiffness(self, delta: float) -> np.ndarray:
@@ -322,70 +342,53 @@ def _check_constrained(u: DiscreteFunction):
         raise ConstraintViolationError("function is nonzero on the collar / boundary nodes")
 
 
-def _block_values(rules, vals: np.ndarray):
-    """(rule, block, values at the block's points, one row per element) per block.
-
-    The element end values are mapped to a rule's points once, for all
-    elements, and each block reads its rows as slices."""
-    ends = np.stack([vals[:-1], vals[1:]], axis=1)
-    for rule in rules:
-        at_x = ends @ rule.basis[:2]
-        at_y = ends @ rule.basis[2:] if len(rule.basis) == 4 else None
-        for block in rule.blocks:
-            lo, hi, g = block[:3]
-            d = at_x[lo:hi]
-            if at_y is not None:
-                d = d + at_y[lo + g:hi + g]
-            yield rule, block, d
-
-
 def _power_parts(rules, vals: np.ndarray, p: float, gradient: bool = False):
     """(principal, interaction, grad): the weighted sums of |value|^p over the points
     and, given gradient, the exact nodal gradient of their total (else None).
-    Per block f = |d|^(p-1) sign(d), a square at p = 3, is computed once: the
-    value reads f d = |d|^p, the gradient f w."""
+    Per chunk f = |d|^(p-1) sign(d), a square at p = 3, is computed once and
+    weighted: the value reads f w d = w |d|^p, the gradient f w."""
     principal, interaction = [], []
     grad = np.zeros(len(vals)) if gradient else None
-    for rule, (lo, hi, g, w, (a, b)), d in _block_values(rules, vals):
-        f = d * np.abs(d) if p == 3.0 else np.copysign(np.abs(d) ** (p - 1.0), d)
-        powered = f * d
-        rows = powered @ w if w.ndim == 1 else np.einsum("ij,ij->i", powered, w)
-        principal.append(rows[a:b])
-        interaction += [rows[:a], rows[b:]]
-        if gradient:
-            f *= w
-            per_node = f @ rule.basis.T
-            for k, off in enumerate(rule.offsets(g)):
-                grad[lo + off:hi + off] += per_node[:, k]
+    for rule in rules:
+        for main, k, nodes, d in rule.chunks(vals):
+            f = d * np.abs(d) if p == 3.0 else np.copysign(np.abs(d) ** (p - 1.0), d)
+            f *= rule.weights[k]
+            sums = np.einsum("ij,ij->i", f, d)
+            principal.append(sums[:main])
+            interaction.append(sums[main:])
+            if gradient:
+                grad += np.bincount(nodes.ravel(), (f @ rule.basis.T).ravel(), len(vals))
     return (float(np.sum(np.concatenate(principal))),
             float(np.sum(np.concatenate(interaction))),
             p * grad if gradient else None)
 
 
+@functools.lru_cache(maxsize=8)
+def _scatter(size: int, nn: int) -> np.ndarray:
+    """nodes @ _scatter: the flat indices a * nn + b of a row's Gram entries, exactly."""
+    a, b, _ = _PAIRS[size]
+    return nn * (np.arange(size)[:, None] == a) + (np.arange(size)[:, None] == b) * 1.0
+
+
 def _gram(rules, nn: int, vals=None, p: float = 2.0, upper=None) -> np.ndarray:
     """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
 
-    Each block's 4x4 (2x2 for one-element rules) matrix basis diag(w) basis^T
-    goes along the node diagonals at offsets 0, 1, g, g+1.  Its upper half,
-    diagonal halved, is w @ rule.products (one matrix product per block); G
-    is the sum of those halves plus its transpose.  Given vals, each point's
-    weight is scaled by |d|^(p-2), d the point's value of vals, and p(p-1) G
-    is the Hessian of _power_parts' total there; at p = 2 the scale is 1 and
-    vals is not read, so G is the unweighted matrix bit for bit.  Given upper, the
-    halves of earlier rules, the blocks add to a copy of it."""
+    A row's 4x4 (2x2 for one-element rules) matrix basis diag(w) basis^T goes to its
+    nodes e, e+1, e+g, e+g+1.  Its upper half, diagonal halved, is w @ rule.products; a
+    chunk adds its rows' halves with one np.add.at, and G is the halves plus their
+    transpose.  Given vals, each point's weight is scaled by |d|^(p-2), d the point's
+    value of vals, and p(p-1) G is the Hessian of _power_parts' total there; at p = 2 the
+    scale is 1 and vals is not read, so G is the unweighted matrix bit for bit.  Given
+    upper, the halves of earlier rules, the rules add to a copy of it."""
     G = np.zeros((nn, nn)) if upper is None else upper.copy()
-    flat = G.reshape(-1)
-    blocks = (((rule, block, None) for rule in rules for block in rule.blocks)
-              if vals is None or p == 2.0 else _block_values(rules, vals))
-    for rule, (lo, hi, g, w, _), d in blocks:
-        if d is not None:
-            w = w * (np.abs(d) if p == 3.0 else np.abs(d) ** (p - 2.0))
-        local = w @ rule.products
-        span = (hi - lo) * (nn + 1)
-        offsets = rule.offsets(g)
-        for col, (i, j) in enumerate(rule.pairs):
-            start = (lo + offsets[i]) * nn + lo + offsets[j]
-            flat[start:start + span:nn + 1] += local[..., col]
+    weighted = vals is not None and p != 2.0
+    for rule in rules:
+        local = None if weighted else rule.weights @ rule.products
+        for _, k, nodes, d in rule.chunks(vals if weighted else None):
+            if weighted:
+                d = (np.abs(d, out=d) if p == 3.0 else np.abs(d) ** (p - 2.0)) * rule.weights[k]
+            idx = (nodes @ _scatter(len(rule.basis), nn)).astype(np.intp).ravel()
+            np.add.at(G.reshape(-1), idx, (d @ rule.products if weighted else local[k]).ravel())
     return G + G.T
 
 

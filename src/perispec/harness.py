@@ -30,7 +30,6 @@ all numbers are serialized with shortest round-trip ``repr``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import math
@@ -57,9 +56,9 @@ class ConfigError(ValueError):
 
 
 def _check_keys(d, allowed, name: str) -> None:
-    """ConfigError unless d is a JSON object whose keys all lie in allowed and whose
-    values, but study and name, are numbers or arrays of numbers: "INF" only where a
-    horizon goes, and no boolean, since bool is an int in Python and true would pass as 1."""
+    """ConfigError unless d is a JSON object whose keys all lie in allowed and whose values,
+    but study and name, are finite numbers or arrays of them: "INF" only where a horizon
+    goes, no NaN or Infinity (json reads both), no bool (true would pass as 1)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: config must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - allowed)
@@ -67,7 +66,7 @@ def _check_keys(d, allowed, name: str) -> None:
         raise ConfigError(f"{name}: unknown keys {unknown}")
     bad = sorted(k for k, v in d.items() if k not in ("study", "name") and not all(
         (x == "INF" and k in ("delta", "delta_list"))
-        or (isinstance(x, (int, float)) and not isinstance(x, bool))
+        or (type(x) in (int, float) and abs(x) < math.inf)
         for x in (v if isinstance(v, list) else [v])))
     if bad:
         raise ConfigError(f"{name}: {bad} must hold numbers only")
@@ -113,7 +112,7 @@ class SweepConfig:
             s = float(d["s"])
             a = float(d.get("a", 0.0))
             b = float(d.get("b", 1.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: non-numeric scalar field: {exc}") from exc
         if not (p > 1.0 and math.isfinite(p)):
             raise ConfigError(f"{name}: p must lie in (1, inf), got {p}")
@@ -180,7 +179,10 @@ class SweepConfig:
             delta_list=tuple(deltas), k_list=tuple(k_list), thresholds=tuple(thresholds),
             cells_per_horizon=m, n_interior=n_interior,
         )
-        limit = available_pairs(p, config.mesh_cells(deltas[0]) - 1)
+        try:
+            limit = available_pairs(p, min(config.mesh_cells(x) for x in deltas) - 1)
+        except OverflowError as exc:
+            raise ConfigError(f"{name}: the mesh size overflows: {exc}") from exc
         if max(k_list) > limit:
             raise ConfigError(f"{name}: k={max(k_list)} exceeds the {limit} eigenpair(s) "
                               f"of the coarsest mesh at p={p}")
@@ -354,6 +356,7 @@ def _timed_rows(rows_of, deltas, threads: int):
         return rows
 
     if threads > 1:
+        import concurrent.futures  # loads logging too; a serial run needs neither
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(timed, deltas))
     else:

@@ -1,9 +1,9 @@
 """Closed-form constants and scalings for the horizon-truncated fractional p-energy.
 
 Everything here is a pure function of scalar inputs: the sphere moment
-``gamma_constant``, its companion ``k_constant``, the horizon scaling factor
-used in the small-horizon limit, the explicit norm-equivalence constant
-``embedding_constant``, and the classical 1-D p-Laplacian first eigenvalue.
+``gamma_constant``, the horizon scaling factor used in the small-horizon limit,
+the explicit norm-equivalence constant ``embedding_constant``, and the classical
+1-D p-Laplacian first eigenvalue.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ def gamma_constant(N: int, p: float) -> float:
     if not p > 1.0:
         raise ValueError(f"exponent p must exceed 1, got {p}")
     return 2.0 * math.pi ** ((N - 1) / 2.0) * math.gamma((p + 1) / 2.0) / math.gamma((N + p) / 2.0)
-
-
-def k_constant(N: int, p: float) -> float:
-    """gamma_constant(N, p) / p."""
-    return gamma_constant(N, p) / p
 
 
 def scaling_factor(params: KernelParams) -> float:

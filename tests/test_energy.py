@@ -359,6 +359,30 @@ class TestSplitStiffness:
         assert np.array_equal(en._table(mesh, params).stiffness(params.delta), full)
 
 
+class TestChunkedPass:
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS[:2], ids=["0.25", "inf"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_one_row_chunks_match_the_default(self, monkeypatch, p, mesh_delta, kernel_delta):
+        u, params = horizon_instance(mesh_delta, kernel_delta, p, 47)
+
+        def results():
+            en._built.cache_clear()
+            parts = nonlocal_energy(u, params)
+            return ([parts.principal, parts.interaction], energy_and_gradient(u, params)[1],
+                    energy_hessian(u, params) if p >= 2.0 else np.zeros(1),
+                    en._table(u.mesh, params).stiffness(params.delta))
+
+        default = results()
+        monkeypatch.setattr(en, "_CHUNK", 1)  # every chunk is one row
+        try:
+            one_row = results()
+        finally:
+            en._built.cache_clear()
+        for a, b in zip(default, one_row):
+            assert np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(a)
+        assert all(np.abs(a - b) <= 1e-13 * np.abs(a) for a, b in zip(default[0], one_row[0]))
+
+
 class TestTableauMemory:
     def test_cold_tableau_is_small(self):
         # per-gap templates: O(r q^2 + n) floats, not one copy per element pair
@@ -397,6 +421,21 @@ class TestTableauMemory:
         finally:
             tracemalloc.stop()
         assert retained < 8 * len(mesh.nodes)  # less than one row of the matrix
+
+    def test_chunked_passes_bound_their_temporaries(self):
+        # a cold collarless p = 3 Hessian and a cold p = 2 stiffness, tableau build included
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        u = random_function(mesh, np.random.default_rng(10))
+        for params, call in ((KernelParams(0.3125, 3.0, INFINITE), lambda p: energy_hessian(u, p)),
+                             (KernelParams(0.3125, 2.0, 4.0),
+                              lambda p: en._table(mesh, p).stiffness(p.delta))):
+            tracemalloc.start()
+            try:
+                call(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20 + 8 * len(mesh.nodes) ** 2
 
     def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau

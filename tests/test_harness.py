@@ -81,6 +81,14 @@ class TestConfigValidation:
         {"delta_list": ["0.4", 0.2, 0.1]},
         {"thresholds": ["0.5"]},
         {"b": None},
+        # Python's json reads NaN and Infinity as numbers
+        {"thresholds": [math.inf]},
+        {"s": math.nan},
+        {"b": math.inf},
+        {"study": "inf", "delta_list": [1.0, 2.0, math.inf], "n_interior": 16},
+        # finite, but the mesh size overflows
+        {"b": 1e308},
+        {"b": 10 ** 400},
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -322,6 +330,17 @@ class TestCli:
                        "print(scipy_modules())\n")
         assert run_python(script).split() == ["[]"] * 4
 
+    def test_import_and_serial_study_load_no_thread_pool(self):
+        # concurrent.futures, and the logging it imports, serve only --threads > 1
+        config = base_config(p=3.0, delta_list=[0.4, 0.2, 0.1], thresholds=[0.5])
+        script = ("import sys, perispec.cli\n"
+                  "from perispec.harness import SweepConfig, run_study\n"
+                  f"assert run_study(SweepConfig.from_dict({config!r}, name='tiny'))"
+                  ".rows[0].converged\n"
+                  "print(sorted(m for m in ('concurrent.futures', 'logging') "
+                  "if m in sys.modules))\n")
+        assert run_python(script).split() == ["[]"]
+
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0
         assert capsys.readouterr().out.strip() == "2.0"
@@ -381,7 +400,10 @@ class TestCli:
                     dict(k_max_cfg, k_max=True), dict(k_max_cfg, delta=True),
                     # strings, not parsed as numbers; "INF" only as the horizon
                     {"p": "3", "s": "0.5", "delta": "0.25", "n_interior": 8},
-                    dict(k_max_cfg, delta="0.25"), dict(k_max_cfg, b="INF")):
+                    dict(k_max_cfg, delta="0.25"), dict(k_max_cfg, b="INF"),
+                    # NaN and Infinity, which Python's json reads as numbers
+                    dict(k_max_cfg, delta=math.inf), dict(k_max_cfg, s=math.nan),
+                    dict(k_max_cfg, b=-math.inf)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 

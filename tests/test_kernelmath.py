@@ -9,7 +9,6 @@ from perispec.kernelmath import (
     UnsupportedDimensionError,
     embedding_constant,
     gamma_constant,
-    k_constant,
     local_p_laplacian_lambda1,
     p_pi,
     scaling_factor,
@@ -40,11 +39,6 @@ class TestGammaConstant:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             gamma_constant(4, 2.0)
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    @pytest.mark.parametrize("p", P_GRID)
-    def test_gamma_is_p_times_k(self, N, p):
-        assert gamma_constant(N, p) == p * k_constant(N, p)
 
 
 class TestKernelParams:
