@@ -38,6 +38,24 @@ def sphere_moment_quadrature(N: int, p: float) -> float:
     raise ValueError(f"unsupported dimension {N}")
 
 
+def k_constant_beta(N: int, p: float) -> float:
+    """The paper's K_{N,p} = (1/p) * integral of |e.z|^p over S^(N-1), by the Beta function.
+
+    Slicing the sphere along e gives |S^(N-2)| * B((p+1)/2, (N-1)/2) for the
+    moment when N >= 2, and the counting measure of S^0 gives 2 when N = 1; the
+    library's closed form for gamma goes through neither route.
+    """
+    if N == 1:
+        moment = 2.0
+    elif N in (2, 3):
+        a, b = (p + 1.0) / 2.0, (N - 1) / 2.0
+        beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        moment = 2.0 * math.pi ** b / math.gamma(b) * beta
+    else:
+        raise ValueError(f"unsupported dimension {N}")
+    return moment / p
+
+
 def _antideriv(z: float, p: float) -> float:
     """Antiderivative of |z|^p along z: |z|^p * z / (p + 1)."""
     return abs(z) ** p * z / (p + 1.0)

@@ -14,7 +14,7 @@ from perispec.kernelmath import (
     scaling_factor,
 )
 
-from _oracles import shooting_oracle_lambda1, sphere_moment_quadrature
+from _oracles import k_constant_beta, shooting_oracle_lambda1, sphere_moment_quadrature
 
 P_GRID = [1.5, 2.0, 2.5, 3.0, 4.0]
 
@@ -39,6 +39,11 @@ class TestGammaConstant:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             gamma_constant(4, 2.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_gamma_is_p_times_k(self, N, p):
+        assert gamma_constant(N, p) == pytest.approx(p * k_constant_beta(N, p), rel=1e-14)
 
 
 class TestKernelParams:
