@@ -1,6 +1,16 @@
 """Spectral limits of the horizon-truncated fractional p-Laplacian on intervals."""
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy's OpenBLAS then starts no spinning thread
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .kernelmath import (
     INFINITE,

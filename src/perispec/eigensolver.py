@@ -1,30 +1,16 @@
-"""Eigenpairs of the discrete truncated fractional p-Laplacian.
+"""Eigenpairs of the discrete truncated fractional p-Laplacian; ``solve_eigenpairs``
+is the entry point.
 
-``solve_eigenpairs`` is the entry point.  For p=2 the problem is a dense
-symmetric-definite generalized eigenproblem (stiffness and P1 mass matrix from the
-same quadrature the energy and the L^p mass use), which the reflection symmetry of
-the mesh splits into an even and an odd half.  The stiffness is the tableau's
-(``energy._Tableau.stiffness``): on a collarless mesh one shared Gram plus the tail
-Gram of the horizon.  For general p the first eigenpair comes from one loop over
-iterates u with M(u) = 1 and lam = E(u), E the energy and M the L^p mass; at M = 1,
-res = grad E - lam grad M is the gradient of the Rayleigh quotient R = E/M.  For
-p >= 2 a step is a Newton step on (res, M - 1): one bordered symmetric solve with the
-exact Hessians (``energy.energy_hessian``, ``energy.lp_mass_hessian``), kept only if
-the normalized iterate strictly lowers R and keeps its sign.  Otherwise it is one
-Armijo step of descent on R (Knyazev 2001), one fused ``energy.energy_and_gradient``
-call per trial point, along -H_E(u)^-1 res with the energy Hessian the bordered step
-built, or along the L-BFGS direction preconditioned by the unweighted Gram G of the
-row's tableau (``energy._Tableau.stiffness``) below p = 2, where the Hessian weight
-|d|^(p-2) blows up, and when H_E(u) does not factor.  A trial point that changes sign is
-replaced by its absolute value.  For p >= 2 the solve ends before any Hessian once
-|res| <= _RES_TOL p lam (1 + lam), so a warm-started row costs one fused call.
-A descent step ends the solve, converged, once R can only move at rounding level.
-The local reference eigenvalue of the delta -> 0 limit comes from the closed form of
-the 1-D p-Laplacian (``local_reference_lambda``).
-
-The linear algebra is numpy.linalg, on the one OpenBLAS thread that importing
-``energy`` sets (``energy._process_settings``).
-"""
+At p=2 they are those of the pencil (A, M), the tableau's stiffness and the P1 mass
+matrix under the quadrature of the energy and of the L^p mass.  The reflection of the
+mesh splits it into an even and an odd block, and shift-and-invert subspace iteration
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4) finds the smallest pairs of each from
+a few sine modes or a warm start; Sylvester's law of inertia certifies that no smaller
+eigenvalue was missed.  For general p the first pair comes from one loop over iterates
+u with unit L^p mass: a Newton step on the eigen-equation at p >= 2 where it lowers the
+Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001), along the
+Newton direction of the energy or preconditioned L-BFGS (``solve_first_eigenpair``).  The
+linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``energy`` sets."""
 
 from __future__ import annotations
 
@@ -33,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky, eigh, inv, solve
+from numpy.linalg import LinAlgError, cholesky, eigh, inv, qr, solve
 
 from . import energy as en
 from .kernelmath import KernelParams, local_p_laplacian_lambda1
@@ -57,6 +43,8 @@ _ARMIJO = 1e-4              # sufficient-decrease constant of the line search
 _MIN_STEP = 1e-12           # step length below which the line search has stalled
 _F_ROUNDING = 1e-15         # relative change of the Rayleigh quotient at its rounding level
 _LBFGS_MEMORY = 10          # (s, y) pairs of the L-BFGS direction
+_P2_RES_TOL = 1e-11         # relative residual of every Ritz pair of a p = 2 block, above rounding
+_P2_MAX_SWEEPS = 50         # shift-and-invert sweeps per p = 2 block and basis
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,7 @@ def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
     if abs(params.p - 2.0) > 1e-12:
         raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
     ii = mesh.interior
-    return en._table(mesh, params).stiffness(params.delta)[ii, ii], _mass_factors(mesh)[0]
+    return en._table(mesh, params).stiffness(params.delta)[ii, ii], _interior_mass(mesh)
 
 
 def _fold(X: np.ndarray, sign: float) -> np.ndarray:
@@ -97,19 +85,11 @@ def _fold(X: np.ndarray, sign: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=24)
-def _mass_factors(mesh: Mesh) -> tuple:
-    """(M, W, U for sign 1, W, U for sign -1), built once per mesh, read-only: the
-    interior mass matrix M, the inverse Cholesky factor W of _fold(M, sign) and the
-    unfold U = B W^T, B = E + sign JE with E = eye(n, m), so _fold(X) = B^T X B / 2."""
-    ii = mesh.interior
-    factors = [en._gram(en._mass_rules(mesh), len(mesh.nodes))[ii, ii]]
-    for sign in (1.0, -1.0):
-        W = inv(cholesky(_fold(factors[0], sign)))  # LinAlgError if M is indefinite
-        EW = np.pad(W.T, ((0, len(factors[0]) - len(W)), (0, 0)))  # E W^T
-        factors += [W, EW + sign * EW[::-1]]
-    for f in factors:
-        f.setflags(write=False)
-    return tuple(factors)
+def _interior_mass(mesh: Mesh) -> np.ndarray:
+    """The interior mass matrix, built once per mesh, read-only."""
+    M = en._gram(en._mass_rules(mesh), len(mesh.nodes))[mesh.interior, mesh.interior]
+    M.setflags(write=False)
+    return M
 
 
 def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
@@ -118,35 +98,75 @@ def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
     return DiscreteFunction(vals, mesh)
 
 
-def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
-    """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega).
-    The reflection x -> a+b-x commutes with A and M, so the pencil splits into an even
-    and an odd _fold block, each solved by eigh of C = W A W^T (_mass_factors), the odd
-    one only if it holds some of the k_max smallest.  An indefinite M raises LinAlgError."""
+def _ritz_iteration(A: np.ndarray, M: np.ndarray, X: np.ndarray) -> tuple:
+    """Shift-and-invert subspace iteration on the pencil (A, M) from the columns of X:
+    (Ritz values, M-orthonormal Ritz vectors, M times them, converged, sweeps).  A sweep maps
+    the unconverged Ritz vectors by (A - sigma M)^-1 M, sigma just below the least of them."""
+    floor = 1e-14 * np.linalg.norm(A, 1) / np.linalg.norm(M, 1)  # >= 10x the rounding of A x
+    for sweep in range(_P2_MAX_SWEEPS + 1):
+        Q = qr(X)[0]
+        AQ, MQ = A @ Q, M @ Q
+        W = inv(cholesky(Q.T @ MQ))  # LinAlgError if M is indefinite
+        theta, z = eigh(W @ (Q.T @ AQ) @ W.T)
+        Z = W.T @ z
+        X, MX = Q @ Z, MQ @ Z
+        res = np.linalg.norm(AQ @ Z - MX * theta, axis=0) / (theta * np.linalg.norm(MX, axis=0))
+        done = res <= _P2_RES_TOL + floor / theta
+        if done.all() or sweep == _P2_MAX_SWEEPS:
+            return theta, X, MX, bool(done.all()), sweep
+        j = np.argmin(done)  # 1e-8: A - sigma M stays regular once theta[j] is exact
+        X = np.where(done, X, solve(A - theta[j] / (1.0 + res[j] ** 2 + 1e-8) * M, MX))
+
+
+def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int,
+                      initial: DiscreteFunction | None = None):
+    """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega), by
+    _ritz_iteration on the even and the odd _fold block from sine modes of their parity,
+    the even part of ``initial`` first.  A block takes one more mode until A - mu M +
+    mu (M V)(M V)^T factors, V its Ritz vectors and mu the k_max-th smallest value found:
+    by Sylvester's law of inertia, no eigenvalue outside span V lies below mu then.
+    An indefinite M raises LinAlgError."""
     A, M = assemble_p2_matrices(mesh, params)
-    factors, found = _mass_factors(mesh), []
-    for sign, W, U in zip((1.0, -1.0), factors[1::2], factors[2::2]):
-        C = W @ _fold(A, sign) @ W.T
-        if len(found) == k_max:  # Sylvester's law of inertia: the odd block holds none of
-            try:                 # the k_max smallest if C - mu I, mu the largest kept, factors
-                cholesky(C - found[-1][0] * np.eye(len(C)))
-                continue
-            except LinAlgError:
-                pass
-        lam, y = eigh(C)
-        found += zip(lam[:k_max], (U @ y[:, :k_max]).T)
+    n, ii, warm = len(A), mesh.interior, int(initial is not None)
+    t = (mesh.nodes[ii] - mesh.domain.a) * (math.pi / mesh.domain.length)
+    folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]
+
+    def modes(i, first, count=1):  # folded sine modes of odd k (block 0) or even k (block 1)
+        return np.sin(np.outer(t[:len(folds[i][0])], 2 * np.arange(first, first + count) + 1 + i))
+    X = [modes(0, 0, (k_max + 1) // 2 - warm), modes(1, 0, k_max // 2)]
+    if warm:  # the even part of initial, folded: the unfold doubles the middle of odd n
+        y = (initial.values[ii] + initial.values[ii][::-1])[:len(X[0])] / 2
+        y[-1] /= 1 + (2 * len(y) > n)
+        X[0] = np.column_stack([y, X[0]])
+    results, todo, sweeps = [None, None], [0, 1], 0
+    while todo:
+        for i in todo:  # at full size Q spans the block and Rayleigh-Ritz is exact
+            results[i] = _ritz_iteration(*folds[i], X[i])
+            sweeps += results[i][4]
+        mu = np.sort(np.concatenate([r[0] for r in results]))[k_max - 1]
+        todo = []
+        for i, ((A_f, M_f), (_, V, MV, _, _)) in enumerate(zip(folds, results)):
+            try:  # at full size M V V^T M = M, so this is A
+                cholesky(A_f - mu * M_f + mu * (MV @ MV.T))
+            except LinAlgError:  # the next sine mode; V holds warm * (i == 0) other columns
+                X[i] = np.column_stack([V, modes(i, V.shape[1] - warm * (i == 0))])
+                todo.append(i)
     pairs = []
-    for k, (_, v) in enumerate(sorted(found, key=lambda pair: pair[0])[:k_max]):
+    found = sorted((lam, i, j) for i, r in enumerate(results) for j, lam in enumerate(r[0]))
+    for k, (_, i, j) in enumerate(found[:k_max]):
+        v = np.pad(results[i][1][:, j], (0, n - len(X[i])))
+        v = v + (1.0 - 2 * i) * v[::-1]
         x = v / en.lp_mass(_embed(mesh, v), 2.0) ** 0.5
         # deterministic sign: the first eigenfunction positive, the others at x[0]
         if (np.sum(x) if k == 0 else x[0]) < 0:
             x = -x
-        # eigh's value has a relative error of ~eps ||A|| / lam, the quotient of ~eps
+        # the Ritz value has a relative error of ~eps ||A|| / lam, the quotient of ~eps
         Ax, Mx = A @ x, M @ x
         lam = float(x @ Ax) / float(x @ Mx)
         residual = float(np.linalg.norm(Ax - lam * Mx) / max(np.linalg.norm(Mx), 1e-300))
         pairs.append(EigenPair(lam=lam, eigenfunction=_embed(mesh, x), index_k=k + 1,
-                               residual=residual, iterations=0))
+                               residual=residual, iterations=0, converged=results[i][3],
+                               diagnostics={"sweeps": sweeps}))
     return pairs
 
 
@@ -290,7 +310,7 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
         raise SpectrumRequestError(
             f"k_max={k_max} must lie in [1, {limit}] at p={params.p} with {n} interior nodes")
     if abs(params.p - 2.0) < 1e-12:
-        return solve_p2_spectrum(mesh, params, k_max)
+        return solve_p2_spectrum(mesh, params, k_max, initial=initial)
     return [solve_first_eigenpair(mesh, params, initial=initial)]
 
 

@@ -341,6 +341,23 @@ class TestCli:
                   "if m in sys.modules))\n")
         assert run_python(script).split() == ["[]"]
 
+    def test_import_starts_no_blas_worker_thread(self):
+        # numpy's OpenBLAS starts worker threads as it loads unless the environment names a
+        # thread count; importing perispec names one for that load only, and never
+        # overrides the user's
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("native tasks are not listed in /proc/self/task")
+        script = ("import os\n"
+                  "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+                  "import perispec.cli, numpy.linalg\n"
+                  "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)\n")
+        assert run_python(script).split() == ["1", "False"]
+        script = ("import os\n"
+                  "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+                  "import perispec\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        assert run_python(script).split() == ["2"]
+
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0
         assert capsys.readouterr().out.strip() == "2.0"
