@@ -8,8 +8,10 @@ mesh splits it into an even and an odd block, and shift-and-invert subspace iter
 a few sine modes or a warm start; Sylvester's law of inertia certifies that no smaller
 eigenvalue was missed.  For general p the first pair comes from one loop over iterates
 u with unit L^p mass: a Newton step on the eigen-equation at p >= 2 where it lowers the
-Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001), along the
-Newton direction of the energy or preconditioned L-BFGS (``solve_first_eigenpair``).  The
+Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001) along the Newton
+direction of the energy; below p = 2 that is the Newton direction of the quadratic that
+majorizes the energy at u (relaxed Kačanov: Diening, Fornasier, Tomasi, Wank 2020; Hein &
+Bühler 2010), and the Hessian weights are floored (``solve_first_eigenpair``).  The
 linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``energy`` sets."""
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ _RES_TOL = 1e-10            # residual stop for p >= 2, relative to p lambda (1 
 _ARMIJO = 1e-4              # sufficient-decrease constant of the line search
 _MIN_STEP = 1e-12           # step length below which the line search has stalled
 _F_ROUNDING = 1e-15         # relative change of the Rayleigh quotient at its rounding level
-_LBFGS_MEMORY = 10          # (s, y) pairs of the L-BFGS direction
 _P2_RES_TOL = 1e-11         # relative residual of every Ritz pair of a p = 2 block, above rounding
 _P2_MAX_SWEEPS = 50         # shift-and-invert sweeps per p = 2 block and basis
 
@@ -174,7 +175,9 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                           initial: DiscreteFunction | None = None) -> EigenPair:
     """First eigenpair for general p, by one loop over iterates u with M(u) = 1: the
     safeguarded eigen-Newton step for p >= 2, else one Armijo step of descent on the
-    Rayleigh quotient R = E/M, whose gradient at M = 1 is res = grad E - lam grad M."""
+    Rayleigh quotient R = E/M, whose gradient at M = 1 is res = grad E - lam grad M,
+    along -H_E(u)^-1 res, times p - 1 below p = 2, or along -G^-1 res, G the p = 2
+    stiffness, where H_E(u) does not factor."""
     p = params.p
     newton = p >= 2.0
     ii = mesh.interior
@@ -206,17 +209,16 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     lam, grad_m, res = state(u)
     history = [lam]
     descent_steps = newton_steps = recoveries = 0
-    pairs, g_inv = [], None  # L-BFGS pairs (s, y) of R, and G^-1 once needed
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
         if newton and np.linalg.norm(res) <= _RES_TOL * p * lam * (1.0 + lam):
             converged = True
             break
-        new = d = None
+        new = None
+        uf = _embed(mesh, u)
+        hess_u = en.energy_hessian(uf, params)[ii, ii]
         if newton:
-            uf = _embed(mesh, u)
-            hess_u = en.energy_hessian(uf, params)[ii, ii]
             jac = hess_u - lam * en.lp_mass_hessian(uf, p)[ii, ii]
             bordered = np.block([[jac, -grad_m[:, None]], [-grad_m[None, :], np.zeros((1, 1))]])
             try:
@@ -227,39 +229,24 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 new = state(v)
                 if new[0] < lam:
                     newton_steps += 1
-                    pairs = []
                     done = (abs(new[0] - lam) <= _TOL_LAMBDA * max(1.0, abs(lam))
                             and mass_norm(v - u) <= _TOL_U)
                 else:
                     new = None
-            if new is None:
-                try:
-                    cholesky(hess_u)  # raises unless H_E(u) is positive definite
-                    d = solve(hess_u, -res)
-                except LinAlgError:
-                    pass
         if new is None:
-            if d is None:  # L-BFGS two-loop direction, H0 = gamma G^-1 (N&W alg. 7.4)
-                if g_inv is None:
-                    g_inv = inv(en._table(mesh, params).stiffness(params.delta)[ii, ii])
-                d, alphas = -res, []
-                for s, y in reversed(pairs):
-                    alphas.append(float(s @ d) / float(y @ s))
-                    d = d - alphas[-1] * y
-                if pairs:
-                    s, y = pairs[-1]
-                    d = float(s @ y) / float(y @ g_inv @ y) * d
-                d = g_inv @ d
-                for (s, y), alpha in zip(pairs, reversed(alphas)):
-                    d = d + (alpha - float(y @ d) / float(y @ s)) * s
+            try:
+                cholesky(hess_u)  # raises unless H_E(u) is positive definite
+            except LinAlgError:  # only at p > 2, where weights vanish: the unweighted G
+                hess_u = en._table(mesh, params).stiffness(params.delta)[ii, ii]
+            # below p = 2, hess_u / (p - 1) is the Hessian of the majorizer
+            d = solve(hess_u, -res) * min(1.0, p - 1.0)
             slope = float(res @ d)
             if -slope <= _F_ROUNDING * lam:  # predicted decrease at rounding level
                 converged = True
                 break
             t = 1.0
             while t >= _MIN_STEP:
-                c = mass_norm(w := u + t * d)
-                v = w / c
+                v = (w := u + t * d) / mass_norm(w)
                 recovered = sign_changing(v)
                 if recovered:  # taking |v| cannot increase the energy
                     v = np.abs(v) / mass_norm(np.abs(v))
@@ -271,13 +258,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 converged = True
                 break
             descent_steps += 1
-            if recovered:
-                recoveries += 1
-                pairs = []
-            else:  # R is 0-homogeneous: grad R(u + t d) = grad R(v) / c
-                s, y = t * d, new[2] / c - res
-                if float(s @ y) > 0:
-                    pairs = (pairs + [(s, y)])[-_LBFGS_MEMORY:]
+            recoveries += int(recovered)
             done = abs(new[0] - lam) <= _F_ROUNDING * lam
         u, (lam, grad_m, res) = v, new
         history.append(lam)

@@ -100,6 +100,7 @@ _TAIL_ORDER = 16            # per-element order for the analytic-tail weight
 _TAIL_ORDER_HOLDER = 32
 _TAIL_LEVELS = 6            # graded levels toward the domain endpoints
 _TAIL_RATIO = 0.15
+_GRAM_FLOOR = 1e-12         # |u(x)-u(y)| floor of a p < 2 Hessian, relative to max|u|
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,9 +162,6 @@ class _Rule:
         # per pair, halved on the diagonal because _gram adds the transpose
         a, b, half = _PAIRS[len(basis)]
         self.products = np.ascontiguousarray((basis[a] * basis[b]).T * half)
-
-    def offsets(self, g: int):
-        return (0, 1) if len(self.basis) == 2 else (0, 1, g, g + 1)
 
     def reweighted(self, w):
         """This one-block rule, its rows unchanged, with the weights w (one row per element)."""
@@ -377,16 +375,19 @@ def _gram(rules, nn: int, vals=None, p: float = 2.0, upper=None) -> np.ndarray:
     nodes e, e+1, e+g, e+g+1.  Its upper half, diagonal halved, is w @ rule.products; a
     chunk adds its rows' halves with one np.add.at, and G is the halves plus their
     transpose.  Given vals, each point's weight is scaled by |d|^(p-2), d the point's
-    value of vals, and p(p-1) G is the Hessian of _power_parts' total there; at p = 2 the
-    scale is 1 and vals is not read, so G is the unweighted matrix bit for bit.  Given
-    upper, the halves of earlier rules, the rules add to a copy of it."""
+    value of vals, and p(p-1) G is the Hessian of _power_parts' total there; below p = 2,
+    |d| is floored at _GRAM_FLOOR max|vals| first, where |d|^(p-2) has a pole at d = 0.
+    At p = 2 the scale is 1 and vals is not read, so G is the unweighted matrix bit for
+    bit.  Given upper, the halves of earlier rules, the rules add to a copy of it."""
     G = np.zeros((nn, nn)) if upper is None else upper.copy()
     weighted = vals is not None and p != 2.0
+    floor = _GRAM_FLOOR * np.max(np.abs(vals)) if weighted and p < 2.0 else 0.0
     for rule in rules:
         local = None if weighted else rule.weights @ rule.products
         for _, k, nodes, d in rule.chunks(vals if weighted else None):
             if weighted:
-                d = (np.abs(d, out=d) if p == 3.0 else np.abs(d) ** (p - 2.0)) * rule.weights[k]
+                d = (np.abs(d, out=d) if p == 3.0
+                     else np.maximum(np.abs(d), floor) ** (p - 2.0)) * rule.weights[k]
             idx = (nodes @ _scatter(len(rule.basis), nn)).astype(np.intp).ravel()
             np.add.at(G.reshape(-1), idx, (d @ rule.products if weighted else local[k]).ravel())
     return G + G.T
@@ -409,7 +410,8 @@ def energy_and_gradient(u: DiscreteFunction, params: KernelParams):
 
 def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
     """Exact nodal Hessian of the nonlocal energy at u for p >= 2 (collar entries included);
-    at p = 2 twice the stiffness, bit for bit."""
+    at p = 2 twice the stiffness, bit for bit.  Below p = 2 it is (p-1) times the Hessian
+    of the quadratic that majorizes the energy at u, with |u(x)-u(y)| floored (``_gram``)."""
     _check_constrained(u)
     p = params.p
     return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), u.values, p)
@@ -435,5 +437,5 @@ def lp_mass_gradient(u: DiscreteFunction, p: float) -> np.ndarray:
 
 def lp_mass_hessian(u: DiscreteFunction, p: float) -> np.ndarray:
     """Exact nodal Hessian of lp_mass at u for p >= 2, under the same quadrature;
-    at p = 2 twice the mass matrix, bit for bit."""
+    at p = 2 twice the mass matrix, bit for bit; floored below p = 2 (``_gram``)."""
     return p * (p - 1.0) * _gram(_mass_rules(u.mesh), len(u.values), u.values, p)

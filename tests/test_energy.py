@@ -58,18 +58,20 @@ def horizon_instance(mesh_delta, kernel_delta, p, seed):
 
 def einsum_gram(rules, nn, vals=None, p=2.0):
     """Reference Gram matrix: each block's local matrices by the 4-index einsum
-    basis diag(w) basis^T, added entry by entry at node offsets 0, 1, g, g+1."""
+    basis diag(w) basis^T, added entry by entry at node offsets 0, 1, g, g+1.
+    Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_gram``."""
     G = np.zeros((nn, nn))
     for rule in rules:
         for lo, hi, g, w, _ in rule.blocks:
-            offsets = rule.offsets(g)
+            offsets = (0, 1) if len(rule.basis) == 2 else (0, 1, g, g + 1)
             if vals is not None:
                 # the point values u(x) - u(y), or u(x) for one-element rules
                 d = np.stack([vals[lo:hi], vals[lo + 1:hi + 1]], axis=1) @ rule.basis[:2]
                 if len(offsets) == 4:
                     d += np.stack([vals[lo + g:hi + g], vals[lo + g + 1:hi + g + 1]],
                                   axis=1) @ rule.basis[2:]
-                w = w * np.abs(d) ** (p - 2.0)
+                floor = 1e-12 * np.max(np.abs(vals)) if p < 2.0 else 0.0
+                w = w * np.maximum(np.abs(d), floor) ** (p - 2.0)
             rows = np.arange(lo, hi)
             local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
             for i, oi in enumerate(offsets):
@@ -161,14 +163,27 @@ class TestHessian:
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
 
     @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "inf-2.0"])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["stiffness", "p3-weighted"])
-    def test_gram_matches_einsum_reference(self, weighted, mesh_delta, kernel_delta):
-        u, params = horizon_instance(mesh_delta, kernel_delta, 3.0, 41)
+    @pytest.mark.parametrize("weighted, p", [(False, 3.0), (True, 3.0), (True, 1.5)],
+                             ids=["stiffness", "p3-weighted", "p1.5-weighted"])
+    def test_gram_matches_einsum_reference(self, weighted, p, mesh_delta, kernel_delta):
+        u, params = horizon_instance(mesh_delta, kernel_delta, p, 41)
         rules, nn = en._tableau(u.mesh, params), len(u.values)
         vals = u.values if weighted else None
-        reference = einsum_gram(rules, nn, vals, 3.0)
-        gram = en._gram(rules, nn, vals, 3.0)
+        reference = einsum_gram(rules, nn, vals, p)
+        gram = en._gram(rules, nn, vals, p)
         assert np.array_equal(gram, gram.T)
+        assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
+
+    def test_gram_below_p2_floors_a_plateau(self):
+        # on a plateau the same-element point reads d = 0, where |d|^(p-2) is infinite
+        u, params = horizon_instance(0.25, None, 1.5, 43)
+        rules, nn = en._tableau(u.mesh, params), len(u.values)
+        vals = u.values.copy()
+        k = u.mesh.interior.start + 4
+        vals[k + 1] = vals[k]
+        gram = en._gram(rules, nn, vals, 1.5)
+        assert np.all(np.isfinite(gram))
+        reference = einsum_gram(rules, nn, vals, 1.5)
         assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
 
     def test_p2_hessian_is_twice_the_stiffness(self):
@@ -369,7 +384,7 @@ class TestChunkedPass:
             en._built.cache_clear()
             parts = nonlocal_energy(u, params)
             return ([parts.principal, parts.interaction], energy_and_gradient(u, params)[1],
-                    energy_hessian(u, params) if p >= 2.0 else np.zeros(1),
+                    energy_hessian(u, params),
                     en._table(u.mesh, params).stiffness(params.delta))
 
         default = results()
