@@ -77,7 +77,7 @@ def _process_settings() -> None:
     for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*")):
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads"):
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
             if hasattr(lib, name):
                 set_threads = getattr(lib, name)
                 set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None

@@ -9,7 +9,6 @@ recorded and used downstream.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -61,14 +60,14 @@ class Mesh:
     interior_mask: np.ndarray
     delta_effective: float
     collar_cells: int
-    _fingerprint: str = field(default="", repr=False, compare=False)
+    _fingerprint: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.interior_mask.setflags(write=False)
-        digest = hashlib.sha1(self.nodes.tobytes())
-        digest.update(repr((self.h, self.delta_effective, self.collar_cells)).encode())
-        object.__setattr__(self, "_fingerprint", digest.hexdigest())
+        # a uniform mesh is fixed by these; delta_effective follows from h and the collar
+        fingerprint = (self.domain.a, self.domain.b, self.h, len(self.nodes), self.collar_cells)
+        object.__setattr__(self, "_fingerprint", fingerprint)
 
     @property
     def element_count(self) -> int:
@@ -83,7 +82,7 @@ class Mesh:
         return self.collar_cells > 0
 
     @property
-    def fingerprint(self) -> str:
+    def fingerprint(self) -> tuple:
         return self._fingerprint
 
     def __eq__(self, other):

@@ -37,7 +37,7 @@ def blas_thread_getters():
     for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*")):
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads"):
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(lib, name):
                 get = getattr(lib, name)
                 get.argtypes, get.restype = (), ctypes.c_int
@@ -380,9 +380,9 @@ class TestInversePower:
 class TestInnerSolvers:
     @pytest.mark.parametrize("f_rounding", [None, 0.0], ids=["default", "no-floor"])
     def test_newton_returns_at_zero_inner_tolerance(self, monkeypatch, f_rounding):
-        # the residual stop is unreachable: the solve must end on the lambda/step
-        # test of a Newton step or, after a rejected one, at the rounding floor of
-        # the Rayleigh quotient or a line search stall, instead of at the cap
+        # the residual stop, the only one a Newton step has, is unreachable: the solve
+        # must end after a rejected Newton step, at the rounding floor of the Rayleigh
+        # quotient or a line search stall, instead of at the cap
         monkeypatch.setattr(eigensolver, "_RES_TOL", 0.0)
         if f_rounding is not None:
             monkeypatch.setattr(eigensolver, "_F_ROUNDING", f_rounding)
@@ -415,14 +415,27 @@ class TestInnerSolvers:
         assert ep.diagnostics["newton_steps"] == 0 and ep.diagnostics["inner_iterations"] > 0
         assert abs(ep.lam - base.lam) <= 1e-10 * base.lam
 
-    def test_newton_steps_do_not_grow_with_the_mesh(self):
-        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160
-        inner, outer = [], []
+    def test_newton_steps_do_not_grow_with_the_mesh(self, monkeypatch):
+        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160; one L^p mass
+        # pass per trial point, and one more per |v| recovery
+        inner, outer, calls = [], [], []
+
+        def counted(f):
+            def call(*args):
+                calls.append(f)
+                return f(*args)
+            return call
+
+        lp_mass, fused = en.lp_mass, en.energy_and_gradient
+        monkeypatch.setattr(en, "lp_mass", counted(lp_mass))
+        monkeypatch.setattr(en, "energy_and_gradient", counted(fused))
         for delta in (0.2, 0.1, 0.05, 0.025):
+            calls.clear()
             mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
             ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))[0]
             assert ep.converged
             assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
+            assert calls.count(lp_mass) == calls.count(fused) + ep.diagnostics["recoveries"]
             inner.append(ep.diagnostics["inner_iterations"])
             outer.append(ep.iterations)
         assert max(inner) - min(inner) <= 3
