@@ -89,7 +89,7 @@ def _cmd_eigen(args) -> int:
         if not (isinstance(n_interior, int) and isinstance(k_max, int)):
             raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
         mesh = build_mesh(DomainSpec(a, b, INFINITE if delta >= b - a else delta), n_interior)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _config_error(exc)
     if mesh.has_collar:
         params = params.with_delta(mesh.delta_effective)

@@ -12,7 +12,7 @@ Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001) along the
 direction of the energy; below p = 2 that is the Newton direction of the quadratic that
 majorizes the energy at u (relaxed Kačanov: Diening, Fornasier, Tomasi, Wank 2020; Hein &
 Bühler 2010), and the Hessian weights are floored (``solve_first_eigenpair``).  The
-linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``energy`` sets."""
+linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``perispec`` sets."""
 
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ from numpy.linalg import LinAlgError, cholesky, eigh, inv, qr, solve
 from . import energy as en
 from .kernelmath import KernelParams, local_p_laplacian_lambda1
 from .mesh import DiscreteFunction, Mesh, interpolate
-
-
-class WrongExponentError(ValueError):
-    """Matrix path requested with p != 2."""
 
 
 class SpectrumRequestError(ValueError):
@@ -65,15 +61,6 @@ class EigenPair:
             "converged": self.converged,
             "values": self.eigenfunction.values.tolist(),
         }
-
-
-def assemble_p2_matrices(mesh: Mesh, params: KernelParams):
-    """(stiffness, mass) over interior nodes: the polarizations of the energy
-    and of the L^2 mass, under the quadrature their evaluators use."""
-    if abs(params.p - 2.0) > 1e-12:
-        raise WrongExponentError(f"matrix assembly requires p=2, got p={params.p}")
-    ii = mesh.interior
-    return en._table(mesh, params).stiffness(params.delta)[ii, ii], _interior_mass(mesh)
 
 
 def _fold(X: np.ndarray, sign: float) -> np.ndarray:
@@ -125,8 +112,9 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int,
     mu (M V)(M V)^T factors, V its Ritz vectors and mu the k_max-th smallest value found:
     by Sylvester's law of inertia, no eigenvalue outside span V lies below mu then.
     An indefinite M raises LinAlgError."""
-    A, M = assemble_p2_matrices(mesh, params)
-    n, ii, warm = len(A), mesh.interior, int(initial is not None)
+    ii, warm = mesh.interior, int(initial is not None)
+    A, M = en._table(mesh, params).stiffness(params.delta)[ii, ii], _interior_mass(mesh)
+    n = len(A)
     t = (mesh.nodes[ii] - mesh.domain.a) * (math.pi / mesh.domain.length)
     folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]
 

@@ -26,20 +26,13 @@ of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless m
 computes |d|^(p-1) once per point.  ``_gram`` is the p=2 stiffness and, weighted by
 |u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``; a collarless tableau builds the Gram
 of its shared rules once, and each horizon adds its tail Gram (``_Tableau.stiffness``).
-
-Importing the module makes the process-wide settings once for every caller
-(``_process_settings``): larger glibc heap thresholds, and one thread for the
-OpenBLAS that numpy bundles.
 """
 
 from __future__ import annotations
 
 import copy
-import ctypes
 import functools
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,37 +48,6 @@ class InconsistentHorizonError(ValueError):
 
 class ConstraintViolationError(ValueError):
     """Function is nonzero on the collar / outside the domain."""
-
-
-def _process_settings() -> None:
-    """Run once, at import, for every caller.
-
-    glibc's trim and mmap thresholds go up (a no-op without glibc): an energy
-    call allocates and frees a few hundred KB of numpy temporaries; at the
-    default 128 KB both go back to the system, and every call faults its pages
-    in again.  numpy's OpenBLAS runs on one thread: at a few hundred unknowns
-    worker threads cost more than they save and, when another process holds a
-    core, stall a single factorization for up to a second."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        pass
-    else:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-        mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
-    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-                set_threads(1)
-                break
-
-
-_process_settings()
 
 
 # quadrature controls
@@ -199,7 +161,7 @@ class _Tableau:
         tail_order = _TAIL_ORDER if p >= 2.0 else _TAIL_ORDER_HOLDER
 
         collar = mesh.collar_cells
-        nin = mesh.n_interior_elements
+        nin = mesh.n_interior
         omega_lo, omega_hi = collar, collar + nin  # Omega elements are [omega_lo, omega_hi)
 
         if mesh.has_collar and not math.isinf(delta):
@@ -421,7 +383,7 @@ def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
 def _mass_rules(mesh: Mesh):
     """The per-element Gauss rule of lp_mass, built once per mesh."""
     gx, gw = _gauss01(_TAIL_ORDER)
-    lo, nin = mesh.collar_cells, mesh.n_interior_elements
+    lo, nin = mesh.collar_cells, mesh.n_interior
     return [_Rule(_basis(gx), [(lo, lo + nin, 0, gw * mesh.h, (0, nin))])]
 
 

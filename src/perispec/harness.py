@@ -17,7 +17,7 @@ The kinds share one skeleton. ``run_study`` dispatches by kind and times the
 study. Each runner maps a row function over its horizons with
 ``_timed_rows``, on a thread pool when threads > 1; the inf study solves its
 smallest horizon first and warm-starts every other one, INF included, from
-that eigenfunction. Every eigenvalue comes from
+its first eigenfunction. Every eigenvalue comes from
 ``eigensolver.solve_eigenpairs``. Zero and bbm judge their extrapolated limits
 with one verdict, ``_judge_limits``. ``run_configs`` parses every study config
 file, then runs them, writes their reports and prints one status line each;
@@ -46,7 +46,7 @@ from .kernelmath import (
     gamma_constant,
     scaling_factor,
 )
-from .mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
+from .mesh import DomainSpec, build_mesh, interpolate
 from .energy import nonlocal_energy
 from .eigensolver import available_pairs, local_reference_lambda, solve_eigenpairs
 
@@ -157,8 +157,8 @@ class SweepConfig:
         k_list = d.get("k_list", [1])
         if not isinstance(k_list, list) or not k_list or any(
             not isinstance(k, int) or k < 1 for k in k_list
-        ):
-            raise ConfigError(f"{name}: k_list must be a nonempty array of integers >= 1")
+        ) or len(set(k_list)) < len(k_list):
+            raise ConfigError(f"{name}: k_list must be a nonempty array of distinct integers >= 1")
         if study == "bbm" and k_list != [1]:
             raise ConfigError(f"{name}: bbm studies take no k_list")
 
@@ -171,8 +171,9 @@ class SweepConfig:
         if not isinstance(m, int) or m < 4:
             raise ConfigError(f"{name}: cells_per_horizon must be an integer >= 4, got {m!r}")
         n_interior = d.get("n_interior", 256)
-        if not isinstance(n_interior, int) or n_interior < 2:
-            raise ConfigError(f"{name}: n_interior must be an integer >= 2, got {n_interior!r}")
+        if not isinstance(n_interior, int) or not 2 <= n_interior <= sys.float_info.max:
+            raise ConfigError(f"{name}: n_interior must be an integer >= 2 that a float holds, "
+                              f"got {n_interior!r}")
 
         config = SweepConfig(
             name=str(d.get("name", name)), study=study, p=p, s=s, a=a, b=b,
@@ -218,7 +219,7 @@ class SweepConfig:
 
 @dataclass
 class Row:
-    """One (delta, k) record of a sweep; its eigenfunction is not reported."""
+    """One (delta, k) record of a sweep."""
 
     delta_requested: float
     delta_effective: float
@@ -227,7 +228,6 @@ class Row:
     lambda_scaled: float
     converged: bool = True
     runtime: float = 0.0
-    eigenfunction: DiscreteFunction | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -340,8 +340,7 @@ def _horizon_mesh(config: SweepConfig, delta: float):
 def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0):
     """One row per k of the config from the pairs solved at kernel horizon params.delta."""
     return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
-                pairs[k - 1].converged, eigenfunction=pairs[k - 1].eigenfunction)
-            for k in config.k_list]
+                pairs[k - 1].converged) for k in config.k_list]
 
 
 def _timed_rows(rows_of, deltas, threads: int):
@@ -411,19 +410,21 @@ def _inf_study(report: SweepReport, threads: int) -> None:
     monotonicity in delta, the norm-equivalence sandwich, and the gap at the
     largest finite horizon; a failed check fails the verdicts of the report.
     The smallest horizon is solved cold, and every other horizon goes to
-    `threads` workers warm-started from its eigenfunction.
+    `threads` workers warm-started from its first eigenfunction.
     """
     config = report.config
     finite = config.delta_list[:-1]
     mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
+    first = {}  # per horizon: the first pair, which the warm starts and every sandwich read
 
     def rows_of(delta, initial=None):
         params = KernelParams(config.s, config.p, delta)
         pairs = solve_eigenpairs(mesh, params, max(config.k_list), initial=initial)
+        first[delta] = pairs[0]
         return _eigen_rows(config, delta, params, pairs)
 
     cold = _timed_rows(rows_of, config.delta_list[:1], threads=1)
-    warm = functools.partial(rows_of, initial=cold[0].eigenfunction)
+    warm = functools.partial(rows_of, initial=first[config.delta_list[0]].eigenfunction)
     report.rows = cold + _timed_rows(warm, config.delta_list[1:], threads)
     lam = {(r.delta_requested, r.k): r.lambda_raw for r in report.rows}
 
@@ -441,7 +442,7 @@ def _inf_study(report: SweepReport, threads: int) -> None:
         lam_inf = lam[(INFINITE, k)]
         for d in finite:
             c = embedding_constant(KernelParams(config.s, config.p, d),
-                                   config.length, lam[(d, 1)])
+                                   config.length, first[d].lam)
             lo = lam[(d, k)]
             if not (lo <= lam_inf * (1.0 + 1e-12)
                     and lam_inf <= c ** config.p * lo * (1.0 + 1e-12)):

@@ -9,12 +9,11 @@ recorded and used downstream.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .kernelmath import INFINITE
 
 
 class HorizonUnderresolvedError(ValueError):
@@ -44,38 +43,33 @@ class DomainSpec:
         return self.b - self.a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Mesh:
-    """Immutable uniform partition of the completed interval.
+    """Immutable uniform partition of the completed interval, fixed by its numbers.
 
-    ``collar_cells`` elements sit outside (a, b) on each side; for an infinite
-    horizon there is no collar and tail interactions are handled analytically
-    by the energy module.  Meshes with equal fingerprints compare and hash
-    equal, so separately built copies share one memoized tableau.
+    ``domain`` holds the snapped horizon collar_cells * h, or INFINITE without a
+    collar; ``collar_cells`` elements sit outside (a, b) on each side.  Without a
+    collar, tail interactions are handled analytically by the energy module.  The
+    three fields are the identity: separately built copies compare and hash equal and
+    share one memoized tableau.  The nodes and the interior mask are built on first
+    use, read-only.
     """
 
     domain: DomainSpec
-    nodes: np.ndarray
-    h: float
-    interior_mask: np.ndarray
-    delta_effective: float
+    n_interior: int
     collar_cells: int
-    _fingerprint: tuple = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.interior_mask.setflags(write=False)
-        # a uniform mesh is fixed by these; delta_effective follows from h and the collar
-        fingerprint = (self.domain.a, self.domain.b, self.h, len(self.nodes), self.collar_cells)
-        object.__setattr__(self, "_fingerprint", fingerprint)
+    @property
+    def h(self) -> float:
+        return self.domain.length / self.n_interior
+
+    @property
+    def delta_effective(self) -> float:
+        return self.domain.delta
 
     @property
     def element_count(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def n_interior_elements(self) -> int:
-        return self.element_count - 2 * self.collar_cells
+        return self.n_interior + 2 * self.collar_cells
 
     @property
     def has_collar(self) -> bool:
@@ -83,18 +77,26 @@ class Mesh:
 
     @property
     def fingerprint(self) -> tuple:
-        return self._fingerprint
-
-    def __eq__(self, other):
-        return isinstance(other, Mesh) and self._fingerprint == other._fingerprint
-
-    def __hash__(self):
-        return hash(self._fingerprint)
+        return (self.domain.a, self.domain.b, self.h, self.element_count + 1, self.collar_cells)
 
     @property
     def interior(self) -> slice:
         """The interior nodes, a contiguous range of the nodal vector."""
         return slice(self.collar_cells + 1, -self.collar_cells - 1)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        c, h = self.collar_cells, self.h
+        nodes = np.linspace(self.domain.a - c * h, self.domain.b + c * h, self.element_count + 1)
+        nodes.setflags(write=False)
+        return nodes
+
+    @functools.cached_property
+    def interior_mask(self) -> np.ndarray:
+        mask = np.zeros(self.element_count + 1, dtype=bool)
+        mask[self.interior] = True
+        mask.setflags(write=False)
+        return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,28 +131,13 @@ def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:
         raise ValueError(f"need at least 2 interior elements, got {n_interior}")
     h = domain.length / n_interior
     if math.isinf(domain.delta):
-        nodes = np.linspace(domain.a, domain.b, n_interior + 1)
-        collar = 0
-        delta_eff = INFINITE
-    else:
-        if domain.delta < h * (1.0 - 1e-12):
-            raise HorizonUnderresolvedError(
-                f"horizon {domain.delta} is below one cell h={h}; refine the mesh"
-            )
-        collar = int(round(domain.delta / h))
-        delta_eff = collar * h
-        nodes = np.linspace(domain.a - collar * h, domain.b + collar * h,
-                            n_interior + 2 * collar + 1)
-    mask = np.zeros(len(nodes), dtype=bool)
-    mask[collar + 1:collar + n_interior] = True
-    return Mesh(
-        domain=domain,
-        nodes=nodes,
-        h=h,
-        interior_mask=mask,
-        delta_effective=delta_eff,
-        collar_cells=collar,
-    )
+        return Mesh(domain, n_interior, 0)
+    if domain.delta < h * (1.0 - 1e-12):
+        raise HorizonUnderresolvedError(
+            f"horizon {domain.delta} is below one cell h={h}; refine the mesh"
+        )
+    collar = int(round(domain.delta / h))
+    return Mesh(DomainSpec(domain.a, domain.b, collar * h), n_interior, collar)
 
 
 def interpolate(f, mesh: Mesh) -> DiscreteFunction:

@@ -22,11 +22,7 @@ from perispec.kernelmath import (
 )
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh
 from perispec.energy import energy_and_gradient, nonlocal_energy
-from perispec.eigensolver import (
-    assemble_p2_matrices,
-    solve_first_eigenpair,
-    solve_p2_spectrum,
-)
+from perispec.eigensolver import solve_first_eigenpair, solve_p2_spectrum
 from perispec.harness import run_all
 
 from _oracles import (
@@ -35,6 +31,7 @@ from _oracles import (
     shooting_oracle_lambda1,
     sphere_moment_quadrature,
 )
+from test_eigensolver import p2_matrices
 from test_energy import random_function, random_instance
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -137,7 +134,7 @@ def test_criterion_6_oracle_equivalence():
     quad_ok = True
     mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
     params = KernelParams(0.5, 2.0, mesh.delta_effective)
-    A, _ = assemble_p2_matrices(mesh, params)
+    A, _ = p2_matrices(mesh, params)
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.standard_normal(A.shape[0])

@@ -20,8 +20,6 @@ from perispec import eigensolver
 from perispec import energy as en
 from perispec.harness import SweepConfig, run_study
 from perispec.eigensolver import (
-    WrongExponentError,
-    assemble_p2_matrices,
     local_reference_lambda,
     solve_eigenpairs,
     solve_first_eigenpair,
@@ -46,6 +44,12 @@ def blas_thread_getters():
     return getters
 
 
+def p2_matrices(mesh, params):
+    """(stiffness, mass) over interior nodes: the pencil solve_p2_spectrum reads."""
+    ii = mesh.interior
+    return en._table(mesh, params).stiffness(params.delta)[ii, ii], eigensolver._interior_mass(mesh)
+
+
 def embed(mesh, x):
     vals = np.zeros(len(mesh.nodes))
     vals[mesh.interior] = x
@@ -61,7 +65,7 @@ class TestP2Assembly:
     def test_quadratic_form_matches_energy(self, mesh_delta, kernel_delta):
         mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
         params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
-        A, _ = assemble_p2_matrices(mesh, params)
+        A, _ = p2_matrices(mesh, params)
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.standard_normal(A.shape[0])
@@ -71,12 +75,12 @@ class TestP2Assembly:
 
     def test_stiffness_symmetric(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        A, _ = assemble_p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
+        A, _ = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
         assert np.max(np.abs(A - A.T)) == 0.0
 
     def test_mass_row_sums(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        _, M = assemble_p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
+        _, M = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
         sums = M.sum(axis=1)
         # interior rows see the full hat: h*(1/6 + 4/6 + 1/6) = h
         assert np.allclose(sums[1:-1], mesh.h, rtol=1e-14)
@@ -97,7 +101,7 @@ class TestP2Assembly:
         en._built.cache_clear()
         try:
             for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
-                assemble_p2_matrices(mesh, KernelParams(0.5, 2.0, delta))
+                p2_matrices(mesh, KernelParams(0.5, 2.0, delta))
             table = en._table(mesh, KernelParams(0.5, 2.0, INFINITE))
         finally:
             en._built.cache_clear()
@@ -105,11 +109,6 @@ class TestP2Assembly:
         assert len(shared) == 1 and len(shared[0]) == len(table.rules) - len(table.tail)
         assert sum(rules[0].basis is table.tail[0][0].basis for rules in grams) == 5
         assert not table._shared.flags.writeable
-
-    def test_wrong_exponent(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        with pytest.raises(WrongExponentError):
-            assemble_p2_matrices(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
 
 
 class TestP2Spectrum:
@@ -159,7 +158,7 @@ class TestP2Spectrum:
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.0125), 640)
         params = KernelParams(0.99, 2.0, mesh.delta_effective)
         pairs = solve_p2_spectrum(mesh, params, 2)
-        A, M = assemble_p2_matrices(mesh, params)
+        A, M = p2_matrices(mesh, params)
         for ep, v in zip(pairs, scipy.linalg.eigh(A, M, subset_by_index=[0, 1])[1].T):
             lam = (v @ A @ v) / (v @ M @ v)  # the quotient itself rounds at ~1e-11 here
             assert ep.converged and abs(ep.lam - lam) <= 1e-10 * lam
@@ -203,7 +202,7 @@ class TestP2Fold:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("mesh_delta, kernel_delta, n", FOLD_MESHES)
     def test_reflection_commutes_with_the_pencil(self, mesh_delta, kernel_delta, n, s):
-        A, M = assemble_p2_matrices(*fold_instance(mesh_delta, kernel_delta, n, s))
+        A, M = p2_matrices(*fold_instance(mesh_delta, kernel_delta, n, s))
         assert np.max(np.abs(A[::-1, ::-1] - A)) <= 1e-14 * np.max(np.abs(A))
         assert np.array_equal(M[::-1, ::-1], M)
 
@@ -212,7 +211,7 @@ class TestP2Fold:
                              FOLD_MESHES + [(0.05, None, 40), (INFINITE, INFINITE, 41)])
     def test_matches_unfolded_generalized_eigh(self, mesh_delta, kernel_delta, n, s):
         mesh, params = fold_instance(mesh_delta, kernel_delta, n, s)
-        A, M = assemble_p2_matrices(mesh, params)
+        A, M = p2_matrices(mesh, params)
         lams, vecs = scipy.linalg.eigh(A, M)  # unit M-norm: normalized in L^2(Omega)
         # k_max = 1 solves only the even block; at 2 the odd block holds lambda_2
         for k_max in (1, 2, len(A)):
@@ -253,7 +252,7 @@ class TestP2Fold:
         # started from an exact eigenvector of the even block that is not the first, the
         # even block converges to it, fails the inertia certificate and takes a sine mode
         mesh, params = fold_instance(mesh_delta, kernel_delta, n, 0.5)
-        A, M = assemble_p2_matrices(mesh, params)
+        A, M = p2_matrices(mesh, params)
         lams, vecs = scipy.linalg.eigh(A, M)
         second_even = vecs[:, 2]
         assert np.allclose(second_even, second_even[::-1], atol=1e-12)

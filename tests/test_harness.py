@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -19,6 +20,8 @@ from perispec.harness import (
 from perispec import cli, harness
 from perispec.eigensolver import EigenPair
 from perispec.mesh import DiscreteFunction, interpolate
+
+from test_eigensolver import blas_thread_getters
 
 
 def base_config(**overrides):
@@ -89,6 +92,8 @@ class TestConfigValidation:
         # finite, but the mesh size overflows
         {"b": 1e308},
         {"b": 10 ** 400},
+        {"study": "inf", "delta_list": [1.0, 2.0, "INF"], "n_interior": 10 ** 400},
+        {"k_list": [1, 1], "thresholds": [0.5, 0.5]},  # each k once: one row and verdict
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -209,6 +214,16 @@ class TestStudies:
         assert payload["passed"] is False
         assert (tmp_path / "out" / "mono.csv").exists()
 
+    def test_inf_study_without_k1(self):
+        # the sandwich constant of every k reads the first eigenvalue, which every
+        # horizon solves whether k = 1 is reported or not
+        d = base_config(study="inf", delta_list=[1.0, 2.0, "INF"], n_interior=12)
+        both = run_study(SweepConfig.from_dict(dict(d, k_list=[1, 2], thresholds=[0.5, 0.5])))
+        report = run_study(SweepConfig.from_dict(dict(d, k_list=[2])))
+        assert [r.lambda_raw for r in report.rows] == [r.lambda_raw for r in both.rows
+                                                       if r.k == 2]
+        assert report.checks == both.checks and report.checks["sandwich"]
+
     def test_report_determinism_across_threads(self):
         for overrides in ({}, {"study": "inf", "p": 3.0, "delta_list": [1.0, 2.0, 4.0, "INF"],
                                "n_interior": 12}):
@@ -246,7 +261,7 @@ class TestStudies:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds need glibc")
     def test_run_study_keeps_freed_heap(self):
-        # importing the energy module raises glibc's heap thresholds, so the
+        # importing perispec raises glibc's heap thresholds, so the
         # temporaries of each energy call reuse pages instead of faulting them in
         config = base_config(p=3.0, delta_list=[0.2, 0.1, 0.05], thresholds=[0.05])
         script = (
@@ -344,19 +359,25 @@ class TestCli:
     def test_import_starts_no_blas_worker_thread(self):
         # numpy's OpenBLAS starts worker threads as it loads unless the environment names a
         # thread count; importing perispec names one for that load only, and never
-        # overrides the user's
+        # overrides the user's.  Either way numpy's OpenBLAS then runs on one thread.
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("native tasks are not listed in /proc/self/task")
+        if not blas_thread_getters():
+            pytest.skip("no bundled OpenBLAS")
+        threads = ("import ctypes, glob\nimport numpy as np\n"
+                   + inspect.getsource(blas_thread_getters)
+                   + "print([get() for get in blas_thread_getters()])\n")
         script = ("import os\n"
                   "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
                   "import perispec.cli, numpy.linalg\n"
-                  "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)\n")
-        assert run_python(script).split() == ["1", "False"]
+                  "print(len(os.listdir('/proc/self/task')), "
+                  "'OPENBLAS_NUM_THREADS' in os.environ)\n")
+        assert run_python(script + threads).split() == ["1", "False", "[1]"]
         script = ("import os\n"
                   "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
                   "import perispec\n"
                   "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
-        assert run_python(script).split() == ["2"]
+        assert run_python(script + threads).split() == ["2", "[1]"]
 
     def test_gamma(self, capsys):
         assert cli.main(["gamma", "1", "2.7"]) == 0
@@ -420,7 +441,10 @@ class TestCli:
                     dict(k_max_cfg, delta="0.25"), dict(k_max_cfg, b="INF"),
                     # NaN and Infinity, which Python's json reads as numbers
                     dict(k_max_cfg, delta=math.inf), dict(k_max_cfg, s=math.nan),
-                    dict(k_max_cfg, b=-math.inf)):
+                    dict(k_max_cfg, b=-math.inf),
+                    # a mesh size beyond float range, with and without a collar
+                    dict(k_max_cfg, n_interior=10 ** 400),
+                    dict(k_max_cfg, delta="INF", n_interior=10 ** 400)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 
