@@ -165,31 +165,33 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     along -H_E(u)^-1 res, times p - 1 below p = 2, or along -G^-1 res, G the p = 2
     stiffness, where H_E(u) does not factor.  Two rules end the loop: at p >= 2, |res| at
     most _RES_TOL p lam (1 + lam), tested before each step; and a descent step that can
-    move R only at rounding level (predicted or taken decrease, or a stalled search)."""
+    move R only at rounding level (predicted or taken decrease, or a stalled search).
+    A trial point w costs one energy and one mass sweep, Hessians included: by p-homogeneity
+    u = w / c, c = M(w)^(1/p), has lam = E(w)/M(w), and the derivatives at w over c^(p-1)
+    and c^(p-2) (the floor of a p < 2 Hessian scales with max|w|).  A warm start at p >= 2
+    first sweeps without Hessians: it needs none if it meets the residual test."""
     p = params.p
     newton = p >= 2.0
     ii = mesh.interior
     a, b = mesh.domain.a, mesh.domain.b
 
-    def mass_norm(v):
-        return en.lp_mass(_embed(mesh, v), p) ** (1.0 / p)
-
     def sign_changing(v):
         return np.min(v) < -1e-10 * np.max(np.abs(v))
 
-    def state(x):  # E(x), grad M(x) and the residual grad E(x) - E(x) grad M(x)
-        xf = _embed(mesh, x)
-        energy, grad = en.energy_and_gradient(xf, params)
-        grad_m = en.lp_mass_gradient(xf, p)[ii]
-        return energy, grad_m, grad[ii] - energy * grad_m
+    def sweep(w, hessian=True):  # u = w / c, lam, grad M, res and the asked [H_E, H_M] at u
+        wf = _embed(mesh, w)
+        energy, grad_e, hess_e = en.energy_derivatives(wf, params, hessian)
+        mass, grad_m, hess_m = en.lp_mass_derivatives(wf, p, hessian and newton)
+        c = mass ** (1.0 / p)
+        lam, scale = energy / mass, c ** (p - 1.0)
+        hess = [h[ii, ii] / c ** (p - 2.0) for h in (hess_e, hess_m) if h is not None]
+        return w / c, lam, grad_m[ii] / scale, (grad_e[ii] - lam * grad_m[ii]) / scale, hess
 
-    if initial is not None:
-        u = initial.values[ii].copy()
-    else:
-        u = interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii]
-    u = u / mass_norm(u)
-    lam, grad_m, res = state(u)
+    start = (initial.values[ii] if initial is not None else
+             interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii])
+    u, lam, grad_m, res, hess = sweep(start, initial is None or not newton)
     history = [lam]
+    bordered = np.zeros((len(u) + 1, len(u) + 1))
     descent_steps = newton_steps = recoveries = 0
     converged = False
     it = 0
@@ -197,19 +199,19 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         if newton and np.linalg.norm(res) <= _RES_TOL * p * lam * (1.0 + lam):
             converged = True
             break
-        new, done = None, False
-        uf = _embed(mesh, u)
-        hess_u = en.energy_hessian(uf, params)[ii, ii]
+        if not hess:  # a warm start that needs its Hessians: u and its state again
+            hess = sweep(start)[4]
+        hess_u, new, done = hess[0], None, False
         if newton:
-            jac = hess_u - lam * en.lp_mass_hessian(uf, p)[ii, ii]
-            bordered = np.block([[jac, -grad_m[:, None]], [-grad_m[None, :], np.zeros((1, 1))]])
+            np.subtract(hess_u, lam * hess[1], out=bordered[:-1, :-1])
+            bordered[-1, :-1] = bordered[:-1, -1] = -grad_m
             try:  # the bordered row keeps grad M(u) . w = p, so w != 0
-                v = (w := u + solve(bordered, np.append(-res, 0.0))[:-1]) / mass_norm(w)
+                w = u + solve(bordered, np.append(-res, 0.0))[:-1]
             except LinAlgError:
-                v = None
-            if v is not None and not sign_changing(v):
-                new = state(v)
-                if new[0] < lam:
+                w = None
+            if w is not None and not sign_changing(w):
+                new = sweep(w)
+                if new[1] < lam:
                     newton_steps += 1
                 else:
                     new = None
@@ -226,12 +228,12 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 break
             t = 1.0
             while t >= _MIN_STEP:
-                v = (w := u + t * d) / mass_norm(w)
-                recovered = sign_changing(v)
-                if recovered:  # taking |v| cannot increase the energy
-                    v = np.abs(v) / mass_norm(np.abs(v))
-                new = state(v)
-                if new[0] < lam and new[0] <= lam + _ARMIJO * t * slope:
+                w = u + t * d
+                recovered = sign_changing(w)
+                if recovered:  # taking |w| cannot increase the energy
+                    w = np.abs(w)
+                new = sweep(w)
+                if new[1] < lam and new[1] <= lam + _ARMIJO * t * slope:
                     break
                 t *= 0.5
             else:  # no step lowers R
@@ -239,8 +241,8 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
                 break
             descent_steps += 1
             recoveries += int(recovered)
-            done = abs(new[0] - lam) <= _F_ROUNDING * lam
-        u, (lam, grad_m, res) = v, new
+            done = abs(new[1] - lam) <= _F_ROUNDING * lam
+        u, lam, grad_m, res, hess = new
         history.append(lam)
         if done:
             converged = True

@@ -20,12 +20,12 @@ constant times its mass weight and leaves every other rule unchanged.
 
 On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
 (adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
-``_Rule``, a block per gap, which every pass reads in a few chunks of rows.  The tableau
-of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless mesh.
-``nonlocal_energy`` splits the energy principal/interaction; ``energy_and_gradient``
-computes |d|^(p-1) once per point.  ``_gram`` is the p=2 stiffness and, weighted by
-|u(x)-u(y)|^(p-2), the Hessian ``energy_hessian``; a collarless tableau builds the Gram
-of its shared rules once, and each horizon adds its tail Gram (``_Tableau.stiffness``).
+``_Rule``, a block per gap, whose row layout (int32 node ids, in chunks) is built once.
+The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless
+mesh.  One pass, ``_sweep``, gives the value, the gradient and the Hessian (the Gram
+weighted by |u(x)-u(y)|^(p-2)) for ``energy_derivatives`` and ``lp_mass_derivatives``.
+Unweighted, the Gram is the p=2 stiffness; a collarless tableau builds the Gram of its
+shared rules once, and each horizon adds its tail Gram (``_Tableau.stiffness``).
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ class _Rule:
     element e + g with a minus sign, so the value at a point is u(x) - u(y).  A block
     (lo, hi, g, w, main) applies the template to every e in [lo, hi) with weights w,
     one vector for all rows or one row per element; rows main[0]:main[1] (relative to
-    lo) are principal energy, the others interaction.  Per row, the layout built here
-    holds the first node of each element (``ends``: e, and e + g in a pair rule) and
-    its vector in ``weights`` (``widx``), the ``split`` principal rows first."""
+    lo) are principal energy, the others interaction.  The layout built here holds, per
+    row, the nodes the row reads (``nodes``, int32: e, e + 1 and e + g, e + g + 1) and
+    its vector in ``weights`` (``widx``), the principal rows first; ``chunks`` cuts it
+    into (principal row count, weight ids, node ids) of at most _CHUNK points."""
 
     def __init__(self, basis: np.ndarray, blocks):
         self.basis = basis
@@ -114,14 +115,19 @@ class _Rule:
         count = last - first
         e = np.repeat(first - np.cumsum(count, dtype=np.int32) + count, count)
         e += np.arange(len(e), dtype=np.int32)
-        self.ends = np.column_stack([e, e + np.repeat(gap, count)][:len(basis) // 2])
+        self.nodes = np.repeat(e[:, None], len(basis), axis=1)  # e, e + 1, e + g, e + g + 1
+        self.nodes[:, 1::2] += 1
+        self.nodes[:, 2:] += np.repeat(gap, count)[:, None]
         self.widx = np.repeat(base, count) + e * np.repeat(per_row, count)
-        self.split = int(count[:len(principal)].sum())
+        split, step = int(count[:len(principal)].sum()), max(1, _CHUNK // basis.shape[1])
+        self.chunks = [(max(0, split - i), self.widx[i:i + step], self.nodes[i:i + step])
+                       for i in range(0, len(e), step)]
+        self._ids = []  # gram_ids, once built; reweighted copies share it
         self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w, _ in blocks])
         self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k],
                         main) for (lo, hi, g, w, main), k in zip(blocks, starts)]
         # per point, the Gram entries (a, b), a <= b: basis[a] basis[b], one column
-        # per pair, halved on the diagonal because _gram adds the transpose
+        # per pair, halved on the diagonal because _sweep adds the transpose
         a, b, half = _PAIRS[len(basis)]
         self.products = np.ascontiguousarray((basis[a] * basis[b]).T * half)
 
@@ -131,16 +137,17 @@ class _Rule:
         rule.weights, rule.blocks = w, [self.blocks[0][:3] + (w, self.blocks[0][4])]
         return rule
 
-    def chunks(self, vals=None):
-        """(principal row count, weight ids, node ids, point values of vals or None) per chunk."""
-        step = max(1, _CHUNK // self.basis.shape[1])
-        for start in range(0, len(self.widx), step):
-            ends = self.ends[start:start + step]
-            nodes = np.empty((len(ends), 2 * ends.shape[1]), dtype=np.intp)
-            nodes[:, 0::2] = ends
-            np.add(ends, 1, out=nodes[:, 1::2])
-            yield (max(0, self.split - start), self.widx[start:start + step], nodes,
-                   None if vals is None else vals[nodes] @ self.basis)
+    def gram_ids(self, nn: int) -> list:
+        """Per chunk, the _gram_ids of its rows, built when a weighted Hessian first asks."""
+        if not self._ids:
+            self._ids.append([_gram_ids(nodes, nn) for _, _, nodes in self.chunks])
+        return self._ids[0]
+
+
+def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
+    """The flat indices a * nn + b of the Gram entries (a, b), a <= b, of rows of node ids."""
+    a, b, _ = _PAIRS[nodes.shape[1]]
+    return nodes[:, a].astype(np.int32 if nn * nn < 2 ** 31 else np.intp) * nn + nodes[:, b]
 
 
 class _Tableau:
@@ -302,81 +309,72 @@ def _check_constrained(u: DiscreteFunction):
         raise ConstraintViolationError("function is nonzero on the collar / boundary nodes")
 
 
-def _power_parts(rules, vals: np.ndarray, p: float, gradient: bool = False):
-    """(principal, interaction, grad): the weighted sums of |value|^p over the points
-    and, given gradient, the exact nodal gradient of their total (else None).
-    Per chunk f = |d|^(p-1) sign(d), a square at p = 3, is computed once and
-    weighted: the value reads f w d = w |d|^p, the gradient f w."""
+def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
+           hessian: bool = False, upper=None):
+    """(principal, interaction, gradient, G) from one pass over the points of rules, a
+    point's value being d = u(x) - u(y) of vals: the weighted sums of |d|^p, split as the
+    rows are; given gradient, the nodal gradient of their total; given hessian, the nodal
+    matrix G = sum of w basis basis^T over the points: each row's upper half (diagonal
+    halved, w @ rule.products) goes in by one np.add.at per chunk, and G is the halves plus
+    their transpose.  Away from p = 2 each w is scaled by |d|^(p-2), |d| floored at
+    _GRAM_FLOOR max|vals| below p = 2 (the pole at d = 0), and p(p-1) G is the Hessian; at
+    p = 2, G needs no vals (the stiffness, the mass matrix).  Given upper, the halves of
+    earlier rules, the rules add to a copy of it.  Per chunk d and |d| are computed once."""
     principal, interaction = [], []
-    grad = np.zeros(len(vals)) if gradient else None
-    for rule in rules:
-        for main, k, nodes, d in rule.chunks(vals):
-            f = d * np.abs(d) if p == 3.0 else np.copysign(np.abs(d) ** (p - 1.0), d)
-            f *= rule.weights[k]
-            sums = np.einsum("ij,ij->i", f, d)
-            principal.append(sums[:main])
-            interaction.append(sums[main:])
-            if gradient:
-                grad += np.bincount(nodes.ravel(), (f @ rule.basis.T).ravel(), len(vals))
-    return (float(np.sum(np.concatenate(principal))),
-            float(np.sum(np.concatenate(interaction))),
-            p * grad if gradient else None)
-
-
-@functools.lru_cache(maxsize=8)
-def _scatter(size: int, nn: int) -> np.ndarray:
-    """nodes @ _scatter: the flat indices a * nn + b of a row's Gram entries, exactly."""
-    a, b, _ = _PAIRS[size]
-    return nn * (np.arange(size)[:, None] == a) + (np.arange(size)[:, None] == b) * 1.0
-
-
-def _gram(rules, nn: int, vals=None, p: float = 2.0, upper=None) -> np.ndarray:
-    """Symmetric nodal matrix G with u.G.u = the total of _power_parts(rules, u, 2).
-
-    A row's 4x4 (2x2 for one-element rules) matrix basis diag(w) basis^T goes to its
-    nodes e, e+1, e+g, e+g+1.  Its upper half, diagonal halved, is w @ rule.products; a
-    chunk adds its rows' halves with one np.add.at, and G is the halves plus their
-    transpose.  Given vals, each point's weight is scaled by |d|^(p-2), d the point's
-    value of vals, and p(p-1) G is the Hessian of _power_parts' total there; below p = 2,
-    |d| is floored at _GRAM_FLOOR max|vals| first, where |d|^(p-2) has a pole at d = 0.
-    At p = 2 the scale is 1 and vals is not read, so G is the unweighted matrix bit for
-    bit.  Given upper, the halves of earlier rules, the rules add to a copy of it."""
-    G = np.zeros((nn, nn)) if upper is None else upper.copy()
-    weighted = vals is not None and p != 2.0
+    grad = np.zeros(nn) if gradient else None
+    G = (np.zeros((nn, nn)) if upper is None else upper.copy()) if hessian else None
+    weighted = hessian and p != 2.0
     floor = _GRAM_FLOOR * np.max(np.abs(vals)) if weighted and p < 2.0 else 0.0
     for rule in rules:
-        local = None if weighted else rule.weights @ rule.products
-        for _, k, nodes, d in rule.chunks(vals if weighted else None):
-            if weighted:
-                d = (np.abs(d, out=d) if p == 3.0
-                     else np.maximum(np.abs(d), floor) ** (p - 2.0)) * rule.weights[k]
-            idx = (nodes @ _scatter(len(rule.basis), nn)).astype(np.intp).ravel()
-            np.add.at(G.reshape(-1), idx, (d @ rule.products if weighted else local[k]).ravel())
-    return G + G.T
+        local = rule.weights @ rule.products if hessian and not weighted else None
+        ids = rule.gram_ids(nn) if weighted else None
+        for i, (main, k, nodes) in enumerate(rule.chunks):
+            if vals is not None:
+                d = vals[nodes] @ rule.basis
+                a, w = np.abs(d), rule.weights[k]
+                f = d * a if p == 3.0 else np.copysign(a ** (p - 1.0), d)
+                f *= w
+                sums = np.einsum("ij,ij->i", f, d)
+                principal.append(sums[:main])
+                interaction.append(sums[main:])
+                if gradient:
+                    grad += np.bincount(nodes.ravel(), (f @ rule.basis.T).ravel(), nn)
+            if hessian:
+                if weighted:  # in place: |d| becomes the point weights of the Hessian
+                    if p != 3.0:
+                        np.power(np.maximum(a, floor, out=a), p - 2.0, out=a)
+                    a *= w
+                    rows, idx = a @ rule.products, ids[i]
+                else:
+                    rows, idx = local[k], _gram_ids(nodes, nn)
+                np.add.at(G.reshape(-1), idx.ravel(), rows.ravel())
+            d = a = w = f = None  # this chunk's temporaries go before the next chunk's come
+    return (*[float(np.sum(np.concatenate(x))) if x else 0.0 for x in (principal, interaction)],
+            p * grad if gradient else None, G + G.T if hessian else None)
+
+
+def _gram(rules, nn: int, upper=None) -> np.ndarray:
+    """The unweighted Gram of rules (_sweep at p = 2 without values)."""
+    return _sweep(rules, nn, hessian=True, upper=upper)[3]
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
     """Truncated seminorm of u to the p-th power at any horizon, split principal/interaction."""
     _check_constrained(u)
-    principal, interaction, _ = _power_parts(_tableau(u.mesh, params), u.values, params.p)
+    principal, interaction, _, _ = _sweep(_tableau(u.mesh, params), len(u.values), u.values,
+                                          params.p)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
-def energy_and_gradient(u: DiscreteFunction, params: KernelParams):
-    """(nonlocal_energy total, its exact nodal gradient) at u from one pass over the points."""
-    _check_constrained(u)
-    principal, interaction, grad = _power_parts(_tableau(u.mesh, params), u.values,
-                                                params.p, gradient=True)
-    return principal + interaction, grad
-
-
-def energy_hessian(u: DiscreteFunction, params: KernelParams) -> np.ndarray:
-    """Exact nodal Hessian of the nonlocal energy at u for p >= 2 (collar entries included);
-    at p = 2 twice the stiffness, bit for bit.  Below p = 2 it is (p-1) times the Hessian
-    of the quadratic that majorizes the energy at u, with |u(x)-u(y)| floored (``_gram``)."""
+def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool = False):
+    """(nonlocal_energy total, its nodal gradient, its Hessian or None) at u from one pass.
+    The Hessian (collar entries included) is exact for p >= 2, twice the stiffness bit for
+    bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
     _check_constrained(u)
     p = params.p
-    return p * (p - 1.0) * _gram(_tableau(u.mesh, params), len(u.values), u.values, p)
+    principal, interaction, grad, G = _sweep(_tableau(u.mesh, params), len(u.values),
+                                             u.values, p, True, hessian)
+    return principal + interaction, grad, None if G is None else p * (p - 1.0) * G
 
 
 @functools.lru_cache(maxsize=24)
@@ -389,15 +387,12 @@ def _mass_rules(mesh: Mesh):
 
 def lp_mass(u: DiscreteFunction, p: float) -> float:
     """Integral of |u|^p over Omega by per-element Gauss quadrature."""
-    return _power_parts(_mass_rules(u.mesh), u.values, p)[0]
+    return _sweep(_mass_rules(u.mesh), len(u.values), u.values, p)[0]
 
 
-def lp_mass_gradient(u: DiscreteFunction, p: float) -> np.ndarray:
-    """Exact nodal gradient of lp_mass under the same quadrature."""
-    return _power_parts(_mass_rules(u.mesh), u.values, p, gradient=True)[2]
-
-
-def lp_mass_hessian(u: DiscreteFunction, p: float) -> np.ndarray:
-    """Exact nodal Hessian of lp_mass at u for p >= 2, under the same quadrature;
-    at p = 2 twice the mass matrix, bit for bit; floored below p = 2 (``_gram``)."""
-    return p * (p - 1.0) * _gram(_mass_rules(u.mesh), len(u.values), u.values, p)
+def lp_mass_derivatives(u: DiscreteFunction, p: float, hessian: bool = False):
+    """(lp_mass, its exact nodal gradient, its Hessian if asked, else None) at u from one
+    pass, under the same quadrature; the Hessian is twice the mass matrix bit for bit at
+    p = 2 and floored below p = 2, as in energy_derivatives."""
+    mass, _, grad, G = _sweep(_mass_rules(u.mesh), len(u.values), u.values, p, True, hessian)
+    return mass, grad, None if G is None else p * (p - 1.0) * G

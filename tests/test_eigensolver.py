@@ -15,7 +15,7 @@ from perispec.kernelmath import (
     p_pi,
 )
 from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
-from perispec.energy import energy_hessian, lp_mass, nonlocal_energy
+from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
 from perispec.harness import SweepConfig, run_study
@@ -415,8 +415,9 @@ class TestInnerSolvers:
         assert abs(ep.lam - base.lam) <= 1e-10 * base.lam
 
     def test_newton_steps_do_not_grow_with_the_mesh(self, monkeypatch):
-        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160; one L^p mass
-        # pass per trial point, and one more per |v| recovery
+        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160; one energy and
+        # one L^p mass sweep per trial point (a |w| recovery sweeps |w| instead of w), and
+        # every trial point but a rejected last one is accepted
         inner, outer, calls = [], [], []
 
         def counted(f):
@@ -425,16 +426,17 @@ class TestInnerSolvers:
                 return f(*args)
             return call
 
-        lp_mass, fused = en.lp_mass, en.energy_and_gradient
-        monkeypatch.setattr(en, "lp_mass", counted(lp_mass))
-        monkeypatch.setattr(en, "energy_and_gradient", counted(fused))
+        mass, fused = en.lp_mass_derivatives, en.energy_derivatives
+        monkeypatch.setattr(en, "lp_mass_derivatives", counted(mass))
+        monkeypatch.setattr(en, "energy_derivatives", counted(fused))
         for delta in (0.2, 0.1, 0.05, 0.025):
             calls.clear()
             mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
             ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))[0]
             assert ep.converged
             assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
-            assert calls.count(lp_mass) == calls.count(fused) + ep.diagnostics["recoveries"]
+            assert calls.count(mass) == calls.count(fused)
+            assert 0 <= calls.count(fused) - len(ep.diagnostics["rayleigh_history"]) <= 1
             inner.append(ep.diagnostics["inner_iterations"])
             outer.append(ep.iterations)
         assert max(inner) - min(inner) <= 3
@@ -480,11 +482,12 @@ class TestInnerSolvers:
     def test_warm_inf_rows_build_no_hessian(self, monkeypatch):
         deltas = []
 
-        def hessian(u, params):
-            deltas.append(params.delta)
-            return energy_hessian(u, params)
+        def sweep(u, params, hessian=False):
+            if hessian:
+                deltas.append(params.delta)
+            return energy_derivatives(u, params, hessian)
 
-        monkeypatch.setattr(en, "energy_hessian", hessian)
+        monkeypatch.setattr(en, "energy_derivatives", sweep)
         cfg = SweepConfig.from_dict({
             "schema_version": 1, "study": "inf", "p": 3.0, "s": 0.5,
             "delta_list": [1.0, 2.0, 4.0, "INF"], "n_interior": 24, "k_list": [1],
@@ -497,33 +500,39 @@ class TestInnerSolvers:
         # the canonical zero-p3 row at delta = 0.2: its last Newton step is rejected,
         # and the descent step along -H_E(u)^-1 res, H_E(u) the Hessian the bordered
         # step built, predicts a decrease at rounding level, so u is returned
-        hessians, fused, solved = [], [], []
+        hessians, masses, solved = [], [], []
 
-        def hessian(u, params):
-            hessians.append(energy_hessian(u, params))
-            return hessians[-1]
+        def sweep(u, params, hessian=False):
+            result = energy_derivatives(u, params, hessian)
+            hessians.append(result[2])
+            return result
 
-        def energy_and_gradient(u, params):
-            fused.append(params.delta)
-            return fused_call(u, params)
+        def mass_sweep(u, p, hessian=False):
+            result = lp_mass_derivatives(u, p, hessian)
+            masses.append(result[0])
+            return result
 
         def watched_solve(a, b):
             solved.append(a)
             return solve(a, b)
 
-        fused_call, solve = en.energy_and_gradient, eigensolver.solve
-        monkeypatch.setattr(en, "energy_hessian", hessian)
-        monkeypatch.setattr(en, "energy_and_gradient", energy_and_gradient)
+        solve = eigensolver.solve
+        monkeypatch.setattr(en, "energy_derivatives", sweep)
+        monkeypatch.setattr(en, "lp_mass_derivatives", mass_sweep)
         monkeypatch.setattr(eigensolver, "solve", watched_solve)
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
         params = KernelParams(0.5, 3.0, mesh.delta_effective)
         ep = solve_eigenpairs(mesh, params)[0]
         assert ep.diagnostics["newton_steps"] == 5 and ep.diagnostics["inner_iterations"] == 0
-        assert len(hessians) == 6  # one per Newton step and one for the rejected step
-        # the start, one per Newton step and one for the rejected step
-        assert len(fused) == 7
+        # one sweep, Hessian included, at the cold start, per Newton step and at the
+        # rejected step, and one mass sweep with each
+        assert len(hessians) == len(masses) == 7
+        assert all(h is not None for h in hessians)
         assert abs(ep.lam - 2.8148237761991957) <= 1e-13 * ep.lam
-        assert np.array_equal(solved[-1], hessians[-1][mesh.interior, mesh.interior])
+        # H_E at u is the Hessian of the sweep at the unnormalized w over c^(p-2),
+        # c = M(w)^(1/p); the last sweep was the rejected trial point
+        ii, c = mesh.interior, masses[-2] ** (1.0 / params.p)
+        assert np.array_equal(solved[-1], hessians[-2][ii, ii] / c ** (params.p - 2.0))
 
     def test_descent_below_p2(self):
         # collar and collarless meshes, lambda pinned where scipy's L-BFGS-B left it

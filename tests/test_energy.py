@@ -11,11 +11,9 @@ from perispec import energy as en
 from perispec.energy import (
     ConstraintViolationError,
     InconsistentHorizonError,
-    energy_and_gradient,
-    energy_hessian,
+    energy_derivatives,
     lp_mass,
-    lp_mass_gradient,
-    lp_mass_hessian,
+    lp_mass_derivatives,
     nonlocal_energy,
 )
 
@@ -59,7 +57,7 @@ def horizon_instance(mesh_delta, kernel_delta, p, seed):
 def einsum_gram(rules, nn, vals=None, p=2.0):
     """Reference Gram matrix: each block's local matrices by the 4-index einsum
     basis diag(w) basis^T, added entry by entry at node offsets 0, 1, g, g+1.
-    Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_gram``."""
+    Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_sweep``."""
     G = np.zeros((nn, nn))
     for rule in rules:
         for lo, hi, g, w, _ in rule.blocks:
@@ -110,7 +108,7 @@ class TestGradients:
             def f(vals):
                 return nonlocal_energy(DiscreteFunction(vals, mesh), params).total
 
-            analytic = energy_and_gradient(u, params)[1][ii]
+            analytic = energy_derivatives(u, params)[1][ii]
             numeric = fd_gradient(f, u.values, ii)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic))
@@ -119,9 +117,11 @@ class TestGradients:
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
     def test_fused_evaluator_matches_separate_calls(self, p, mesh_delta, kernel_delta):
         u, params = horizon_instance(mesh_delta, kernel_delta, p, 29)
-        value, grad = energy_and_gradient(u, params)
-        assert value == nonlocal_energy(u, params).total
-        assert np.array_equal(grad, energy_and_gradient(u, params)[1])
+        value, grad, none = energy_derivatives(u, params)
+        assert value == nonlocal_energy(u, params).total and none is None
+        # asking for the Hessian too leaves the value and the gradient as they are
+        with_hessian = energy_derivatives(u, params, hessian=True)
+        assert with_hessian[0] == value and np.array_equal(grad, with_hessian[1])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_lp_mass_gradient_matches_finite_differences(self, p):
@@ -134,7 +134,7 @@ class TestGradients:
             def f(vals):
                 return lp_mass(DiscreteFunction(vals, mesh), p)
 
-            analytic = lp_mass_gradient(u, p)[ii]
+            analytic = lp_mass_derivatives(u, p)[1][ii]
             numeric = fd_gradient(f, u.values, ii)
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 1.0, np.linalg.norm(analytic))
@@ -146,9 +146,9 @@ class TestHessian:
     def test_matches_finite_differences_of_gradient(self, p, mesh_delta, kernel_delta):
         u, params = horizon_instance(mesh_delta, kernel_delta, p, 31)
         mesh, ii = u.mesh, np.flatnonzero(u.mesh.interior_mask)
-        analytic = energy_hessian(u, params)[np.ix_(ii, ii)]
+        analytic = energy_derivatives(u, params, hessian=True)[2][np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
-            lambda vals: energy_and_gradient(DiscreteFunction(vals, mesh), params)[1][i],
+            lambda vals: energy_derivatives(DiscreteFunction(vals, mesh), params)[1][i],
             u.values, ii) for i in ii])
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
 
@@ -156,9 +156,9 @@ class TestHessian:
     def test_lp_mass_hessian_matches_finite_differences_of_gradient(self, p):
         u, _ = horizon_instance(0.25, None, p, 43)
         mesh, ii = u.mesh, np.flatnonzero(u.mesh.interior_mask)
-        analytic = lp_mass_hessian(u, p)[np.ix_(ii, ii)]
+        analytic = lp_mass_derivatives(u, p, hessian=True)[2][np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
-            lambda vals: lp_mass_gradient(DiscreteFunction(vals, mesh), p)[i], u.values, ii)
+            lambda vals: lp_mass_derivatives(DiscreteFunction(vals, mesh), p)[1][i], u.values, ii)
             for i in ii])
         assert np.linalg.norm(analytic - numeric) <= 1e-7 * np.linalg.norm(analytic)
 
@@ -170,7 +170,7 @@ class TestHessian:
         rules, nn = en._tableau(u.mesh, params), len(u.values)
         vals = u.values if weighted else None
         reference = einsum_gram(rules, nn, vals, p)
-        gram = en._gram(rules, nn, vals, p)
+        gram = en._sweep(rules, nn, vals, p, hessian=True)[3] if weighted else en._gram(rules, nn)
         assert np.array_equal(gram, gram.T)
         assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
 
@@ -181,7 +181,7 @@ class TestHessian:
         vals = u.values.copy()
         k = u.mesh.interior.start + 4
         vals[k + 1] = vals[k]
-        gram = en._gram(rules, nn, vals, 1.5)
+        gram = en._sweep(rules, nn, vals, 1.5, hessian=True)[3]
         assert np.all(np.isfinite(gram))
         reference = einsum_gram(rules, nn, vals, 1.5)
         assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
@@ -193,8 +193,8 @@ class TestHessian:
             u = random_function(mesh, np.random.default_rng(37))
             stiffness = en._gram(en._tableau(mesh, params), len(mesh.nodes))
             mass = en._gram(en._mass_rules(mesh), len(mesh.nodes))
-            assert np.array_equal(energy_hessian(u, params), 2 * stiffness)
-            assert np.array_equal(lp_mass_hessian(u, 2.0), 2 * mass)
+            assert np.array_equal(energy_derivatives(u, params, hessian=True)[2], 2 * stiffness)
+            assert np.array_equal(lp_mass_derivatives(u, 2.0, hessian=True)[2], 2 * mass)
 
 
 class TestStructuralInvariants:
@@ -207,7 +207,7 @@ class TestStructuralInvariants:
     def test_decomposition_identity(self):
         br = nonlocal_energy(self.u, self.params)
         assert abs(br.total - (br.principal + br.interaction)) <= 1e-12 * abs(br.total)
-        fast = energy_and_gradient(self.u, self.params)[0]
+        fast = energy_derivatives(self.u, self.params)[0]
         assert abs(br.total - fast) <= 1e-12 * abs(br.total)
 
     def test_interaction_vanishes_away_from_collar(self):
@@ -281,10 +281,10 @@ class TestStructuralInvariants:
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
         u = random_function(mesh, np.random.default_rng(2))
         s, delta = 0.5, 2.0
-        g_inf = energy_and_gradient(u, KernelParams(s, 2.0, INFINITE))[1]
-        g_delta = energy_and_gradient(u, KernelParams(s, 2.0, delta))[1]
+        g_inf = energy_derivatives(u, KernelParams(s, 2.0, INFINITE))[1]
+        g_delta = energy_derivatives(u, KernelParams(s, 2.0, delta))[1]
         shift = 4.0 / (2.0 * s) * delta ** (-2.0 * s)
-        expected = g_inf - shift * lp_mass_gradient(u, 2.0)
+        expected = g_inf - shift * lp_mass_derivatives(u, 2.0)[1]
         assert np.linalg.norm(g_delta - expected) <= 1e-12 * np.linalg.norm(g_inf)
 
 
@@ -367,7 +367,7 @@ class TestSplitStiffness:
         (INFINITE, 1.0), (INFINITE, 2.0), (INFINITE, 8.0), (INFINITE, INFINITE), (0.25, None),
     ], ids=["inf-1", "inf-2", "inf-8", "inf", "0.25"])
     def test_matches_the_full_gram(self, mesh_delta, kernel_delta, n, s):
-        # the tail blocks add to the shared upper half in the order _gram adds them
+        # the tail blocks add to the shared upper half in the order _sweep adds them
         mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
         params = KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
         full = en._gram(en._tableau(mesh, params), len(mesh.nodes))
@@ -383,8 +383,13 @@ class TestChunkedPass:
         def results():
             en._built.cache_clear()
             parts = nonlocal_energy(u, params)
-            return ([parts.principal, parts.interaction], energy_and_gradient(u, params)[1],
-                    energy_hessian(u, params),
+            _, grad, hessian = energy_derivatives(u, params, hessian=True)
+            rules = en._tableau(u.mesh, params)
+            # int32 node ids; flat Gram ids only where a weighted Hessian asked for them
+            assert all(rule.nodes.dtype == np.int32 for rule in rules)
+            assert all([ids.dtype for ids in rule._ids[0]] == [np.int32] * len(rule.chunks)
+                       if p != 2.0 else not rule._ids for rule in rules)
+            return ([parts.principal, parts.interaction], grad, hessian,
                     en._table(u.mesh, params).stiffness(params.delta))
 
         default = results()
@@ -396,6 +401,25 @@ class TestChunkedPass:
         for a, b in zip(default, one_row):
             assert np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(a)
         assert all(np.abs(a - b) <= 1e-13 * np.abs(a) for a, b in zip(default[0], one_row[0]))
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS[:2], ids=["0.25", "inf"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_sweep_at_a_multiple(self, p, mesh_delta, kernel_delta):
+        # E and M are p-homogeneous: at c w the value, the gradient and the Hessian are
+        # c^p, c^(p-1) and c^(p-2) times those at w; the floor of a p < 2 Hessian scales
+        # with max|w|, and the plateau makes one point sit on it
+        u, params = horizon_instance(mesh_delta, kernel_delta, p, 53)
+        vals = u.values.copy()
+        k = u.mesh.interior.start + 4
+        vals[k + 1] = vals[k]
+        c = 2.75
+        at, scaled = (DiscreteFunction(x, u.mesh) for x in (vals, c * vals))
+        for derivatives in (lambda v: energy_derivatives(v, params, hessian=True),
+                            lambda v: lp_mass_derivatives(v, p, hessian=True)):
+            for power, a, b in zip((p, p - 1.0, p - 2.0), derivatives(at), derivatives(scaled)):
+                assert np.linalg.norm(b - c ** power * a) <= 1e-13 * np.linalg.norm(b)
 
 
 class TestTableauMemory:
@@ -441,7 +465,8 @@ class TestTableauMemory:
         # a cold collarless p = 3 Hessian and a cold p = 2 stiffness, tableau build included
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
         u = random_function(mesh, np.random.default_rng(10))
-        for params, call in ((KernelParams(0.3125, 3.0, INFINITE), lambda p: energy_hessian(u, p)),
+        for params, call in ((KernelParams(0.3125, 3.0, INFINITE),
+                               lambda p: energy_derivatives(u, p, hessian=True)),
                              (KernelParams(0.3125, 2.0, 4.0),
                               lambda p: en._table(mesh, p).stiffness(p.delta))):
             tracemalloc.start()
@@ -458,7 +483,7 @@ class TestTableauMemory:
         u = random_function(mesh, np.random.default_rng(6))
         for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
             nonlocal_energy(u, KernelParams(0.5, 3.0, delta))
-            energy_and_gradient(u, KernelParams(0.5, 3.0, delta))
+            energy_derivatives(u, KernelParams(0.5, 3.0, delta))
         assert built == [(0.5, 3.0, INFINITE)]
 
     def test_finite_horizon_rules_are_built_once(self):

@@ -410,6 +410,16 @@ class TestCli:
             cli.main([command, "--config", config, "--threads", threads])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        assert cli.main(["gamma", "1", "2.7"]) == 0
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        with pytest.raises(SystemExit) as exc:  # the reused parser still rejects it
+            cli.main(["sweep-zero", "--config", str(cfg_path), "--threads", "0"])
+        assert exc.value.code == 2
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_eigen_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "eig.json"
         cfg_path.write_text(json.dumps({
