@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help=config_help)
         sp.add_argument("--out", default=None, help="report output directory")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent rows (default 1)")
+                        help="worker threads for zero and bbm horizons (default 1)")
 
     e = sub.add_parser("eigen", help="solve a single eigenproblem from a config")
     e.add_argument("--config", required=True,

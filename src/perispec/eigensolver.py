@@ -5,7 +5,7 @@ At p=2 they are those of the pencil (A, M), the tableau's stiffness and the P1 m
 matrix under the quadrature of the energy and of the L^p mass.  The reflection of the
 mesh splits it into an even and an odd block, and shift-and-invert subspace iteration
 (Parlett, The Symmetric Eigenvalue Problem, ch. 4) finds the smallest pairs of each from
-a few sine modes or a warm start; Sylvester's law of inertia certifies that no smaller
+a few sine modes; Sylvester's law of inertia certifies that no smaller
 eigenvalue was missed.  For general p the first pair comes from one loop over iterates
 u with unit L^p mass: a Newton step on the eigen-equation at p >= 2 where it lowers the
 Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001) along the Newton
@@ -104,27 +104,21 @@ def _ritz_iteration(A: np.ndarray, M: np.ndarray, X: np.ndarray) -> tuple:
         X = np.where(done, X, solve(A - theta[j] / (1.0 + res[j] ** 2 + 1e-8) * M, MX))
 
 
-def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int,
-                      initial: DiscreteFunction | None = None):
+def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     """The k_max smallest eigenpairs at p=2, eigenfunctions normalized in L^2(Omega), by
-    _ritz_iteration on the even and the odd _fold block from sine modes of their parity,
-    the even part of ``initial`` first.  A block takes one more mode until A - mu M +
-    mu (M V)(M V)^T factors, V its Ritz vectors and mu the k_max-th smallest value found:
-    by Sylvester's law of inertia, no eigenvalue outside span V lies below mu then.
-    An indefinite M raises LinAlgError."""
-    ii, warm = mesh.interior, int(initial is not None)
-    A, M = en._table(mesh, params).stiffness(params.delta)[ii, ii], _interior_mass(mesh)
+    _ritz_iteration on the even and the odd _fold block from sine modes of their parity.
+    A block takes one more mode until A - mu M + mu (M V)(M V)^T factors, V its Ritz
+    vectors and mu the k_max-th smallest value found: by Sylvester's law of inertia, no
+    eigenvalue outside span V lies below mu then.  An indefinite M raises LinAlgError."""
+    ii = mesh.interior
+    A, M = en._stiffness(mesh, params)[ii, ii], _interior_mass(mesh)
     n = len(A)
     t = (mesh.nodes[ii] - mesh.domain.a) * (math.pi / mesh.domain.length)
     folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]
 
     def modes(i, first, count=1):  # folded sine modes of odd k (block 0) or even k (block 1)
         return np.sin(np.outer(t[:len(folds[i][0])], 2 * np.arange(first, first + count) + 1 + i))
-    X = [modes(0, 0, (k_max + 1) // 2 - warm), modes(1, 0, k_max // 2)]
-    if warm:  # the even part of initial, folded: the unfold doubles the middle of odd n
-        y = (initial.values[ii] + initial.values[ii][::-1])[:len(X[0])] / 2
-        y[-1] /= 1 + (2 * len(y) > n)
-        X[0] = np.column_stack([y, X[0]])
+    X = [modes(0, 0, (k_max + 1) // 2), modes(1, 0, k_max // 2)]
     results, todo, sweeps = [None, None], [0, 1], 0
     while todo:
         for i in todo:  # at full size Q spans the block and Rayleigh-Ritz is exact
@@ -135,8 +129,8 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int,
         for i, ((A_f, M_f), (_, V, MV, _, _)) in enumerate(zip(folds, results)):
             try:  # at full size M V V^T M = M, so this is A
                 cholesky(A_f - mu * M_f + mu * (MV @ MV.T))
-            except LinAlgError:  # the next sine mode; V holds warm * (i == 0) other columns
-                X[i] = np.column_stack([V, modes(i, V.shape[1] - warm * (i == 0))])
+            except LinAlgError:  # the next sine mode
+                X[i] = np.column_stack([V, modes(i, V.shape[1])])
                 todo.append(i)
     pairs = []
     found = sorted((lam, i, j) for i, r in enumerate(results) for j, lam in enumerate(r[0]))
@@ -157,19 +151,17 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int,
     return pairs
 
 
-def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
-                          initial: DiscreteFunction | None = None) -> EigenPair:
-    """First eigenpair for general p, by one loop over iterates u with M(u) = 1: the
-    safeguarded eigen-Newton step for p >= 2, else one Armijo step of descent on the
-    Rayleigh quotient R = E/M, whose gradient at M = 1 is res = grad E - lam grad M,
+def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
+    """First eigenpair for general p, by one loop over iterates u with M(u) = 1 from the
+    sine: the safeguarded eigen-Newton step for p >= 2, else one Armijo step of descent on
+    the Rayleigh quotient R = E/M, whose gradient at M = 1 is res = grad E - lam grad M,
     along -H_E(u)^-1 res, times p - 1 below p = 2, or along -G^-1 res, G the p = 2
     stiffness, where H_E(u) does not factor.  Two rules end the loop: at p >= 2, |res| at
     most _RES_TOL p lam (1 + lam), tested before each step; and a descent step that can
     move R only at rounding level (predicted or taken decrease, or a stalled search).
     A trial point w costs one energy and one mass sweep, Hessians included: by p-homogeneity
     u = w / c, c = M(w)^(1/p), has lam = E(w)/M(w), and the derivatives at w over c^(p-1)
-    and c^(p-2) (the floor of a p < 2 Hessian scales with max|w|).  A warm start at p >= 2
-    first sweeps without Hessians: it needs none if it meets the residual test."""
+    and c^(p-2) (the floor of a p < 2 Hessian scales with max|w|)."""
     p = params.p
     newton = p >= 2.0
     ii = mesh.interior
@@ -178,18 +170,17 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
     def sign_changing(v):
         return np.min(v) < -1e-10 * np.max(np.abs(v))
 
-    def sweep(w, hessian=True):  # u = w / c, lam, grad M, res and the asked [H_E, H_M] at u
+    def sweep(w):  # u = w / c, lam, grad M, res and [H_E, H_M at p >= 2] at u
         wf = _embed(mesh, w)
-        energy, grad_e, hess_e = en.energy_derivatives(wf, params, hessian)
-        mass, grad_m, hess_m = en.lp_mass_derivatives(wf, p, hessian and newton)
+        energy, grad_e, hess_e = en.energy_derivatives(wf, params, True)
+        mass, grad_m, hess_m = en.lp_mass_derivatives(wf, p, newton)
         c = mass ** (1.0 / p)
         lam, scale = energy / mass, c ** (p - 1.0)
         hess = [h[ii, ii] / c ** (p - 2.0) for h in (hess_e, hess_m) if h is not None]
         return w / c, lam, grad_m[ii] / scale, (grad_e[ii] - lam * grad_m[ii]) / scale, hess
 
-    start = (initial.values[ii] if initial is not None else
-             interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii])
-    u, lam, grad_m, res, hess = sweep(start, initial is None or not newton)
+    u, lam, grad_m, res, hess = sweep(
+        interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii])
     history = [lam]
     bordered = np.zeros((len(u) + 1, len(u) + 1))
     descent_steps = newton_steps = recoveries = 0
@@ -199,8 +190,6 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
         if newton and np.linalg.norm(res) <= _RES_TOL * p * lam * (1.0 + lam):
             converged = True
             break
-        if not hess:  # a warm start that needs its Hessians: u and its state again
-            hess = sweep(start)[4]
         hess_u, new, done = hess[0], None, False
         if newton:
             np.subtract(hess_u, lam * hess[1], out=bordered[:-1, :-1])
@@ -219,7 +208,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams,
             try:
                 cholesky(hess_u)  # raises unless H_E(u) is positive definite
             except LinAlgError:  # only at p > 2, where weights vanish: the unweighted G
-                hess_u = en._table(mesh, params).stiffness(params.delta)[ii, ii]
+                hess_u = en._stiffness(mesh, params)[ii, ii]
             # below p = 2, hess_u / (p - 1) is the Hessian of the majorizer
             d = solve(hess_u, -res) * min(1.0, p - 1.0)
             slope = float(res @ d)
@@ -260,10 +249,9 @@ def available_pairs(p: float, n_nodes: int) -> int:
     return n_nodes if abs(p - 2.0) < 1e-12 else 1
 
 
-def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
-                     initial: DiscreteFunction | None = None):
+def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1):
     """The k_max smallest eigenpairs: the dense spectrum at p=2, otherwise the
-    first pair by ``solve_first_eigenpair``, started from ``initial`` if given.
+    first pair by ``solve_first_eigenpair``.
 
     A k_max outside [1, available_pairs] raises SpectrumRequestError before
     any compute."""
@@ -273,8 +261,8 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1,
         raise SpectrumRequestError(
             f"k_max={k_max} must lie in [1, {limit}] at p={params.p} with {n} interior nodes")
     if abs(params.p - 2.0) < 1e-12:
-        return solve_p2_spectrum(mesh, params, k_max, initial=initial)
-    return [solve_first_eigenpair(mesh, params, initial=initial)]
+        return solve_p2_spectrum(mesh, params, k_max)
+    return [solve_first_eigenpair(mesh, params)]
 
 
 def local_reference_lambda(p: float, length: float, k: int = 1) -> float:

@@ -15,8 +15,11 @@ For meshes without a collar (horizon at least the domain length, or infinite)
 the collar/complement interaction is integrated analytically in the y
 variable, leaving a weighted L^p term with kernel
 k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps) [- (2/(ps)) delta^-ps].  The bracket
-does not depend on x, so a finite horizon lowers each tail weight by a
-constant times its mass weight and leaves every other rule unchanged.
+does not depend on x, so a finite horizon takes ``horizon_shift`` times an L^p mass off
+the energy at infinity: one sweep of the tableau at infinity, less that multiple of a
+mass sweep on the tail's own points (``_Tableau.shift_rules``).  At p >= 2 they are
+lp_mass's inside Omega and both rules are exact on the end elements, so the identity
+holds with ``lp_mass`` to rounding; below p = 2 the graded tail rule is finer.
 
 On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
 (adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
@@ -24,13 +27,11 @@ On a uniform mesh the quadrature of a pair depends only on its gap g: each point
 The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless
 mesh.  One pass, ``_sweep``, gives the value, the gradient and the Hessian (the Gram
 weighted by |u(x)-u(y)|^(p-2)) for ``energy_derivatives`` and ``lp_mass_derivatives``.
-Unweighted, the Gram is the p=2 stiffness; a collarless tableau builds the Gram of its
-shared rules once, and each horizon adds its tail Gram (``_Tableau.stiffness``).
+Unweighted, the Gram is the p=2 stiffness.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernelmath import KernelParams
+from .kernelmath import KernelParams, horizon_shift
 from .mesh import DiscreteFunction, Mesh
 
 
@@ -122,7 +123,7 @@ class _Rule:
         split, step = int(count[:len(principal)].sum()), max(1, _CHUNK // basis.shape[1])
         self.chunks = [(max(0, split - i), self.widx[i:i + step], self.nodes[i:i + step])
                        for i in range(0, len(e), step)]
-        self._ids = []  # gram_ids, once built; reweighted copies share it
+        self._ids = None  # gram_ids, once built
         self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w, _ in blocks])
         self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k],
                         main) for (lo, hi, g, w, main), k in zip(blocks, starts)]
@@ -131,17 +132,11 @@ class _Rule:
         a, b, half = _PAIRS[len(basis)]
         self.products = np.ascontiguousarray((basis[a] * basis[b]).T * half)
 
-    def reweighted(self, w):
-        """This one-block rule, its rows unchanged, with the weights w (one row per element)."""
-        rule = copy.copy(self)
-        rule.weights, rule.blocks = w, [self.blocks[0][:3] + (w, self.blocks[0][4])]
-        return rule
-
     def gram_ids(self, nn: int) -> list:
         """Per chunk, the _gram_ids of its rows, built when a weighted Hessian first asks."""
-        if not self._ids:
-            self._ids.append([_gram_ids(nodes, nn) for _, _, nodes in self.chunks])
-        return self._ids[0]
+        if self._ids is None:
+            self._ids = [_gram_ids(nodes, nn) for _, _, nodes in self.chunks]
+        return self._ids
 
 
 def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
@@ -151,12 +146,12 @@ def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
 
 
 class _Tableau:
-    """Per-gap quadrature templates for one (mesh, s, p), truncated at delta on a
-    collar mesh; ``tail`` holds each tail rule, its mass weights and kernel."""
+    """Per-gap quadrature templates for one (mesh, s, p), truncated at delta on a collar
+    mesh; ``_tail`` keeps each tail rule's local points, elements and mass weights."""
 
     def __init__(self, mesh: Mesh, s: float, p: float, delta: float):
         h = mesh.h
-        self.ps = ps = p * s
+        ps = p * s
         alpha = p * (1.0 - s)
         near_even = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
         if near_even:
@@ -239,7 +234,7 @@ class _Tableau:
             if blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        self.tail, self._at, self._shared, self.nn = [], {}, None, len(mesh.nodes)
+        self._tail, self.nn = [], len(mesh.nodes)
         if truncated_gap < 0:
             a, b = mesh.domain.a, mesh.domain.b
             tx, twt = _gauss01(tail_order)
@@ -255,33 +250,16 @@ class _Tableau:
                 x = mesh.nodes[lo:hi, None] + h * loc
                 mass = 2.0 * h * wloc
                 kernel = (np.power(x - a, -ps) + np.power(b - x, -ps)) / ps
-                rule = _Rule(_basis(loc), [(lo, hi, 0, mass * kernel, (0, 0))])
-                self.tail.append((rule, mass, kernel))
-            self.rules += [rule for rule, _, _ in self.tail]
+                self.rules.append(_Rule(_basis(loc), [(lo, hi, 0, mass * kernel, (0, 0))]))
+                self._tail.append((loc, lo, hi, mass))
 
-    def rules_at(self, delta: float) -> list:
-        """The rules at horizon delta, built once: the tail kernel lowered by
-        c = (2/(ps)) delta^-ps.  A weight is mass * (kernel - c), not weight - c * mass:
-        the two differ in the last bit, and the inner solver's iteration count is
-        chaotic in that."""
-        if math.isinf(delta) or not self.tail:
-            return self.rules
-        if delta not in self._at:
-            c = 2.0 / (self.ps * delta ** self.ps)
-            self._at[delta] = self.rules[:-len(self.tail)] + [
-                rule.reweighted(mass * (kernel - c)) for rule, mass, kernel in self.tail]
-        return self._at[delta]
-
-    def stiffness(self, delta: float) -> np.ndarray:
-        """_gram(rules_at(delta)) bit for bit: a tail's blocks (diagonals 0, +-1) add to the
-        upper half of the Gram of the rules all horizons share, built once, read-only."""
-        if not self.tail:
-            return _gram(self.rules, self.nn)
-        if self._shared is None:
-            full = _gram(self.rules[:-len(self.tail)], self.nn)
-            self._shared = np.triu(full) - np.diag(np.diag(full)) / 2.0  # exact
-            self._shared.setflags(write=False)
-        return _gram(self.rules_at(delta)[-len(self.tail):], self.nn, upper=self._shared)
+    @functools.cached_property
+    def shift_rules(self) -> list:
+        """The tail's points with half its mass weights, an L^p mass rule: a finite horizon
+        lowers the tail kernel by horizon_shift / 2, so the energy by horizon_shift times
+        this mass.  Built when a finite horizon first asks."""
+        return [_Rule(_basis(loc), [(lo, hi, 0, mass / 2.0, (0, hi - lo))])
+                for loc, lo, hi, mass in self._tail]
 
 
 @functools.lru_cache(maxsize=24)
@@ -299,18 +277,13 @@ def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
     return _built(mesh, params.s, params.p, params.delta if mesh.has_collar else math.inf)
 
 
-def _tableau(mesh: Mesh, params: KernelParams) -> list:
-    """The quadrature rules of the energy at params, read from the memoized tableau."""
-    return _table(mesh, params).rules_at(params.delta)
-
-
 def _check_constrained(u: DiscreteFunction):
     if not u.collar_is_zero():
         raise ConstraintViolationError("function is nonzero on the collar / boundary nodes")
 
 
 def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
-           hessian: bool = False, upper=None):
+           hessian: bool = False):
     """(principal, interaction, gradient, G) from one pass over the points of rules, a
     point's value being d = u(x) - u(y) of vals: the weighted sums of |d|^p, split as the
     rows are; given gradient, the nodal gradient of their total; given hessian, the nodal
@@ -318,11 +291,11 @@ def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
     halved, w @ rule.products) goes in by one np.add.at per chunk, and G is the halves plus
     their transpose.  Away from p = 2 each w is scaled by |d|^(p-2), |d| floored at
     _GRAM_FLOOR max|vals| below p = 2 (the pole at d = 0), and p(p-1) G is the Hessian; at
-    p = 2, G needs no vals (the stiffness, the mass matrix).  Given upper, the halves of
-    earlier rules, the rules add to a copy of it.  Per chunk d and |d| are computed once."""
+    p = 2, G needs no vals (the stiffness, the mass matrix).  Per chunk d and |d| are
+    computed once."""
     principal, interaction = [], []
     grad = np.zeros(nn) if gradient else None
-    G = (np.zeros((nn, nn)) if upper is None else upper.copy()) if hessian else None
+    G = np.zeros((nn, nn)) if hessian else None
     weighted = hessian and p != 2.0
     floor = _GRAM_FLOOR * np.max(np.abs(vals)) if weighted and p < 2.0 else 0.0
     for rule in rules:
@@ -353,16 +326,36 @@ def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
             p * grad if gradient else None, G + G.T if hessian else None)
 
 
-def _gram(rules, nn: int, upper=None) -> np.ndarray:
+def _gram(rules, nn: int) -> np.ndarray:
     """The unweighted Gram of rules (_sweep at p = 2 without values)."""
-    return _sweep(rules, nn, hessian=True, upper=upper)[3]
+    return _sweep(rules, nn, hessian=True)[3]
+
+
+def _energy_sweep(mesh: Mesh, params: KernelParams, vals=None, gradient: bool = False,
+                  hessian: bool = False):
+    """_sweep of the tableau at params; without a collar at a finite horizon, less
+    horizon_shift times the sweep of its shift_rules in the interaction, the gradient and
+    G alike.  Without vals, G is the p = 2 stiffness at params (_sweep)."""
+    table = _table(mesh, params)
+    p = params.p if vals is not None else 2.0  # without vals, the unweighted Gram
+    parts = _sweep(table.rules, table.nn, vals, p, gradient, hessian)
+    kappa = 0.0 if mesh.has_collar else horizon_shift(params)
+    if not kappa:
+        return parts
+    mass = _sweep(table.shift_rules, table.nn, vals, p, gradient, hessian)
+    return (parts[0], parts[1] - kappa * mass[0],
+            *[None if x is None else x - kappa * y for x, y in zip(parts[2:], mass[2:])])
+
+
+def _stiffness(mesh: Mesh, params: KernelParams) -> np.ndarray:
+    """The p = 2 stiffness at params, the Gram the energy's p = 2 Hessian is twice."""
+    return _energy_sweep(mesh, params, hessian=True)[3]
 
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
     """Truncated seminorm of u to the p-th power at any horizon, split principal/interaction."""
     _check_constrained(u)
-    principal, interaction, _, _ = _sweep(_tableau(u.mesh, params), len(u.values), u.values,
-                                          params.p)
+    principal, interaction, _, _ = _energy_sweep(u.mesh, params, u.values)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
@@ -372,8 +365,7 @@ def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool 
     bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
     _check_constrained(u)
     p = params.p
-    principal, interaction, grad, G = _sweep(_tableau(u.mesh, params), len(u.values),
-                                             u.values, p, True, hessian)
+    principal, interaction, grad, G = _energy_sweep(u.mesh, params, u.values, True, hessian)
     return principal + interaction, grad, None if G is None else p * (p - 1.0) * G
 
 

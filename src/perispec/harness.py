@@ -15,13 +15,13 @@ Three study kinds run from JSON configs:
 
 The kinds share one skeleton. ``run_study`` dispatches by kind and times the
 study. Each runner maps a row function over its horizons with
-``_timed_rows``, on a thread pool when threads > 1; the inf study solves its
-smallest horizon first and warm-starts every other one, INF included, from
-its first eigenfunction. Every eigenvalue comes from
-``eigensolver.solve_eigenpairs``. Zero and bbm judge their extrapolated limits
-with one verdict, ``_judge_limits``. ``run_configs`` parses every study config
-file, then runs them, writes their reports and prints one status line each;
-``run_all`` and the study subcommands of the CLI both go through it.
+``_timed_rows``; zero and bbm go to a thread pool when threads > 1. The inf
+study solves only INF, and every finite row is lambda_k(INF) less the horizon
+shift. Every eigenvalue comes from ``eigensolver.solve_eigenpairs``. Zero and
+bbm judge their extrapolated limits with one verdict, ``_judge_limits``.
+``run_configs`` parses every study config file, then runs them, writes their
+reports and prints one status line each; ``run_all`` and the study subcommands
+of the CLI both go through it.
 
 Reports are deterministic byte-for-byte for a fixed config and package
 version: per-row runtimes and timestamps go to a separate metadata file, and
@@ -30,7 +30,6 @@ all numbers are serialized with shortest round-trip ``repr``.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from .kernelmath import (
     KernelParams,
     embedding_constant,
     gamma_constant,
+    horizon_shift,
     scaling_factor,
 )
 from .mesh import DomainSpec, build_mesh, interpolate
@@ -337,10 +337,13 @@ def _horizon_mesh(config: SweepConfig, delta: float):
     return mesh, KernelParams(config.s, config.p, mesh.delta_effective)
 
 
-def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0):
-    """One row per k of the config from the pairs solved at kernel horizon params.delta."""
-    return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
-                pairs[k - 1].converged) for k in config.k_list]
+def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0,
+                shift=0.0):
+    """One row per k of the config at kernel horizon params.delta, from the pairs solved
+    there, or from pairs whose eigenvalues lie shift above those at params.delta."""
+    return [Row(delta, params.delta, k, pairs[k - 1].lam - shift,
+                factor * (pairs[k - 1].lam - shift), pairs[k - 1].converged)
+            for k in config.k_list]
 
 
 def _timed_rows(rows_of, deltas, threads: int):
@@ -402,30 +405,30 @@ def _zero_study(report: SweepReport, threads: int) -> None:
                   flag_ok)
 
 
-def _inf_study(report: SweepReport, threads: int) -> None:
+def _inf_study(report: SweepReport) -> None:
     """Horizon-to-infinity sweep on a fixed collarless mesh of Omega.
 
     ``SweepConfig.from_dict`` ensures every finite horizon is at least the
-    domain length, so the collar carries only the analytic tail. Checks
-    monotonicity in delta, the norm-equivalence sandwich, and the gap at the
-    largest finite horizon; a failed check fails the verdicts of the report.
-    The smallest horizon is solved cold, and every other horizon goes to
-    `threads` workers warm-started from its first eigenfunction.
+    domain length, so the collar carries only the analytic tail, and the energy
+    at delta is that at INF less horizon_shift times the L^p mass. So only INF
+    is solved: the eigenpairs at delta are (lambda(INF) - horizon_shift, u(INF)),
+    and a finite row takes INF's converged flag. Checks monotonicity in delta,
+    the norm-equivalence sandwich, and the gap at the largest finite horizon; a
+    failed check fails the verdicts of the report.
     """
     config = report.config
     finite = config.delta_list[:-1]
     mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
-    first = {}  # per horizon: the first pair, which the warm starts and every sandwich read
+    pairs = []  # the INF pairs, solved before any finite row reads them
 
-    def rows_of(delta, initial=None):
+    def rows_of(delta):
         params = KernelParams(config.s, config.p, delta)
-        pairs = solve_eigenpairs(mesh, params, max(config.k_list), initial=initial)
-        first[delta] = pairs[0]
-        return _eigen_rows(config, delta, params, pairs)
+        if not pairs:
+            pairs.extend(solve_eigenpairs(mesh, params, max(config.k_list)))
+        return _eigen_rows(config, delta, params, pairs, shift=horizon_shift(params))
 
-    cold = _timed_rows(rows_of, config.delta_list[:1], threads=1)
-    warm = functools.partial(rows_of, initial=first[config.delta_list[0]].eigenfunction)
-    report.rows = cold + _timed_rows(warm, config.delta_list[1:], threads)
+    inf_rows = _timed_rows(rows_of, config.delta_list[-1:], threads=1)
+    report.rows = _timed_rows(rows_of, finite, threads=1) + inf_rows
     lam = {(r.delta_requested, r.k): r.lambda_raw for r in report.rows}
 
     monotone_ok = True
@@ -436,13 +439,13 @@ def _inf_study(report: SweepReport, threads: int) -> None:
     report.checks["monotonicity"] = monotone_ok
 
     # Sandwich: lambda(delta) <= lambda(inf) <= C(delta)^p * lambda(delta),
-    # with C built from the computed first eigenvalue at that horizon.
+    # with C built from the first eigenvalue at that horizon.
     sandwich_ok = True
     for k in config.k_list:
         lam_inf = lam[(INFINITE, k)]
         for d in finite:
-            c = embedding_constant(KernelParams(config.s, config.p, d),
-                                   config.length, first[d].lam)
+            params = KernelParams(config.s, config.p, d)
+            c = embedding_constant(params, config.length, pairs[0].lam - horizon_shift(params))
             lo = lam[(d, k)]
             if not (lo <= lam_inf * (1.0 + 1e-12)
                     and lam_inf <= c ** config.p * lo * (1.0 + 1e-12)):
@@ -482,11 +485,14 @@ def _bbm_study(report: SweepReport, threads: int) -> None:
 
 
 def run_study(config: SweepConfig, threads: int = 1) -> SweepReport:
-    """Run the study of config's kind; its horizons go to `threads` workers."""
+    """Run the study of config's kind; the horizons of a zero or bbm study go to
+    `threads` workers (an inf study solves one horizon)."""
     t_start = time.perf_counter()
     report = SweepReport(config=config)
-    study = {"zero": _zero_study, "inf": _inf_study, "bbm": _bbm_study}[config.study]
-    study(report, threads)
+    if config.study == "inf":
+        _inf_study(report)
+    else:
+        {"zero": _zero_study, "bbm": _bbm_study}[config.study](report, threads)
     report.runtime = time.perf_counter() - t_start
     return report
 

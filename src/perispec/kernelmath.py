@@ -2,8 +2,8 @@
 
 Everything here is a pure function of scalar inputs: the sphere moment
 ``gamma_constant``, the horizon scaling factor used in the small-horizon limit,
-the explicit norm-equivalence constant ``embedding_constant``, and the classical
-1-D p-Laplacian first eigenvalue.
+the shift ``horizon_shift`` of the large-horizon limit, the explicit norm-equivalence
+constant ``embedding_constant``, and the classical 1-D p-Laplacian first eigenvalue.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def scaling_factor(params: KernelParams) -> float:
         raise InfiniteHorizonError("scaling factor is undefined at infinite horizon")
     a = params.p * (1.0 - params.s)
     return a / params.delta ** a
+
+
+def horizon_shift(params: KernelParams) -> float:
+    """kappa = (4/(ps)) delta^-ps, 0 at INFINITE: on an interval, a horizon delta >= |Omega|
+    changes only the kernel of the interaction with the complement, by a constant, so the
+    energy at delta is that at INFINITE less kappa times the integral of |u|^p."""
+    return 0.0 if params.is_infinite else 4.0 / (params.ps * params.delta ** params.ps)
 
 
 def embedding_constant(params: KernelParams, domain_length: float, lambda1_delta: float) -> float:

@@ -5,7 +5,8 @@ production energy assembly: the brute-force energy reduces the double
 integral to an exact inner integral in the offset variable plus 1-D adaptive
 quadrature, and the sphere moment is evaluated by direct quadrature over the
 sphere.  The local p-Laplacian eigenvalue is found by shooting on its ODE,
-independently of the closed form the library uses.  Agreement between these
+independently of the closed form the library uses, and the untruncated p = 2,
+s = 1/2 eigenvalue is the Cauchy process's, from the literature.  Agreement between these
 routes and the library is what the oracle tests assert.
 """
 
@@ -219,3 +220,18 @@ def shooting_oracle_lambda1(p: float, length: float) -> float:
         if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+#: First Dirichlet eigenvalue of (-Delta)^(1/2), the generator of the Cauchy process, on
+#: (-1, 1) (Kulczycki, Kwasnicki, Malecki & Stos, Proc. LMS 2010; Kwasnicki, J. Funct.
+#: Anal. 2012).
+CAUCHY_LAMBDA1 = 1.1577738836977
+
+
+def cauchy_lambda1_unit_interval() -> float:
+    """The first eigenvalue at delta = infinity, p = 2, s = 1/2 on (0, 1), in the scaling of
+    the library's energy: it carries no C_{1,s} (C_{1,1/2} = 1/pi) and counts both (x, y)
+    and (y, x), so lambda = (2 / C_{1,s}) 2^(2s) CAUCHY_LAMBDA1 = 4 pi CAUCHY_LAMBDA1, the
+    2^(2s) from halving (-1, 1)."""
+    s = 0.5
+    return 2.0 * math.pi * 2.0 ** (2.0 * s) * CAUCHY_LAMBDA1

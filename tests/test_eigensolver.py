@@ -14,7 +14,7 @@ from perispec.kernelmath import (
     local_p_laplacian_lambda1,
     p_pi,
 )
-from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
+from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh
 from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
@@ -26,7 +26,7 @@ from perispec.eigensolver import (
     solve_p2_spectrum,
 )
 
-from _oracles import shooting_oracle_lambda1
+from _oracles import cauchy_lambda1_unit_interval, shooting_oracle_lambda1
 
 
 def blas_thread_getters():
@@ -47,7 +47,7 @@ def blas_thread_getters():
 def p2_matrices(mesh, params):
     """(stiffness, mass) over interior nodes: the pencil solve_p2_spectrum reads."""
     ii = mesh.interior
-    return en._table(mesh, params).stiffness(params.delta)[ii, ii], eigensolver._interior_mass(mesh)
+    return en._stiffness(mesh, params)[ii, ii], eigensolver._interior_mass(mesh)
 
 
 def embed(mesh, x):
@@ -58,7 +58,7 @@ def embed(mesh, x):
 
 class TestP2Assembly:
     # (mesh horizon, kernel horizon): collar mesh, collarless INF, and the
-    # collarless finite horizon whose tail carries the -2 delta^-ps shift
+    # collarless finite horizon, the INF stiffness less the horizon shift times the mass
     @pytest.mark.parametrize("mesh_delta, kernel_delta", [
         (0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0),
     ], ids=["0.25", "inf", "inf-2.0"])
@@ -85,30 +85,6 @@ class TestP2Assembly:
         # interior rows see the full hat: h*(1/6 + 4/6 + 1/6) = h
         assert np.allclose(sums[1:-1], mesh.h, rtol=1e-14)
         assert M.T is not M and np.max(np.abs(M - M.T)) == 0.0
-
-    def test_shared_stiffness_is_built_once(self, monkeypatch):
-        # the five horizons of an inf study on one collarless mesh: one Gram of the
-        # shared rules, then one tail Gram per horizon
-        grams = []
-
-        def counting(rules, nn, *args, **kwargs):
-            grams.append(rules)
-            return gram(rules, nn, *args, **kwargs)
-
-        gram = en._gram
-        monkeypatch.setattr(en, "_gram", counting)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 16)
-        en._built.cache_clear()
-        try:
-            for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
-                p2_matrices(mesh, KernelParams(0.5, 2.0, delta))
-            table = en._table(mesh, KernelParams(0.5, 2.0, INFINITE))
-        finally:
-            en._built.cache_clear()
-        shared = [rules for rules in grams if rules[0] is table.rules[0]]
-        assert len(shared) == 1 and len(shared[0]) == len(table.rules) - len(table.tail)
-        assert sum(rules[0].basis is table.tail[0][0].basis for rules in grams) == 5
-        assert not table._shared.flags.writeable
 
 
 class TestP2Spectrum:
@@ -188,7 +164,7 @@ class TestP2Spectrum:
 
 
 # collar and collarless meshes with 11 (12 elements) and 12 (13 elements) interior
-# nodes; the collarless finite horizon lowers the tail weights of the INF tableau
+# nodes; the collarless finite horizon shifts the INF stiffness by a multiple of the mass
 FOLD_MESHES = [(mesh_delta, kernel_delta, n) for mesh_delta, kernel_delta in
                [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)] for n in (12, 13)]
 
@@ -249,25 +225,33 @@ class TestP2Fold:
     @pytest.mark.parametrize("mesh_delta, kernel_delta, n", FOLD_MESHES)
     def test_second_even_mode_start_grows_to_the_first(self, monkeypatch, mesh_delta,
                                                          kernel_delta, n):
-        # started from an exact eigenvector of the even block that is not the first, the
-        # even block converges to it, fails the inertia certificate and takes a sine mode
+        # an even block started from an exact eigenvector that is not the first converges
+        # to it, fails the inertia certificate and takes a sine mode
         mesh, params = fold_instance(mesh_delta, kernel_delta, n, 0.5)
         A, M = p2_matrices(mesh, params)
         lams, vecs = scipy.linalg.eigh(A, M)
         second_even = vecs[:, 2]
         assert np.allclose(second_even, second_even[::-1], atol=1e-12)
-        widths = []
+        # folded: the unfold doubles the middle node of an odd count
+        start = second_even[:(len(A) + 1) // 2].copy()
+        start[-1] /= 1 + len(A) % 2
+        widths, values = [], []
 
         def recording(A_f, M_f, X):
+            if not widths:  # the even block's first start: the second even pair
+                X = start[:, None]
             widths.append(X.shape[1])
-            return ritz(A_f, M_f, X)
+            values.append(ritz(A_f, M_f, X))
+            return values[-1]
 
         ritz = eigensolver._ritz_iteration
         monkeypatch.setattr(eigensolver, "_ritz_iteration", recording)
-        (ep,) = solve_p2_spectrum(mesh, params, 1, initial=embed(mesh, second_even))
+        (ep,) = solve_p2_spectrum(mesh, params, 1)
+        assert abs(values[0][0][0] - lams[2]) <= 1e-12 * lams[2]
         # even, odd, then both with one more mode: mu = lambda_3 is above lambda_1 (even)
-        # and lambda_2 (odd)
-        assert widths == [1, 0, 2, 1]
+        # and lambda_2 (odd); then the even block alone, one more sine mode each time, until
+        # its span holds the first pair: the added modes are nearly orthogonal to it
+        assert widths == [1, 0, 2, 1] + list(range(3, len(widths) - 1))
         assert abs(ep.lam - lams[0]) <= 1e-12 * lams[0] and ep.converged
         x = ep.eigenfunction.values[mesh.interior_mask]
         assert min(np.max(np.abs(x - vecs[:, 0])), np.max(np.abs(x + vecs[:, 0]))) <= 1e-10
@@ -300,25 +284,27 @@ class TestP2Fold:
         assert sizes and max(max(shape) for shape in sizes) <= 1
 
 
-class TestP2WarmStart:
-    @pytest.mark.parametrize("n", [32, 33, 256])
-    @pytest.mark.parametrize("k_max", [1, 2])
-    def test_warm_inf_rows_match_cold_solves_without_sweeps(self, n, k_max):
-        # the horizon-shift identity: every horizon >= |Omega| of a collarless mesh shifts
-        # the stiffness by a multiple of the mass, so the eigenvectors of the first horizon
-        # are those of every other, and a warm-started row stops after zero sweeps
+class TestInfRows:
+    @pytest.mark.parametrize("p, k_max, n", [(2.0, 1, 32), (2.0, 1, 33), (2.0, 1, 256),
+                                             (2.0, 2, 32), (2.0, 2, 33), (2.0, 2, 256),
+                                             (3.0, 1, 32), (3.0, 1, 33)])
+    def test_finite_rows_match_cold_solves(self, p, k_max, n):
+        # an inf study solves only INF and shifts it to every finite horizon; a cold solve
+        # at that horizon, from the sine modes, finds the same eigenvalues
+        cfg = SweepConfig.from_dict({
+            "schema_version": 1, "study": "inf", "p": p, "s": 0.5,
+            "delta_list": [1.0, 2.0, 4.0, 8.0, "INF"], "n_interior": n,
+            "k_list": list(range(1, k_max + 1)), "thresholds": [0.5] * k_max}, name="rows")
+        rows = run_study(cfg).rows
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
-        cold = solve_eigenpairs(mesh, KernelParams(0.5, 2.0, 1.0), k_max)
-        for delta in (2.0, 4.0, 8.0, INFINITE):
-            params = KernelParams(0.5, 2.0, delta)
-            warm = solve_eigenpairs(mesh, params, k_max, initial=cold[0].eigenfunction)
-            ref = solve_eigenpairs(mesh, params, k_max)
-            for w, r in zip(warm, ref):
-                assert abs(w.lam - r.lam) <= 1e-13 * r.lam and w.converged
-                assert np.max(np.abs(w.eigenfunction.values - r.eigenfunction.values)) <= 1e-10
-            if k_max == 1:
-                assert warm[0].diagnostics["sweeps"] == 0 < ref[0].diagnostics["sweeps"]
-            assert warm[0].iterations == 0
+        tol = 1e-12 if p == 2.0 else 1e-10
+        for delta in cfg.delta_list[:-1]:
+            cold = solve_eigenpairs(mesh, KernelParams(0.5, p, delta), k_max)
+            at = [r for r in rows if r.delta_requested == delta]
+            assert [r.k for r in at] == [ep.index_k for ep in cold]
+            for r, ep in zip(at, cold):
+                assert r.converged and ep.converged
+                assert abs(r.lambda_raw - ep.lam) <= tol * ep.lam
 
 
 class TestInversePower:
@@ -329,14 +315,6 @@ class TestInversePower:
         ep = solve_first_eigenpair(mesh, params)
         assert ep.converged
         assert abs(ep.lam - lam_matrix) / lam_matrix <= 1e-8
-
-    def test_initializer_scale_invariance(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 2.5, mesh.delta_effective)
-        base = solve_first_eigenpair(mesh, params)
-        doubled = interpolate(lambda x: 2.0 * math.sin(math.pi * x), mesh)
-        again = solve_first_eigenpair(mesh, params, initial=doubled)
-        assert abs(base.lam - again.lam) <= 1e-10 * base.lam
 
     def test_rayleigh_quotient_nonincreasing(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
@@ -479,22 +457,24 @@ class TestInnerSolvers:
         assert newton.diagnostics["newton_steps"] > 0 and descent.diagnostics["newton_steps"] == 0
         assert abs(newton.lam - descent.lam) <= 1e-9 * descent.lam
 
-    def test_warm_inf_rows_build_no_hessian(self, monkeypatch):
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_inf_study_sweeps_only_at_inf(self, monkeypatch, p):
+        # every energy sweep of an inf study, the p = 2 stiffness included, is at INF
         deltas = []
 
-        def sweep(u, params, hessian=False):
-            if hessian:
-                deltas.append(params.delta)
-            return energy_derivatives(u, params, hessian)
+        def recorded(mesh, params, *args, **kwargs):
+            deltas.append(params.delta)
+            return sweep(mesh, params, *args, **kwargs)
 
-        monkeypatch.setattr(en, "energy_derivatives", sweep)
+        sweep = en._energy_sweep
+        monkeypatch.setattr(en, "_energy_sweep", recorded)
         cfg = SweepConfig.from_dict({
-            "schema_version": 1, "study": "inf", "p": 3.0, "s": 0.5,
+            "schema_version": 1, "study": "inf", "p": p, "s": 0.5,
             "delta_list": [1.0, 2.0, 4.0, "INF"], "n_interior": 24, "k_list": [1],
-            "thresholds": [0.5]}, name="warm")
+            "thresholds": [0.5]}, name="one-solve")
         report = run_study(cfg)
         assert all(r.converged for r in report.rows)
-        assert deltas and set(deltas) == {1.0}
+        assert deltas and set(deltas) == {INFINITE}
 
     def test_fallback_reuses_the_bordered_hessian(self, monkeypatch):
         # the canonical zero-p3 row at delta = 0.2: its last Newton step is rejected,
@@ -605,6 +585,26 @@ class TestSolveEigenpairs:
         solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
         assert len(inside) > 1
         assert inside == [[1] * len(getters)] * len(inside)
+
+
+class TestCauchyOracle:
+    def test_richardson_limit_matches_the_cauchy_eigenvalue(self):
+        # lambda(INF) at p = 2, s = 1/2 converges at rate 0.99 in h (relative error 8.9e-4
+        # at n = 256, 4.5e-4 at 512), so 2 lambda(512) - lambda(256) cancels the leading
+        # term; it lands 4.6e-6 from 4 pi 1.1577738836977 = 14.549015710171272, the Cauchy
+        # eigenvalue rescaled by 2 / C_{1,1/2} 2^(2s)
+        ref = cauchy_lambda1_unit_interval()
+        assert abs(ref - 14.549015710171272) <= 1e-15 * ref
+        errors, lams = [], []
+        for n in (256, 512):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+            (ep,) = solve_eigenpairs(mesh, KernelParams(0.5, 2.0, INFINITE))
+            assert ep.converged
+            lams.append(ep.lam)
+            errors.append(abs(ep.lam - ref) / ref)
+        assert 0.9 <= math.log2(errors[0] / errors[1]) <= 1.1
+        assert abs(2.0 * lams[1] - lams[0] - ref) <= 2e-5 * ref
+
 
 class TestShootingOracle:
     def test_p2_recovers_pi_squared(self):

@@ -167,7 +167,7 @@ class TestHessian:
                              ids=["stiffness", "p3-weighted", "p1.5-weighted"])
     def test_gram_matches_einsum_reference(self, weighted, p, mesh_delta, kernel_delta):
         u, params = horizon_instance(mesh_delta, kernel_delta, p, 41)
-        rules, nn = en._tableau(u.mesh, params), len(u.values)
+        rules, nn = en._table(u.mesh, params).rules, len(u.values)
         vals = u.values if weighted else None
         reference = einsum_gram(rules, nn, vals, p)
         gram = en._sweep(rules, nn, vals, p, hessian=True)[3] if weighted else en._gram(rules, nn)
@@ -177,7 +177,7 @@ class TestHessian:
     def test_gram_below_p2_floors_a_plateau(self):
         # on a plateau the same-element point reads d = 0, where |d|^(p-2) is infinite
         u, params = horizon_instance(0.25, None, 1.5, 43)
-        rules, nn = en._tableau(u.mesh, params), len(u.values)
+        rules, nn = en._table(u.mesh, params).rules, len(u.values)
         vals = u.values.copy()
         k = u.mesh.interior.start + 4
         vals[k + 1] = vals[k]
@@ -191,7 +191,7 @@ class TestHessian:
             mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
             params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
             u = random_function(mesh, np.random.default_rng(37))
-            stiffness = en._gram(en._tableau(mesh, params), len(mesh.nodes))
+            stiffness = en._stiffness(mesh, params)
             mass = en._gram(en._mass_rules(mesh), len(mesh.nodes))
             assert np.array_equal(energy_derivatives(u, params, hessian=True)[2], 2 * stiffness)
             assert np.array_equal(lp_mass_derivatives(u, 2.0, hessian=True)[2], 2 * mass)
@@ -288,6 +288,22 @@ class TestStructuralInvariants:
         assert np.linalg.norm(g_delta - expected) <= 1e-12 * np.linalg.norm(g_inf)
 
 
+class TestHorizonShift:
+    @pytest.mark.parametrize("delta", [1.0, 8.0])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_energy_is_the_inf_energy_less_the_shifted_mass(self, p, delta):
+        # without a collar, a horizon delta >= |Omega| lowers the value, the gradient and
+        # the Hessian by kappa = (4/(ps)) delta^-ps times those of lp_mass: at p >= 2 the
+        # tail's points integrate |u|^p as lp_mass does, on sign-changing u too
+        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 64)
+        u = random_function(mesh, np.random.default_rng(61))
+        kappa = 4.0 / (0.5 * p) * delta ** (-0.5 * p)
+        at_delta = energy_derivatives(u, KernelParams(0.5, p, delta), hessian=True)
+        at_inf = energy_derivatives(u, KernelParams(0.5, p, INFINITE), hessian=True)
+        for a, b, m in zip(at_delta, at_inf, lp_mass_derivatives(u, p, hessian=True)):
+            assert np.linalg.norm(a - (b - kappa * m)) <= 1e-12 * np.linalg.norm(a)
+
+
 class TestMassAndLocalEnergy:
     def test_lp_mass_matches_exact_norm(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
@@ -360,6 +376,22 @@ def built(monkeypatch):
     en._built.cache_clear()
 
 
+def truncated_tail(mesh, params):
+    """The tableau's rules, each tail weight mass * k(x) lowered to mass * (k(x) - c),
+    c = (2/(ps)) delta^-ps: the tail of the kernel truncated at delta, assembled directly."""
+    ps, (a, b) = params.p * params.s, (mesh.domain.a, mesh.domain.b)
+    c = 0.0 if params.is_infinite else 2.0 / ps * params.delta ** -ps
+    rules = []
+    for rule in en._table(mesh, params).rules:
+        lo, hi, g, w, main = rule.blocks[0]
+        if main == (0, 0):  # a tail rule: one block of interaction rows at points basis[1]
+            x = mesh.nodes[lo:hi, None] + mesh.h * rule.basis[1]
+            kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
+            rule = en._Rule(rule.basis, [(lo, hi, g, w / kernel * (kernel - c), main)])
+        rules.append(rule)
+    return rules
+
+
 class TestSplitStiffness:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n", [12, 13])  # 11 and 12 interior nodes
@@ -367,11 +399,13 @@ class TestSplitStiffness:
         (INFINITE, 1.0), (INFINITE, 2.0), (INFINITE, 8.0), (INFINITE, INFINITE), (0.25, None),
     ], ids=["inf-1", "inf-2", "inf-8", "inf", "0.25"])
     def test_matches_the_full_gram(self, mesh_delta, kernel_delta, n, s):
-        # the tail blocks add to the shared upper half in the order _sweep adds them
+        # the stiffness at a finite horizon, the INF one less the horizon shift times the
+        # mass Gram, is the Gram of the tail truncated at delta: both tail rules are exact
+        # on products of hat functions
         mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
         params = KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
-        full = en._gram(en._tableau(mesh, params), len(mesh.nodes))
-        assert np.array_equal(en._table(mesh, params).stiffness(params.delta), full)
+        full = en._gram(truncated_tail(mesh, params), len(mesh.nodes))
+        assert np.linalg.norm(en._stiffness(mesh, params) - full) <= 1e-14 * np.linalg.norm(full)
 
 
 class TestChunkedPass:
@@ -384,13 +418,13 @@ class TestChunkedPass:
             en._built.cache_clear()
             parts = nonlocal_energy(u, params)
             _, grad, hessian = energy_derivatives(u, params, hessian=True)
-            rules = en._tableau(u.mesh, params)
+            rules = en._table(u.mesh, params).rules
             # int32 node ids; flat Gram ids only where a weighted Hessian asked for them
             assert all(rule.nodes.dtype == np.int32 for rule in rules)
-            assert all([ids.dtype for ids in rule._ids[0]] == [np.int32] * len(rule.chunks)
-                       if p != 2.0 else not rule._ids for rule in rules)
+            assert all([ids.dtype for ids in rule._ids] == [np.int32] * len(rule.chunks)
+                       if p != 2.0 else rule._ids is None for rule in rules)
             return ([parts.principal, parts.interaction], grad, hessian,
-                    en._table(u.mesh, params).stiffness(params.delta))
+                    en._stiffness(u.mesh, params))
 
         default = results()
         monkeypatch.setattr(en, "_CHUNK", 1)  # every chunk is one row
@@ -443,7 +477,7 @@ class TestTableauMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            en._table(mesh, params).stiffness(params.delta)
+            en._stiffness(mesh, params)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -451,11 +485,12 @@ class TestTableauMemory:
 
     def test_collar_p2_stiffness_keeps_no_gram(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.0625), 256)
-        table = en._table(mesh, KernelParams(0.4375, 2.0, mesh.delta_effective))
+        params = KernelParams(0.4375, 2.0, mesh.delta_effective)
+        en._table(mesh, params)  # built before the count
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table.stiffness(mesh.delta_effective)
+            en._stiffness(mesh, params)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -468,7 +503,7 @@ class TestTableauMemory:
         for params, call in ((KernelParams(0.3125, 3.0, INFINITE),
                                lambda p: energy_derivatives(u, p, hessian=True)),
                              (KernelParams(0.3125, 2.0, 4.0),
-                              lambda p: en._table(mesh, p).stiffness(p.delta))):
+                              lambda p: en._stiffness(mesh, p))):
             tracemalloc.start()
             try:
                 call(params)
@@ -487,13 +522,11 @@ class TestTableauMemory:
         assert built == [(0.5, 3.0, INFINITE)]
 
     def test_finite_horizon_rules_are_built_once(self):
-        # a finite delta's lowered tail rules are built on its first call only
+        # a finite delta reads the rules of the INF tableau: none are built per horizon
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
-        first = en._tableau(mesh, KernelParams(0.5, 3.0, 2.0))
-        again = en._tableau(mesh, KernelParams(0.5, 3.0, 2.0))
-        other = en._tableau(mesh, KernelParams(0.5, 3.0, 4.0))
-        assert len(first) == len(again) and all(a is b for a, b in zip(first, again))
-        assert first[-1] is not other[-1] and first[0] is other[0]
+        first, again, other, inf = (en._table(mesh, KernelParams(0.5, 3.0, delta)).rules
+                                    for delta in (2.0, 2.0, 4.0, INFINITE))
+        assert first is again is other is inf
 
     def test_equal_meshes_share_one_tableau(self, built):
         # the zero-p2 and bbm studies build equal meshes separately

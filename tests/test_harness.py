@@ -18,7 +18,6 @@ from perispec.harness import (
     write_report,
 )
 from perispec import cli, harness
-from perispec.eigensolver import EigenPair
 from perispec.mesh import DiscreteFunction, interpolate
 
 from test_eigensolver import blas_thread_getters
@@ -194,25 +193,21 @@ class TestStudies:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(d)
 
-    def test_failed_monotonicity_still_writes_report(self, tmp_path, monkeypatch):
-        # a solver whose eigenvalue decreases in delta fails the check, and
-        # the study still finishes and leaves its report behind
-        lams = iter([3.0, 2.0, 1.0])
-
-        def decreasing(mesh, params, k_max=1, initial=None):
-            return [EigenPair(next(lams), initial, 1, 0.0, 1)]
-
-        monkeypatch.setattr(harness, "solve_eigenpairs", decreasing)
-        cfg_path = tmp_path / "mono.json"
+    def test_failed_sandwich_still_writes_report(self, tmp_path, monkeypatch):
+        # an embedding constant of 1 puts lambda(inf) above the sandwich's upper bound
+        # C^p lambda(delta), so the check fails, and the study still finishes and leaves
+        # its report behind
+        monkeypatch.setattr(harness, "embedding_constant", lambda params, length, lam1: 1.0)
+        cfg_path = tmp_path / "sandwich.json"
         cfg_path.write_text(json.dumps(base_config(
-            study="inf", p=3.0, delta_list=[1.0, 2.0, "INF"], n_interior=8, name="mono")))
+            study="inf", p=3.0, delta_list=[1.0, 2.0, "INF"], n_interior=8, name="sandwich")))
         assert cli.main(["sweep-inf", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")]) == 1
-        payload = json.loads((tmp_path / "out" / "mono.json").read_text())
-        assert payload["checks"]["monotonicity"] is False
+        payload = json.loads((tmp_path / "out" / "sandwich.json").read_text())
+        assert payload["checks"] == {"monotonicity": True, "sandwich": False}
         assert payload["verdicts"] == {"1": False}
         assert payload["passed"] is False
-        assert (tmp_path / "out" / "mono.csv").exists()
+        assert (tmp_path / "out" / "sandwich.csv").exists()
 
     def test_inf_study_without_k1(self):
         # the sandwich constant of every k reads the first eigenvalue, which every
@@ -430,6 +425,20 @@ class TestCli:
         pairs = json.loads(capsys.readouterr().out)
         assert len(pairs) == 2
         assert pairs[0]["lambda"] < pairs[1]["lambda"]
+
+    def test_eigen_at_a_collarless_finite_horizon(self, tmp_path, capsys):
+        # delta >= b - a: no collar, and the energy is the INF one less kappa times the
+        # L^p mass, kappa = (4/(ps)) delta^-ps, so lambda(2) = lambda(INF) - kappa
+        cfg_path = tmp_path / "eig.json"
+        lams = []
+        for delta in (2.0, "INF"):
+            cfg_path.write_text(json.dumps({"p": 3.0, "s": 0.5, "delta": delta,
+                                            "n_interior": 24}))
+            assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
+            (pair,) = json.loads(capsys.readouterr().out)
+            lams.append(pair["lambda"])
+        expected = lams[1] - 4.0 / 1.5 * 2.0 ** -1.5
+        assert abs(lams[0] - expected) <= 1e-10 * expected
 
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
