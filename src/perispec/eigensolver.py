@@ -16,7 +16,6 @@ linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``peri
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,14 +69,6 @@ def _fold(X: np.ndarray, sign: float) -> np.ndarray:
     return X[:m, :m] + sign * X[:m, ::-1][:, :m]
 
 
-@functools.lru_cache(maxsize=24)
-def _interior_mass(mesh: Mesh) -> np.ndarray:
-    """The interior mass matrix, built once per mesh, read-only."""
-    M = en._gram(en._mass_rules(mesh), len(mesh.nodes))[mesh.interior, mesh.interior]
-    M.setflags(write=False)
-    return M
-
-
 def _embed(mesh: Mesh, x: np.ndarray) -> DiscreteFunction:
     vals = np.zeros(len(mesh.nodes))
     vals[mesh.interior] = x
@@ -111,7 +102,8 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     vectors and mu the k_max-th smallest value found: by Sylvester's law of inertia, no
     eigenvalue outside span V lies below mu then.  An indefinite M raises LinAlgError."""
     ii = mesh.interior
-    A, M = en._stiffness(mesh, params)[ii, ii], _interior_mass(mesh)
+    A = en._stiffness(mesh, params)[ii, ii]
+    M = en._gram(en._lp_rules(mesh, params.p), len(mesh.nodes))[ii, ii]
     n = len(A)
     t = (mesh.nodes[ii] - mesh.domain.a) * (math.pi / mesh.domain.length)
     folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]

@@ -15,11 +15,11 @@ For meshes without a collar (horizon at least the domain length, or infinite)
 the collar/complement interaction is integrated analytically in the y
 variable, leaving a weighted L^p term with kernel
 k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps) [- (2/(ps)) delta^-ps].  The bracket
-does not depend on x, so a finite horizon takes ``horizon_shift`` times an L^p mass off
+does not depend on x, so a finite horizon takes ``horizon_shift`` times the L^p mass off
 the energy at infinity: one sweep of the tableau at infinity, less that multiple of a
-mass sweep on the tail's own points (``_Tableau.shift_rules``).  At p >= 2 they are
-lp_mass's inside Omega and both rules are exact on the end elements, so the identity
-holds with ``lp_mass`` to rounding; below p = 2 the graded tail rule is finer.
+sweep of lp_mass's rule, so E_delta = E_inf - horizon_shift lp_mass holds to rounding at
+every p.  That rule (``_lp_rules``) is per-element Gauss over Omega at the tail's order
+for p (``_tail_order``: finer below p = 2, where |u|^p is barely C^1 at a sign change).
 
 On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
 (adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
@@ -27,7 +27,7 @@ On a uniform mesh the quadrature of a pair depends only on its gap g: each point
 The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless
 mesh.  One pass, ``_sweep``, gives the value, the gradient and the Hessian (the Gram
 weighted by |u(x)-u(y)|^(p-2)) for ``energy_derivatives`` and ``lp_mass_derivatives``.
-Unweighted, the Gram is the p=2 stiffness.
+Unweighted, the Gram is the p=2 stiffness, and over lp_mass's rule the mass matrix.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _ADJ_PANELS = 4             # composite panels per half for the vertex-pair prof
 _ADJ_ORDER = 10
 _CHUNK = 1 << 15            # point values (at least one row) per chunk of a pass over a rule
 _PAIRS = {n: (a, b, np.where(a == b, 0.5, 1.0)) for n in (2, 4) for a, b in [np.triu_indices(n)]}
-_TAIL_ORDER = 16            # per-element order for the analytic-tail weight
-_TAIL_ORDER_HOLDER = 32
+_TAIL_ORDER = 16            # per-element order for the analytic tail and the L^p mass
+_TAIL_ORDER_HOLDER = 32     # the same below p = 2
 _TAIL_LEVELS = 6            # graded levels toward the domain endpoints
 _TAIL_RATIO = 0.15
 _GRAM_FLOOR = 1e-12         # |u(x)-u(y)| floor of a p < 2 Hessian, relative to max|u|
@@ -74,6 +74,11 @@ def _gauss01(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _tail_order(p: float) -> int:
+    """The per-element Gauss order of the analytic tail and of the L^p mass at p."""
+    return _TAIL_ORDER if p >= 2.0 else _TAIL_ORDER_HOLDER
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
 
 class _Tableau:
     """Per-gap quadrature templates for one (mesh, s, p), truncated at delta on a collar
-    mesh; ``_tail`` keeps each tail rule's local points, elements and mass weights."""
+    mesh, with the analytic tail at delta = infinity without a collar."""
 
     def __init__(self, mesh: Mesh, s: float, p: float, delta: float):
         h = mesh.h
@@ -160,7 +165,6 @@ class _Tableau:
             q = _PAIR_ORDER_KINK
         else:
             q = _PAIR_ORDER_HOLDER
-        tail_order = _TAIL_ORDER if p >= 2.0 else _TAIL_ORDER_HOLDER
 
         collar = mesh.collar_cells
         nin = mesh.n_interior
@@ -234,10 +238,10 @@ class _Tableau:
             if blocks]
 
         # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        self._tail, self.nn = [], len(mesh.nodes)
+        self.nn = len(mesh.nodes)
         if truncated_gap < 0:
             a, b = mesh.domain.a, mesh.domain.b
-            tx, twt = _gauss01(tail_order)
+            tx, twt = _gauss01(_tail_order(p))
             grade = np.concatenate(([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))
             for lo, hi, cuts in ((omega_lo, omega_lo + 1, grade),
                                  (omega_lo + 1, omega_hi - 1, np.array([0.0, 1.0])),
@@ -251,15 +255,6 @@ class _Tableau:
                 mass = 2.0 * h * wloc
                 kernel = (np.power(x - a, -ps) + np.power(b - x, -ps)) / ps
                 self.rules.append(_Rule(_basis(loc), [(lo, hi, 0, mass * kernel, (0, 0))]))
-                self._tail.append((loc, lo, hi, mass))
-
-    @functools.cached_property
-    def shift_rules(self) -> list:
-        """The tail's points with half its mass weights, an L^p mass rule: a finite horizon
-        lowers the tail kernel by horizon_shift / 2, so the energy by horizon_shift times
-        this mass.  Built when a finite horizon first asks."""
-        return [_Rule(_basis(loc), [(lo, hi, 0, mass / 2.0, (0, hi - lo))])
-                for loc, lo, hi, mass in self._tail]
 
 
 @functools.lru_cache(maxsize=24)
@@ -334,15 +329,15 @@ def _gram(rules, nn: int) -> np.ndarray:
 def _energy_sweep(mesh: Mesh, params: KernelParams, vals=None, gradient: bool = False,
                   hessian: bool = False):
     """_sweep of the tableau at params; without a collar at a finite horizon, less
-    horizon_shift times the sweep of its shift_rules in the interaction, the gradient and
-    G alike.  Without vals, G is the p = 2 stiffness at params (_sweep)."""
+    horizon_shift times the sweep of lp_mass's rule at params.p in the interaction, the
+    gradient and G alike.  Without vals, G is the p = 2 stiffness at params (_sweep)."""
     table = _table(mesh, params)
     p = params.p if vals is not None else 2.0  # without vals, the unweighted Gram
     parts = _sweep(table.rules, table.nn, vals, p, gradient, hessian)
     kappa = 0.0 if mesh.has_collar else horizon_shift(params)
     if not kappa:
         return parts
-    mass = _sweep(table.shift_rules, table.nn, vals, p, gradient, hessian)
+    mass = _sweep(_lp_rules(mesh, params.p), table.nn, vals, p, gradient, hessian)
     return (parts[0], parts[1] - kappa * mass[0],
             *[None if x is None else x - kappa * y for x, y in zip(parts[2:], mass[2:])])
 
@@ -370,21 +365,27 @@ def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool 
 
 
 @functools.lru_cache(maxsize=24)
-def _mass_rules(mesh: Mesh):
-    """The per-element Gauss rule of lp_mass, built once per mesh."""
-    gx, gw = _gauss01(_TAIL_ORDER)
+def _mass_rules(mesh: Mesh, order: int):
+    """The per-element Gauss rule of the given order over Omega, built once per (mesh,
+    order)."""
+    gx, gw = _gauss01(order)
     lo, nin = mesh.collar_cells, mesh.n_interior
     return [_Rule(_basis(gx), [(lo, lo + nin, 0, gw * mesh.h, (0, nin))])]
 
 
+def _lp_rules(mesh: Mesh, p: float) -> list:
+    """lp_mass's rule at p: _mass_rules at the tail's order for p."""
+    return _mass_rules(mesh, _tail_order(p))
+
+
 def lp_mass(u: DiscreteFunction, p: float) -> float:
-    """Integral of |u|^p over Omega by per-element Gauss quadrature."""
-    return _sweep(_mass_rules(u.mesh), len(u.values), u.values, p)[0]
+    """Integral of |u|^p over Omega by per-element Gauss quadrature at the tail's order."""
+    return _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p)[0]
 
 
 def lp_mass_derivatives(u: DiscreteFunction, p: float, hessian: bool = False):
     """(lp_mass, its exact nodal gradient, its Hessian if asked, else None) at u from one
     pass, under the same quadrature; the Hessian is twice the mass matrix bit for bit at
     p = 2 and floored below p = 2, as in energy_derivatives."""
-    mass, _, grad, G = _sweep(_mass_rules(u.mesh), len(u.values), u.values, p, True, hessian)
+    mass, _, grad, G = _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p, True, hessian)
     return mass, grad, None if G is None else p * (p - 1.0) * G

@@ -14,9 +14,9 @@ Three study kinds run from JSON configs:
   local gradient energy, independently of s.
 
 The kinds share one skeleton. ``run_study`` dispatches by kind and times the
-study. Each runner maps a row function over its horizons with
-``_timed_rows``; zero and bbm go to a thread pool when threads > 1. The inf
-study solves only INF, and every finite row is lambda_k(INF) less the horizon
+study. Zero and bbm map a row function over their horizons with
+``_timed_rows``, in a thread pool when threads > 1. The inf study makes one
+timed solve at INF, and every finite row is lambda_k(INF) less the horizon
 shift. Every eigenvalue comes from ``eigensolver.solve_eigenpairs``. Zero and
 bbm judge their extrapolated limits with one verdict, ``_judge_limits``.
 ``run_configs`` parses every study config file, then runs them, writes their
@@ -337,15 +337,6 @@ def _horizon_mesh(config: SweepConfig, delta: float):
     return mesh, KernelParams(config.s, config.p, mesh.delta_effective)
 
 
-def _eigen_rows(config: SweepConfig, delta: float, params: KernelParams, pairs, factor=1.0,
-                shift=0.0):
-    """One row per k of the config at kernel horizon params.delta, from the pairs solved
-    there, or from pairs whose eigenvalues lie shift above those at params.delta."""
-    return [Row(delta, params.delta, k, pairs[k - 1].lam - shift,
-                factor * (pairs[k - 1].lam - shift), pairs[k - 1].converged)
-            for k in config.k_list]
-
-
 def _timed_rows(rows_of, deltas, threads: int):
     """The rows of every horizon in order, each row timed at an equal share of
     its horizon; horizons go to a pool of `threads` workers when threads > 1."""
@@ -395,7 +386,9 @@ def _zero_study(report: SweepReport, threads: int) -> None:
     def rows_of(delta):
         mesh, params = _horizon_mesh(config, delta)
         pairs = solve_eigenpairs(mesh, params, max(config.k_list))
-        return _eigen_rows(config, delta, params, pairs, scaling_factor(params))
+        factor = scaling_factor(params)
+        return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
+                    pairs[k - 1].converged) for k in config.k_list]
 
     report.rows = _timed_rows(rows_of, config.delta_list, threads)
     flag_ok = sum(not r.converged for r in report.rows) <= 0.2 * len(report.rows)
@@ -419,16 +412,15 @@ def _inf_study(report: SweepReport) -> None:
     config = report.config
     finite = config.delta_list[:-1]
     mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
-    pairs = []  # the INF pairs, solved before any finite row reads them
-
-    def rows_of(delta):
-        params = KernelParams(config.s, config.p, delta)
-        if not pairs:
-            pairs.extend(solve_eigenpairs(mesh, params, max(config.k_list)))
-        return _eigen_rows(config, delta, params, pairs, shift=horizon_shift(params))
-
-    inf_rows = _timed_rows(rows_of, config.delta_list[-1:], threads=1)
-    report.rows = _timed_rows(rows_of, finite, threads=1) + inf_rows
+    t0 = time.perf_counter()
+    pairs = solve_eigenpairs(mesh, KernelParams(config.s, config.p, INFINITE), max(config.k_list))
+    elapsed = time.perf_counter() - t0
+    for delta in config.delta_list:
+        kappa = horizon_shift(KernelParams(config.s, config.p, delta))
+        report.rows += [Row(delta, delta, k, pairs[k - 1].lam - kappa, pairs[k - 1].lam - kappa,
+                            pairs[k - 1].converged) for k in config.k_list]
+    for r in report.rows[-len(config.k_list):]:  # the INF rows hold the solve
+        r.runtime = elapsed / len(config.k_list)
     lam = {(r.delta_requested, r.k): r.lambda_raw for r in report.rows}
 
     monotone_ok = True

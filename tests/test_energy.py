@@ -192,7 +192,7 @@ class TestHessian:
             params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
             u = random_function(mesh, np.random.default_rng(37))
             stiffness = en._stiffness(mesh, params)
-            mass = en._gram(en._mass_rules(mesh), len(mesh.nodes))
+            mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER), len(mesh.nodes))
             assert np.array_equal(energy_derivatives(u, params, hessian=True)[2], 2 * stiffness)
             assert np.array_equal(lp_mass_derivatives(u, 2.0, hessian=True)[2], 2 * mass)
 
@@ -290,11 +290,11 @@ class TestStructuralInvariants:
 
 class TestHorizonShift:
     @pytest.mark.parametrize("delta", [1.0, 8.0])
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_energy_is_the_inf_energy_less_the_shifted_mass(self, p, delta):
         # without a collar, a horizon delta >= |Omega| lowers the value, the gradient and
-        # the Hessian by kappa = (4/(ps)) delta^-ps times those of lp_mass: at p >= 2 the
-        # tail's points integrate |u|^p as lp_mass does, on sign-changing u too
+        # the Hessian by kappa = (4/(ps)) delta^-ps times those of lp_mass, at every p and
+        # on sign-changing u too: the shift sweeps lp_mass's own rule
         mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 64)
         u = random_function(mesh, np.random.default_rng(61))
         kappa = 4.0 / (0.5 * p) * delta ** (-0.5 * p)
@@ -308,9 +308,9 @@ class TestMassAndLocalEnergy:
     def test_lp_mass_matches_exact_norm(self):
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
-        # the 16-point Gauss rule (_TAIL_ORDER) is exact for polynomial powers of
-        # a sign-constant linear function, and accurate (not exact) for
-        # fractional powers
+        # the per-element Gauss rule (16 points at p >= 2, 32 below) is exact for
+        # polynomial powers of a sign-constant linear function, and accurate (not
+        # exact) for fractional powers
         for p, tol in ((1.5, 1e-8), (2.0, 1e-14), (3.0, 1e-14)):
             assert lp_mass(u, p) == pytest.approx(exact_lp_norm_p(u, p), rel=tol)
 
@@ -345,7 +345,7 @@ class TestMassAndLocalEnergy:
 
         class Counting(en._Rule):
             def __init__(self, basis, blocks=()):
-                rules.append(len(basis))
+                rules.append(basis.shape[1])
                 super().__init__(basis, blocks)
 
         monkeypatch.setattr(en, "_Rule", Counting)
@@ -354,10 +354,11 @@ class TestMassAndLocalEnergy:
             u = random_function(build_mesh(DomainSpec(0.0, 1.0, 0.25), 16),
                                 np.random.default_rng(8))
             for _ in range(10):
-                lp_mass(u, 3.0)
+                for p in (3.0, 2.0, 1.5):  # one rule per order: p >= 2 share theirs
+                    lp_mass(u, p)
         finally:
             en._mass_rules.cache_clear()
-        assert rules == [2]
+        assert rules == [en._TAIL_ORDER, en._TAIL_ORDER_HOLDER]
 
 
 @pytest.fixture

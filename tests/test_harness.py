@@ -430,15 +430,16 @@ class TestCli:
         # delta >= b - a: no collar, and the energy is the INF one less kappa times the
         # L^p mass, kappa = (4/(ps)) delta^-ps, so lambda(2) = lambda(INF) - kappa
         cfg_path = tmp_path / "eig.json"
-        lams = []
-        for delta in (2.0, "INF"):
-            cfg_path.write_text(json.dumps({"p": 3.0, "s": 0.5, "delta": delta,
-                                            "n_interior": 24}))
-            assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
-            (pair,) = json.loads(capsys.readouterr().out)
-            lams.append(pair["lambda"])
-        expected = lams[1] - 4.0 / 1.5 * 2.0 ** -1.5
-        assert abs(lams[0] - expected) <= 1e-10 * expected
+        for p in (3.0, 1.5):
+            lams = []
+            for delta in (2.0, "INF"):
+                cfg_path.write_text(json.dumps({"p": p, "s": 0.5, "delta": delta,
+                                                "n_interior": 24}))
+                assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
+                (pair,) = json.loads(capsys.readouterr().out)
+                lams.append(pair["lambda"])
+            expected = lams[1] - 4.0 / (0.5 * p) * 2.0 ** (-0.5 * p)
+            assert abs(lams[0] - expected) <= 1e-10 * expected
 
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
