@@ -91,11 +91,10 @@ def _cmd_eigen(args) -> int:
         n_interior, k_max = d.get("n_interior", 128), d.get("k_max", 1)
         if not (isinstance(n_interior, int) and isinstance(k_max, int)):
             raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
-        mesh = build_mesh(DomainSpec(a, b, INFINITE if delta >= b - a else delta), n_interior)
+        mesh = build_mesh(DomainSpec(a, b, delta), n_interior)
+        params = params.with_delta(mesh.delta_effective)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _config_error(exc)
-    if mesh.has_collar:
-        params = params.with_delta(mesh.delta_effective)
     try:
         pairs = solve_eigenpairs(mesh, params, k_max)
     except SpectrumRequestError as exc:

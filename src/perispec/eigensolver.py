@@ -247,7 +247,7 @@ def solve_eigenpairs(mesh: Mesh, params: KernelParams, k_max: int = 1):
 
     A k_max outside [1, available_pairs] raises SpectrumRequestError before
     any compute."""
-    n = int(np.count_nonzero(mesh.interior_mask))
+    n = mesh.n_interior - 1
     limit = available_pairs(params.p, n)
     if not 1 <= k_max <= limit:
         raise SpectrumRequestError(

@@ -1,6 +1,8 @@
 """Discrete nonlocal p-energies on piecewise-linear functions.
 
-The seminorm is assembled element-pair by element-pair:
+A function of the constrained space vanishes off Omega, so its energy is the seminorm
+over Omega x Omega (the principal part) plus its interaction with the complement within
+the horizon.  The principal part is assembled element-pair by element-pair:
 
 * same-element pairs have a closed form (the integrand reduces to
   |slope|^p |x-y|^(p(1-s)-1));
@@ -11,23 +13,26 @@ The seminorm is assembled element-pair by element-pair:
 * separated pairs use tensor Gauss quadrature, with the cutoff-truncated pair
   at distance exactly delta handled on its triangular subregion.
 
-For meshes without a collar (horizon at least the domain length, or infinite)
-the collar/complement interaction is integrated analytically in the y
-variable, leaving a weighted L^p term with kernel
-k(x) = (1/(ps)) ((x-a)^-ps + (b-x)^-ps) [- (2/(ps)) delta^-ps].  The bracket
-does not depend on x, so a finite horizon takes ``horizon_shift`` times the L^p mass off
-the energy at infinity: one sweep of the tableau at infinity, less that multiple of a
-sweep of lp_mass's rule, so E_delta = E_inf - horizon_shift lp_mass holds to rounding at
-every p.  That rule (``_lp_rules``) is per-element Gauss over Omega at the tail's order
-for p (``_tail_order``: finer below p = 2, where |u|^p is barely C^1 at a sign change).
+The interaction is integrated analytically in the y variable, leaving a weighted L^p
+term 2 int_Omega |u|^p k_delta with the killing kernel
+k_delta(x) = (1/(ps)) [((x-a)^-ps - delta^-ps)_+ + ((b-x)^-ps - delta^-ps)_+]
+(Bogdan, Burdzy & Chen, PTRF 2003).  Its rule, the tail, covers the elements within
+delta of an end with one per-element template graded toward both ends of the element.
+For delta >= |Omega| the bracket is k_inf less (2/(ps)) delta^-ps on all of Omega, so
+the energy at delta is the energy at infinity less ``horizon_shift`` times the L^p mass:
+one sweep of the tableau at infinity, less that multiple of a sweep of lp_mass's rule, so
+the identity holds to rounding at every p.  That rule (``_lp_rules``) is per-element Gauss
+over Omega at the tail's order for p (``_tail_order``: finer below p = 2, where |u|^p is
+barely C^1 at a sign change).
 
 On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
 (adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
 ``_Rule``, a block per gap, whose row layout (int32 node ids, in chunks) is built once.
-The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity on a collarless
-mesh.  One pass, ``_sweep``, gives the value, the gradient and the Hessian (the Gram
-weighted by |u(x)-u(y)|^(p-2)) for ``energy_derivatives`` and ``lp_mass_derivatives``.
-Unweighted, the Gram is the p=2 stiffness, and over lp_mass's rule the mass matrix.
+The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity for a horizon
+of at least |Omega|.  One pass, ``_sweep``, gives the value (the pair rules and the
+tail apart), the gradient and the Hessian (the Gram weighted by |u(x)-u(y)|^(p-2)) for
+``energy_derivatives`` and ``lp_mass_derivatives``.  Unweighted, the Gram is the p=2
+stiffness, and over lp_mass's rule the mass matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class InconsistentHorizonError(ValueError):
 
 
 class ConstraintViolationError(ValueError):
-    """Function is nonzero on the collar / outside the domain."""
+    """Function is nonzero at an end of the domain, where the constrained space vanishes."""
 
 
 # quadrature controls
@@ -61,7 +66,7 @@ _CHUNK = 1 << 15            # point values (at least one row) per chunk of a pas
 _PAIRS = {n: (a, b, np.where(a == b, 0.5, 1.0)) for n in (2, 4) for a, b in [np.triu_indices(n)]}
 _TAIL_ORDER = 16            # per-element order for the analytic tail and the L^p mass
 _TAIL_ORDER_HOLDER = 32     # the same below p = 2
-_TAIL_LEVELS = 6            # graded levels toward the domain endpoints
+_TAIL_LEVELS = 6            # graded levels toward each end of a tail element
 _TAIL_RATIO = 0.15
 _GRAM_FLOOR = 1e-12         # |u(x)-u(y)| floor of a p < 2 Hessian, relative to max|u|
 
@@ -101,23 +106,20 @@ class _Rule:
     ``basis`` holds, per point, the weights of the nodal values the point reads: rows
     0-1 for the two ends of element e and, in a pair rule, rows 2-3 for the two ends of
     element e + g with a minus sign, so the value at a point is u(x) - u(y).  A block
-    (lo, hi, g, w, main) applies the template to every e in [lo, hi) with weights w,
-    one vector for all rows or one row per element; rows main[0]:main[1] (relative to
-    lo) are principal energy, the others interaction.  The layout built here holds, per
-    row, the nodes the row reads (``nodes``, int32: e, e + 1 and e + g, e + g + 1) and
-    its vector in ``weights`` (``widx``), the principal rows first; ``chunks`` cuts it
-    into (principal row count, weight ids, node ids) of at most _CHUNK points."""
+    (lo, hi, g, w) applies the template to every e in [lo, hi) with weights w, one vector
+    for all rows or one row per element.  The layout built here holds, per row, the nodes
+    the row reads (``nodes``, int32: e, e + 1 and e + g, e + g + 1) and its vector in
+    ``weights`` (``widx``); ``chunks`` cuts it into (weight ids, node ids) of at most
+    _CHUNK points."""
 
     def __init__(self, basis: np.ndarray, blocks):
         self.basis = basis
-        # row segments [first, last) of e, each with g, per-row w?, widx - e * per-row w?
-        principal, interaction, starts = [], [], [0]
-        for lo, hi, g, w, (a, b) in blocks:
-            seg = (g, w.ndim == 2, starts[-1] - lo * (w.ndim == 2))
-            principal.append((lo + a, lo + b, *seg))
-            interaction += [(lo, lo + a, *seg), (lo + b, hi, *seg)]
+        # row segments [lo, hi) of e, each with g, per-row w?, widx - e * per-row w?
+        segments, starts = [], [0]
+        for lo, hi, g, w in blocks:
+            segments.append((lo, hi, g, w.ndim == 2, starts[-1] - lo * (w.ndim == 2)))
             starts.append(starts[-1] + (len(w) if w.ndim == 2 else 1))
-        first, last, gap, per_row, base = np.array(principal + interaction, dtype=np.int32).T
+        first, last, gap, per_row, base = np.array(segments, dtype=np.int32).T
         count = last - first
         e = np.repeat(first - np.cumsum(count, dtype=np.int32) + count, count)
         e += np.arange(len(e), dtype=np.int32)
@@ -125,13 +127,13 @@ class _Rule:
         self.nodes[:, 1::2] += 1
         self.nodes[:, 2:] += np.repeat(gap, count)[:, None]
         self.widx = np.repeat(base, count) + e * np.repeat(per_row, count)
-        split, step = int(count[:len(principal)].sum()), max(1, _CHUNK // basis.shape[1])
-        self.chunks = [(max(0, split - i), self.widx[i:i + step], self.nodes[i:i + step])
+        step = max(1, _CHUNK // basis.shape[1])
+        self.chunks = [(self.widx[i:i + step], self.nodes[i:i + step])
                        for i in range(0, len(e), step)]
         self._ids = None  # gram_ids, once built
-        self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w, _ in blocks])
-        self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k],
-                        main) for (lo, hi, g, w, main), k in zip(blocks, starts)]
+        self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w in blocks])
+        self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k])
+                       for (lo, hi, g, w), k in zip(blocks, starts)]
         # per point, the Gram entries (a, b), a <= b: basis[a] basis[b], one column
         # per pair, halved on the diagonal because _sweep adds the transpose
         a, b, half = _PAIRS[len(basis)]
@@ -140,7 +142,7 @@ class _Rule:
     def gram_ids(self, nn: int) -> list:
         """Per chunk, the _gram_ids of its rows, built when a weighted Hessian first asks."""
         if self._ids is None:
-            self._ids = [_gram_ids(nodes, nn) for _, _, nodes in self.chunks]
+            self._ids = [_gram_ids(nodes, nn) for _, nodes in self.chunks]
         return self._ids
 
 
@@ -150,12 +152,25 @@ def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
     return nodes[:, a].astype(np.int32 if nn * nn < 2 ** 31 else np.intp) * nn + nodes[:, b]
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_template(order: int):
+    """Per-element points and weights of the tail on [0, 1], built once per order: Gauss
+    panels graded toward both ends (cuts at _TAIL_RATIO^k and 1 - _TAIL_RATIO^k), so one
+    template serves the kernel's pole at either end of Omega."""
+    gx, gw = _gauss01(order)
+    grade = _TAIL_RATIO ** np.arange(_TAIL_LEVELS, 0, -1.0)
+    cuts = np.concatenate(([0.0], grade, 1.0 - grade[::-1], [1.0]))
+    widths = np.diff(cuts)
+    return (cuts[:-1, None] + widths[:, None] * gx).ravel(), (widths[:, None] * gw).ravel()
+
+
 class _Tableau:
-    """Per-gap quadrature templates for one (mesh, s, p), truncated at delta on a collar
-    mesh, with the analytic tail at delta = infinity without a collar."""
+    """Per-gap quadrature templates for one (mesh, s, p), truncated at delta = r h < |Omega|
+    or at delta = infinity: the pair rules over Omega x Omega up to gap min(r, n - 1), the
+    principal part, then the tail rule with kernel k_delta, the interaction."""
 
     def __init__(self, mesh: Mesh, s: float, p: float, delta: float):
-        h = mesh.h
+        h, n = mesh.h, mesh.n_interior
         ps = p * s
         alpha = p * (1.0 - s)
         near_even = abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0
@@ -165,33 +180,11 @@ class _Tableau:
             q = _PAIR_ORDER_KINK
         else:
             q = _PAIR_ORDER_HOLDER
+        r = n if math.isinf(delta) else int(round(delta / h))  # r < n for a finite delta
 
-        collar = mesh.collar_cells
-        nin = mesh.n_interior
-        omega_lo, omega_hi = collar, collar + nin  # Omega elements are [omega_lo, omega_hi)
-
-        if mesh.has_collar and not math.isinf(delta):
-            # truncated regime on the collar mesh
-            if not math.isclose(delta, mesh.delta_effective, rel_tol=1e-9, abs_tol=1e-12):
-                raise InconsistentHorizonError(
-                    f"kernel horizon {delta} does not match mesh "
-                    f"delta_effective {mesh.delta_effective}"
-                )
-            truncated_gap = int(round(delta / h))
-            gaps = range(1, truncated_gap + 1)
-            elem_lo, elem_hi = 0, mesh.element_count
-        else:
-            # untruncated: full pair set over Omega elements plus the analytic
-            # complement/collar tail
-            gaps = range(1, nin)
-            truncated_gap = -1
-            elem_lo, elem_hi = omega_lo, omega_hi
-
-        # same-element closed form over Omega elements: the point value is the
-        # nodal difference across the element
+        # same-element closed form: the point value is the nodal difference across the element
         self.rules = [_Rule(np.array([[-1.0], [1.0]]), [(
-            omega_lo, omega_hi, 0, np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]),
-            (0, nin))])]
+            0, n, 0, np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]))])]
 
         # adjacent (vertex-sharing) template: 1-D profile in tau
         tn, tw = [], []
@@ -203,7 +196,7 @@ class _Tableau:
                 tw.append(width * aw)
         tau = np.concatenate(tn)
         wtau = np.concatenate(tw)
-        that = np.ones_like(tau) if truncated_gap == 1 else 1.0 / np.maximum(tau, 1.0 - tau)
+        that = np.ones_like(tau) if r == 1 else 1.0 / np.maximum(tau, 1.0 - tau)
         w_adjacent = 2.0 * wtau * (h * that) ** (1.0 - ps) / (alpha + 1.0)
 
         gx, gw = _gauss01(q)
@@ -216,45 +209,30 @@ class _Tableau:
         eta_t = xi * eta
 
         adjacent, separated, triangle = [], [], []
-        for g in gaps:
-            # elements e with e or e + g in Omega; on a collar mesh with g
-            # above the Omega element count the range also holds pairs with
-            # both elements in the collar, which contribute nothing
-            lo = max(elem_lo, omega_lo - g)
-            hi = min(elem_hi - g, omega_hi)
-            if hi <= lo:
-                continue
-            main = (max(lo, omega_lo) - lo, max(lo, omega_lo, omega_hi - g) - lo)
+        for g in range(1, min(r, n - 1) + 1):  # the pairs (e, e + g) of Omega's elements
             if g == 1:
-                adjacent.append((lo, hi, g, w_adjacent, main))
-            elif g == truncated_gap:
+                adjacent.append((0, n - g, g, w_adjacent))
+            elif g == r:
                 half = ww * xi * (g + eta_t - xi) ** (-(1.0 + ps))
-                triangle.append((lo, hi, g, np.concatenate([half, half]), main))
+                triangle.append((0, n - g, g, np.concatenate([half, half])))
             else:
-                separated.append((lo, hi, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)), main))
+                separated.append((0, n - g, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps))))
         self.rules += [_Rule(np.vstack([_basis(xt), -_basis(yt)]), blocks) for xt, yt, blocks in (
             (1.0 - that * (1.0 - tau), that * tau, adjacent), (xi, eta, separated),
             (np.concatenate([xi, 1.0 - eta_t]), np.concatenate([eta_t, 1.0 - xi]), triangle))
             if blocks]
 
-        # analytic tail: weighted L^p term over Omega, graded toward the endpoints
-        self.nn = len(mesh.nodes)
-        if truncated_gap < 0:
-            a, b = mesh.domain.a, mesh.domain.b
-            tx, twt = _gauss01(_tail_order(p))
-            grade = np.concatenate(([0.0], _TAIL_RATIO ** np.arange(_TAIL_LEVELS, -1, -1.0)))
-            for lo, hi, cuts in ((omega_lo, omega_lo + 1, grade),
-                                 (omega_lo + 1, omega_hi - 1, np.array([0.0, 1.0])),
-                                 (omega_hi - 1, omega_hi, 1.0 - grade[::-1])):
-                if hi <= lo:
-                    continue
-                widths = np.diff(cuts)
-                loc = np.concatenate([c + wd * tx for c, wd in zip(cuts[:-1], widths)])
-                wloc = np.concatenate([wd * twt for wd in widths])
-                x = mesh.nodes[lo:hi, None] + h * loc
-                mass = 2.0 * h * wloc
-                kernel = (np.power(x - a, -ps) + np.power(b - x, -ps)) / ps
-                self.rules.append(_Rule(_basis(loc), [(lo, hi, 0, mass * kernel, (0, 0))]))
+        # the tail: 2 |u|^p k_delta over the elements within delta of an end
+        a, b, cut = mesh.domain.a, mesh.domain.b, delta ** -ps
+        loc, wloc = _tail_template(_tail_order(p))
+        tail = []
+        for lo, hi in [(0, n)] if 2 * r >= n else [(0, r), (n - r, n)]:
+            x = mesh.nodes[lo:hi, None] + h * loc
+            kernel = (np.maximum(np.power(x - a, -ps) - cut, 0.0)
+                      + np.maximum(np.power(b - x, -ps) - cut, 0.0)) / ps
+            tail.append((lo, hi, 0, 2.0 * h * wloc * kernel))
+        self.rules.append(_Rule(_basis(loc), tail))
+        self.nn = n + 1
 
 
 @functools.lru_cache(maxsize=24)
@@ -263,32 +241,39 @@ def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
     return _Tableau(mesh, s, p, delta)
 
 
+def _tail_horizon(mesh: Mesh, delta: float) -> float:
+    """The horizon the tableau of delta is built at: delta below |Omega|, else infinity."""
+    return delta if delta < mesh.domain.length * (1.0 - 1e-12) else math.inf
+
+
 def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
-    """The memoized tableau of params on mesh, built at delta = infinity if collarless."""
-    length = mesh.domain.length
-    if not mesh.has_collar and params.delta < length * (1.0 - 1e-12):
+    """The memoized tableau of params on mesh; a horizon below |Omega| must be the mesh's."""
+    delta, snapped = params.delta, mesh.delta_effective
+    if (min(_tail_horizon(mesh, delta), _tail_horizon(mesh, snapped)) < math.inf
+            and not math.isclose(delta, snapped, rel_tol=1e-9, abs_tol=1e-12)):
         raise InconsistentHorizonError(
-            f"collarless assembly needs delta >= |Omega|={length}, got {params.delta}")
-    return _built(mesh, params.s, params.p, params.delta if mesh.has_collar else math.inf)
+            f"kernel horizon {delta} does not match mesh delta_effective {snapped} "
+            f"(they may differ only at or above |Omega|={mesh.domain.length})")
+    return _built(mesh, params.s, params.p, _tail_horizon(mesh, delta))
 
 
 def _check_constrained(u: DiscreteFunction):
-    if not u.collar_is_zero():
-        raise ConstraintViolationError("function is nonzero on the collar / boundary nodes")
+    if u.values[0] != 0.0 or u.values[-1] != 0.0:
+        raise ConstraintViolationError("function is nonzero at an end of the domain")
 
 
 def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
            hessian: bool = False):
-    """(principal, interaction, gradient, G) from one pass over the points of rules, a
-    point's value being d = u(x) - u(y) of vals: the weighted sums of |d|^p, split as the
-    rows are; given gradient, the nodal gradient of their total; given hessian, the nodal
-    matrix G = sum of w basis basis^T over the points: each row's upper half (diagonal
-    halved, w @ rule.products) goes in by one np.add.at per chunk, and G is the halves plus
-    their transpose.  Away from p = 2 each w is scaled by |d|^(p-2), |d| floored at
-    _GRAM_FLOOR max|vals| below p = 2 (the pole at d = 0), and p(p-1) G is the Hessian; at
-    p = 2, G needs no vals (the stiffness, the mass matrix).  Per chunk d and |d| are
-    computed once."""
-    principal, interaction = [], []
+    """(head, last, gradient, G) from one pass over the points of rules, a point's value
+    being d = u(x) - u(y) of vals: the weighted sums of |d|^p over rules[:-1] and over
+    rules[-1] (a tableau's principal part and its tail); given gradient, the nodal
+    gradient of their total; given hessian, the nodal matrix G = sum of w basis basis^T
+    over the points: each row's upper half (diagonal halved, w @ rule.products) goes in by
+    one np.add.at per chunk, and G is the halves plus their transpose.  Away from p = 2
+    each w is scaled by |d|^(p-2), |d| floored at _GRAM_FLOOR max|vals| below p = 2 (the
+    pole at d = 0), and p(p-1) G is the Hessian; at p = 2, G needs no vals (the stiffness,
+    the mass matrix).  Per chunk d and |d| are computed once."""
+    head, last = [], []
     grad = np.zeros(nn) if gradient else None
     G = np.zeros((nn, nn)) if hessian else None
     weighted = hessian and p != 2.0
@@ -296,15 +281,14 @@ def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
     for rule in rules:
         local = rule.weights @ rule.products if hessian and not weighted else None
         ids = rule.gram_ids(nn) if weighted else None
-        for i, (main, k, nodes) in enumerate(rule.chunks):
+        sums = last if rule is rules[-1] else head
+        for i, (k, nodes) in enumerate(rule.chunks):
             if vals is not None:
                 d = vals[nodes] @ rule.basis
                 a, w = np.abs(d), rule.weights[k]
                 f = d * a if p == 3.0 else np.copysign(a ** (p - 1.0), d)
                 f *= w
-                sums = np.einsum("ij,ij->i", f, d)
-                principal.append(sums[:main])
-                interaction.append(sums[main:])
+                sums.append(np.einsum("ij,ij->i", f, d))
                 if gradient:
                     grad += np.bincount(nodes.ravel(), (f @ rule.basis.T).ravel(), nn)
             if hessian:
@@ -317,7 +301,7 @@ def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
                     rows, idx = local[k], _gram_ids(nodes, nn)
                 np.add.at(G.reshape(-1), idx.ravel(), rows.ravel())
             d = a = w = f = None  # this chunk's temporaries go before the next chunk's come
-    return (*[float(np.sum(np.concatenate(x))) if x else 0.0 for x in (principal, interaction)],
+    return (*[float(np.sum(np.concatenate(x))) if x else 0.0 for x in (head, last)],
             p * grad if gradient else None, G + G.T if hessian else None)
 
 
@@ -328,17 +312,19 @@ def _gram(rules, nn: int) -> np.ndarray:
 
 def _energy_sweep(mesh: Mesh, params: KernelParams, vals=None, gradient: bool = False,
                   hessian: bool = False):
-    """_sweep of the tableau at params; without a collar at a finite horizon, less
-    horizon_shift times the sweep of lp_mass's rule at params.p in the interaction, the
-    gradient and G alike.  Without vals, G is the p = 2 stiffness at params (_sweep)."""
+    """(principal, interaction, gradient, G): _sweep of the tableau at params, the pair
+    rules giving the principal part and the tail the interaction; at a finite horizon
+    delta >= |Omega|, less horizon_shift times the sweep of lp_mass's rule at params.p in
+    the interaction, the gradient and G alike.  Without vals, G is the p = 2 stiffness at
+    params (_sweep)."""
     table = _table(mesh, params)
     p = params.p if vals is not None else 2.0  # without vals, the unweighted Gram
     parts = _sweep(table.rules, table.nn, vals, p, gradient, hessian)
-    kappa = 0.0 if mesh.has_collar else horizon_shift(params)
+    kappa = horizon_shift(params) if math.isinf(_tail_horizon(mesh, params.delta)) else 0.0
     if not kappa:
         return parts
     mass = _sweep(_lp_rules(mesh, params.p), table.nn, vals, p, gradient, hessian)
-    return (parts[0], parts[1] - kappa * mass[0],
+    return (parts[0], parts[1] - kappa * mass[1],
             *[None if x is None else x - kappa * y for x, y in zip(parts[2:], mass[2:])])
 
 
@@ -356,7 +342,7 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
 
 def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool = False):
     """(nonlocal_energy total, its nodal gradient, its Hessian or None) at u from one pass.
-    The Hessian (collar entries included) is exact for p >= 2, twice the stiffness bit for
+    The Hessian (end entries included) is exact for p >= 2, twice the stiffness bit for
     bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
     _check_constrained(u)
     p = params.p
@@ -369,8 +355,7 @@ def _mass_rules(mesh: Mesh, order: int):
     """The per-element Gauss rule of the given order over Omega, built once per (mesh,
     order)."""
     gx, gw = _gauss01(order)
-    lo, nin = mesh.collar_cells, mesh.n_interior
-    return [_Rule(_basis(gx), [(lo, lo + nin, 0, gw * mesh.h, (0, nin))])]
+    return [_Rule(_basis(gx), [(0, mesh.n_interior, 0, gw * mesh.h)])]
 
 
 def _lp_rules(mesh: Mesh, p: float) -> list:
@@ -380,12 +365,12 @@ def _lp_rules(mesh: Mesh, p: float) -> list:
 
 def lp_mass(u: DiscreteFunction, p: float) -> float:
     """Integral of |u|^p over Omega by per-element Gauss quadrature at the tail's order."""
-    return _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p)[0]
+    return _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p)[1]
 
 
 def lp_mass_derivatives(u: DiscreteFunction, p: float, hessian: bool = False):
     """(lp_mass, its exact nodal gradient, its Hessian if asked, else None) at u from one
     pass, under the same quadrature; the Hessian is twice the mass matrix bit for bit at
     p = 2 and floored below p = 2, as in energy_derivatives."""
-    mass, _, grad, G = _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p, True, hessian)
+    _, mass, grad, G = _sweep(_lp_rules(u.mesh, p), len(u.values), u.values, p, True, hessian)
     return mass, grad, None if G is None else p * (p - 1.0) * G

@@ -6,7 +6,7 @@ Three study kinds run from JSON configs:
   (h = delta/m); scaled eigenvalues are extrapolated over the last three
   horizons and compared against gamma(1,p) times the local p-Laplacian
   eigenvalue.
-* ``inf``   — horizon-to-infinity sweep on a fixed collarless mesh of Omega;
+* ``inf``   — horizon-to-infinity sweep on a fixed mesh of Omega;
   checks monotonicity in delta, the explicit norm-equivalence sandwich, and
   the gap between the largest finite horizon and the untruncated limit.
 * ``bbm``   — localization cross-check on a fixed sine interpolant: the
@@ -399,11 +399,11 @@ def _zero_study(report: SweepReport, threads: int) -> None:
 
 
 def _inf_study(report: SweepReport) -> None:
-    """Horizon-to-infinity sweep on a fixed collarless mesh of Omega.
+    """Horizon-to-infinity sweep on a fixed mesh of Omega.
 
     ``SweepConfig.from_dict`` ensures every finite horizon is at least the
-    domain length, so the collar carries only the analytic tail, and the energy
-    at delta is that at INF less horizon_shift times the L^p mass. So only INF
+    domain length, so the energy at delta is that at INF less horizon_shift
+    times the L^p mass. So only INF
     is solved: the eigenpairs at delta are (lambda(INF) - horizon_shift, u(INF)),
     and a finite row takes INF's converged flag. Checks monotonicity in delta,
     the norm-equivalence sandwich, and the gap at the largest finite horizon; a
@@ -460,13 +460,19 @@ def _bbm_study(report: SweepReport, threads: int) -> None:
     """Localization check on the sine interpolant: rescaled energies converge
     to gamma(1,p) times the local gradient energy of the sine, for any s."""
     config = report.config
-    a, length, p = config.a, config.length, config.p
-    truncated = {}  # per horizon: the sine was nonzero on the collar and cut to zero
+    a, b, length, p = config.a, config.b, config.length, config.p
+    truncated = {}  # per horizon: the sine is nonzero on the collar, where u is zero
+
+    def sine(x):
+        return math.sin(math.pi * (x - a) / length)
 
     def rows_of(delta):
         mesh, params = _horizon_mesh(config, delta)
-        u = interpolate(lambda x: math.sin(math.pi * (x - a) / length), mesh)
-        truncated[delta] = u.truncated
+        u = interpolate(sine, mesh)
+        h = mesh.h  # the sine at the snapped collar grid a - j h, b + j h, j = 1..r
+        collar = [sine(x) for j in range(1, round(mesh.delta_effective / h) + 1)
+                  for x in (a - j * h, b + j * h)]
+        truncated[delta] = max(map(abs, collar)) > 1e-14 * abs(u.values).max()
         val = scaling_factor(params) * nonlocal_energy(u, params).total
         return [Row(delta, mesh.delta_effective, 1, val, val)]
 

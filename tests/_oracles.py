@@ -150,6 +150,28 @@ def brute_force_energy(u: DiscreteFunction, s: float, p: float, delta: float) ->
     return total
 
 
+def tail_energy(u: DiscreteFunction, s: float, p: float, delta: float) -> float:
+    """2 int_Omega |u|^p k_delta, the interaction of u with the complement of Omega within
+    delta, by adaptive quadrature one element at a time; the killing kernel is
+    k_delta(x) = (1/(ps)) [((x-a)^-ps - delta^-ps)_+ + ((b-x)^-ps - delta^-ps)_+]."""
+    mesh = u.mesh
+    a, b = mesh.domain.a, mesh.domain.b
+    ps = p * s
+    cut = delta ** -ps
+
+    def kernel(x: float) -> float:
+        return (max((x - a) ** -ps - cut, 0.0) + max((b - x) ** -ps - cut, 0.0)) / ps
+
+    total = 0.0
+    for v0, v1, x0, x1 in zip(u.values, u.values[1:], mesh.nodes, mesh.nodes[1:]):
+        def integrand(x, v0=v0, v1=v1, x0=x0, x1=x1):
+            return abs(v0 + (v1 - v0) * (x - x0) / (x1 - x0)) ** p * kernel(x)
+
+        value, _ = quad(integrand, x0, x1, limit=200, epsabs=0.0, epsrel=1e-13)
+        total += value
+    return 2.0 * total
+
+
 def fd_gradient(fun, values: np.ndarray, indices, rel_step: float = 1e-6) -> np.ndarray:
     """Central finite differences of fun at the given nodal indices."""
     base = np.asarray(values, dtype=float)

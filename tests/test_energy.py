@@ -17,12 +17,12 @@ from perispec.energy import (
     nonlocal_energy,
 )
 
-from _oracles import brute_force_energy, exact_lp_norm_p, fd_gradient
+from _oracles import brute_force_energy, exact_lp_norm_p, fd_gradient, tail_energy
 
 
 def random_function(mesh, rng):
     vals = np.zeros(len(mesh.nodes))
-    vals[mesh.interior] = rng.standard_normal(mesh.interior_mask.sum())
+    vals[mesh.interior] = rng.standard_normal(mesh.n_interior - 1)
     return DiscreteFunction(vals, mesh)
 
 
@@ -44,7 +44,7 @@ def random_instance(rng, trial):
     return random_function(mesh, rng), params
 
 
-# (mesh horizon, kernel horizon): collar mesh, collarless INF, collarless finite
+# (mesh horizon, kernel horizon): below |Omega|, INF, and a finite horizon above |Omega|
 HORIZONS = [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)]
 
 
@@ -60,7 +60,7 @@ def einsum_gram(rules, nn, vals=None, p=2.0):
     Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_sweep``."""
     G = np.zeros((nn, nn))
     for rule in rules:
-        for lo, hi, g, w, _ in rule.blocks:
+        for lo, hi, g, w in rule.blocks:
             offsets = (0, 1) if len(rule.basis) == 2 else (0, 1, g, g + 1)
             if vals is not None:
                 # the point values u(x) - u(y), or u(x) for one-element rules
@@ -88,6 +88,19 @@ class TestBruteForceOracle:
             assert abs(lib - oracle) / abs(oracle) <= 1e-5
 
 
+class TestTailOracle:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n, r", [(16, 4), (16, 8), (160, 8)])
+    def test_interaction_matches_quadrature_of_the_killing_term(self, n, r, p):
+        # the interaction of u with the complement within delta = r h is 2 int |u|^p k_delta
+        mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
+        u = interpolate(lambda x: math.sin(math.pi * x), mesh)
+        for s in (0.1, 0.5, 0.9):
+            params = KernelParams(s, p, mesh.delta_effective)
+            oracle = tail_energy(u, s, p, params.delta)
+            assert abs(nonlocal_energy(u, params).interaction - oracle) <= 1e-10 * oracle
+
+
 class TestGradients:
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_energy_gradient_matches_finite_differences(self, p):
@@ -103,7 +116,7 @@ class TestGradients:
                 mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
                 params = KernelParams(s, p, INFINITE)
             u = random_function(mesh, rng)
-            ii = np.flatnonzero(mesh.interior_mask)
+            ii = np.arange(1, mesh.n_interior)
 
             def f(vals):
                 return nonlocal_energy(DiscreteFunction(vals, mesh), params).total
@@ -127,7 +140,7 @@ class TestGradients:
     def test_lp_mass_gradient_matches_finite_differences(self, p):
         rng = np.random.default_rng(23)
         mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        ii = np.flatnonzero(mesh.interior_mask)
+        ii = np.arange(1, mesh.n_interior)
         for _ in range(5):
             u = random_function(mesh, rng)
 
@@ -145,7 +158,7 @@ class TestHessian:
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_matches_finite_differences_of_gradient(self, p, mesh_delta, kernel_delta):
         u, params = horizon_instance(mesh_delta, kernel_delta, p, 31)
-        mesh, ii = u.mesh, np.flatnonzero(u.mesh.interior_mask)
+        mesh, ii = u.mesh, np.arange(1, u.mesh.n_interior)
         analytic = energy_derivatives(u, params, hessian=True)[2][np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
             lambda vals: energy_derivatives(DiscreteFunction(vals, mesh), params)[1][i],
@@ -155,7 +168,7 @@ class TestHessian:
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_lp_mass_hessian_matches_finite_differences_of_gradient(self, p):
         u, _ = horizon_instance(0.25, None, p, 43)
-        mesh, ii = u.mesh, np.flatnonzero(u.mesh.interior_mask)
+        mesh, ii = u.mesh, np.arange(1, u.mesh.n_interior)
         analytic = lp_mass_derivatives(u, p, hessian=True)[2][np.ix_(ii, ii)]
         numeric = np.array([fd_gradient(
             lambda vals: lp_mass_derivatives(DiscreteFunction(vals, mesh), p)[1][i], u.values, ii)
@@ -211,7 +224,7 @@ class TestStructuralInvariants:
         assert abs(br.total - fast) <= 1e-12 * abs(br.total)
 
     def test_interaction_vanishes_away_from_collar(self):
-        # support two cells clear of the collar: no collar cross terms
+        # support two cells clear of the elements within delta of an end: no tail terms
         vals = np.zeros(len(self.mesh.nodes))
         mid = len(vals) // 2
         vals[mid] = 1.0
@@ -259,6 +272,16 @@ class TestStructuralInvariants:
         u = DiscreteFunction(vals, self.mesh)
         with pytest.raises(ConstraintViolationError):
             nonlocal_energy(u, self.params)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_one_nonzero_end_rejected(self, end):
+        # at ps >= 1 the tail integral of |u|^p k_delta diverges at a nonzero end value,
+        # and the quadrature would return a finite wrong number
+        vals = random_function(self.mesh, np.random.default_rng(3)).values.copy()
+        vals[end] = 1e-3
+        for call in (nonlocal_energy, energy_derivatives):
+            with pytest.raises(ConstraintViolationError):
+                call(DiscreteFunction(vals, self.mesh), KernelParams(0.5, 3.0, 0.25))
 
     def test_collarless_breakdown_at_finite_and_infinite_horizon(self):
         # Without a collar the interaction is the analytic tail, at every horizon:
@@ -378,19 +401,18 @@ def built(monkeypatch):
 
 
 def truncated_tail(mesh, params):
-    """The tableau's rules, each tail weight mass * k(x) lowered to mass * (k(x) - c),
-    c = (2/(ps)) delta^-ps: the tail of the kernel truncated at delta, assembled directly."""
+    """The tableau's rules, at delta >= |Omega| each tail weight mass * k(x) lowered to
+    mass * (k(x) - c), c = (2/(ps)) delta^-ps: the tail of the kernel truncated at delta,
+    assembled directly.  Below |Omega| the tableau's own tail is truncated at delta."""
     ps, (a, b) = params.p * params.s, (mesh.domain.a, mesh.domain.b)
-    c = 0.0 if params.is_infinite else 2.0 / ps * params.delta ** -ps
-    rules = []
-    for rule in en._table(mesh, params).rules:
-        lo, hi, g, w, main = rule.blocks[0]
-        if main == (0, 0):  # a tail rule: one block of interaction rows at points basis[1]
-            x = mesh.nodes[lo:hi, None] + mesh.h * rule.basis[1]
-            kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
-            rule = en._Rule(rule.basis, [(lo, hi, g, w / kernel * (kernel - c), main)])
-        rules.append(rule)
-    return rules
+    c = 2.0 / ps * params.delta ** -ps if params.delta >= b - a else 0.0
+    *rules, tail = en._table(mesh, params).rules
+    blocks = []
+    for lo, hi, g, w in tail.blocks:  # interaction rows at points basis[1]
+        x = mesh.nodes[lo:hi, None] + mesh.h * tail.basis[1]
+        kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
+        blocks.append((lo, hi, g, w / kernel * (kernel - c) if c else w))
+    return rules + [en._Rule(tail.basis, blocks)]
 
 
 class TestSplitStiffness:
@@ -512,6 +534,14 @@ class TestTableauMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2 ** 20 + 8 * len(mesh.nodes) ** 2
+
+    def test_one_tail_rule_per_tableau(self):
+        # the pair rules (same element, adjacent, separated and, below |Omega|, the cutoff
+        # triangle), then one tail rule over the elements within delta of an end
+        for delta, count, rows in ((INFINITE, 4, 12), (0.25, 5, 6)):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), 12)
+            rules = en._table(mesh, KernelParams(0.5, 3.0, mesh.delta_effective)).rules
+            assert len(rules) == count and len(rules[-1].nodes) == rows
 
     def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau

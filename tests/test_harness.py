@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import types
 
 import pytest
 from scipy.integrate import quad
@@ -18,7 +19,6 @@ from perispec.harness import (
     write_report,
 )
 from perispec import cli, harness
-from perispec.mesh import DiscreteFunction, interpolate
 
 from test_eigensolver import blas_thread_getters
 
@@ -170,10 +170,11 @@ class TestStudies:
         assert report.checks["interpolant_truncated_on_collar"] and report.passed
 
     def test_bbm_check_reads_the_interpolant_flag(self, monkeypatch):
-        def untruncated(f, mesh):
-            return DiscreteFunction(interpolate(f, mesh).values, mesh)
-
-        monkeypatch.setattr(harness, "interpolate", untruncated)
+        # the check samples the sine on the collar grid beyond the ends of Omega: its zero
+        # extension, the same function on Omega, is not truncated there
+        zero_extended = types.SimpleNamespace(**dict(vars(math),
+                                                     sin=lambda t: max(0.0, math.sin(t))))
+        monkeypatch.setattr(harness, "math", zero_extended)
         cfg = SweepConfig.from_dict(base_config(study="bbm", thresholds=[0.1]),
                                     name="tiny-bbm")
         report = run_study(cfg)
