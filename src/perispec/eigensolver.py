@@ -79,7 +79,8 @@ def _ritz_iteration(A: np.ndarray, M: np.ndarray, X: np.ndarray) -> tuple:
     """Shift-and-invert subspace iteration on the pencil (A, M) from the columns of X:
     (Ritz values, M-orthonormal Ritz vectors, M times them, converged, sweeps).  A sweep maps
     the unconverged Ritz vectors by (A - sigma M)^-1 M, sigma just below the least of them."""
-    floor = 1e-14 * np.linalg.norm(A, 1) / np.linalg.norm(M, 1)  # >= 10x the rounding of A x
+    # >= 10x the rounding of A x; 0 on an empty block (the odd one of one interior node)
+    floor = 1e-14 * np.linalg.norm(A, 1) / np.linalg.norm(M, 1) if len(A) else 0.0
     for sweep in range(_P2_MAX_SWEEPS + 1):
         Q = qr(X)[0]
         AQ, MQ = A @ Q, M @ Q

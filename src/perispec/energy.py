@@ -27,7 +27,8 @@ barely C^1 at a sign change).
 
 On a uniform mesh the quadrature of a pair depends only on its gap g: each point set
 (adjacent-pair profile, separated tensor rule, cutoff triangle, tail, L^p mass) is one
-``_Rule``, a block per gap, whose row layout (int32 node ids, in chunks) is built once.
+``_Rule`` over the pairs (e, e + g) of its gaps (``_rows``) or over elements, one weight
+vector per gap or per element, whose row layout (int32 node ids, in chunks) is built once.
 The tableau of rules is memoized per (mesh, s, p, delta), delta = infinity for a horizon
 of at least |Omega|.  One pass, ``_sweep``, gives the value (the pair rules and the
 tail apart), the gradient and the Hessian (the Gram weighted by |u(x)-u(y)|^(p-2)) for
@@ -101,39 +102,26 @@ def _basis(t: np.ndarray) -> np.ndarray:
 
 
 class _Rule:
-    """One point template shared by blocks of elements or element pairs.
+    """One point template over rows of elements or element pairs.
 
     ``basis`` holds, per point, the weights of the nodal values the point reads: rows
     0-1 for the two ends of element e and, in a pair rule, rows 2-3 for the two ends of
-    element e + g with a minus sign, so the value at a point is u(x) - u(y).  A block
-    (lo, hi, g, w) applies the template to every e in [lo, hi) with weights w, one vector
-    for all rows or one row per element.  The layout built here holds, per row, the nodes
-    the row reads (``nodes``, int32: e, e + 1 and e + g, e + g + 1) and its vector in
-    ``weights`` (``widx``); ``chunks`` cuts it into (weight ids, node ids) of at most
-    _CHUNK points."""
+    element e + g with a minus sign, so the value at a point is u(x) - u(y).  Row i reads
+    element e[i] (paired with e[i] + g[i]) and weight vector ``weights[widx[i]]``: one
+    vector per gap, or one per row.  The layout built here holds, per row, the nodes the
+    row reads (``nodes``, int32: e, e + 1 and e + g, e + g + 1); ``chunks`` cuts it into
+    (weight ids, node ids) of at most _CHUNK points."""
 
-    def __init__(self, basis: np.ndarray, blocks):
-        self.basis = basis
-        # row segments [lo, hi) of e, each with g, per-row w?, widx - e * per-row w?
-        segments, starts = [], [0]
-        for lo, hi, g, w in blocks:
-            segments.append((lo, hi, g, w.ndim == 2, starts[-1] - lo * (w.ndim == 2)))
-            starts.append(starts[-1] + (len(w) if w.ndim == 2 else 1))
-        first, last, gap, per_row, base = np.array(segments, dtype=np.int32).T
-        count = last - first
-        e = np.repeat(first - np.cumsum(count, dtype=np.int32) + count, count)
-        e += np.arange(len(e), dtype=np.int32)
+    def __init__(self, basis: np.ndarray, weights: np.ndarray, e: np.ndarray, g: np.ndarray,
+                 widx: np.ndarray):
+        self.basis, self.weights, self.widx = basis, weights, widx
         self.nodes = np.repeat(e[:, None], len(basis), axis=1)  # e, e + 1, e + g, e + g + 1
         self.nodes[:, 1::2] += 1
-        self.nodes[:, 2:] += np.repeat(gap, count)[:, None]
-        self.widx = np.repeat(base, count) + e * np.repeat(per_row, count)
+        self.nodes[:, 2:] += g[:, None]
         step = max(1, _CHUNK // basis.shape[1])
-        self.chunks = [(self.widx[i:i + step], self.nodes[i:i + step])
+        self.chunks = [(widx[i:i + step], self.nodes[i:i + step])
                        for i in range(0, len(e), step)]
         self._ids = None  # gram_ids, once built
-        self.weights = np.concatenate([w.reshape(-1, basis.shape[1]) for _, _, _, w in blocks])
-        self.blocks = [(lo, hi, g, self.weights[k:k + len(w)] if w.ndim == 2 else self.weights[k])
-                       for (lo, hi, g, w), k in zip(blocks, starts)]
         # per point, the Gram entries (a, b), a <= b: basis[a] basis[b], one column
         # per pair, halved on the diagonal because _sweep adds the transpose
         a, b, half = _PAIRS[len(basis)]
@@ -150,6 +138,16 @@ def _gram_ids(nodes: np.ndarray, nn: int) -> np.ndarray:
     """The flat indices a * nn + b of the Gram entries (a, b), a <= b, of rows of node ids."""
     a, b, _ = _PAIRS[nodes.shape[1]]
     return nodes[:, a].astype(np.int32 if nn * nn < 2 ** 31 else np.intp) * nn + nodes[:, b]
+
+
+def _rows(n: int, gaps) -> tuple:
+    """(e, g, k) of the pairs (e, e + g) of n elements, e < n - g, gap by gap, k the index
+    of g in gaps: int32 arrays.  Gap 0 lists the n elements themselves."""
+    gaps = np.asarray(gaps, dtype=np.int32)
+    count = n - gaps
+    k = np.repeat(np.arange(len(gaps), dtype=np.int32), count)
+    first = np.cumsum(count, dtype=np.int32) - count  # the first row of each gap
+    return np.arange(len(k), dtype=np.int32) - first[k], gaps[k], k
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,19 +181,16 @@ class _Tableau:
         r = n if math.isinf(delta) else int(round(delta / h))  # r < n for a finite delta
 
         # same-element closed form: the point value is the nodal difference across the element
-        self.rules = [_Rule(np.array([[-1.0], [1.0]]), [(
-            0, n, 0, np.array([2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]))])]
+        self.rules = [_Rule(np.array([[-1.0], [1.0]]),
+                            np.array([[2.0 * h ** (1.0 - ps) / (alpha * (alpha + 1.0))]]),
+                            *_rows(n, [0]))]
 
-        # adjacent (vertex-sharing) template: 1-D profile in tau
-        tn, tw = [], []
+        # adjacent (vertex-sharing) template: 1-D profile in tau, Gauss panels on each half
         ax, aw = _gauss01(_ADJ_ORDER)
-        for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
-            width = (hi - lo) / _ADJ_PANELS
-            for k in range(_ADJ_PANELS):
-                tn.append(lo + width * (k + ax))
-                tw.append(width * aw)
-        tau = np.concatenate(tn)
-        wtau = np.concatenate(tw)
+        side, k = np.divmod(np.arange(2 * _ADJ_PANELS), _ADJ_PANELS)
+        width = 0.5 / _ADJ_PANELS
+        tau = (0.5 * side[:, None] + width * (k[:, None] + ax)).ravel()
+        wtau = np.tile(width * aw, 2 * _ADJ_PANELS)
         that = np.ones_like(tau) if r == 1 else 1.0 / np.maximum(tau, 1.0 - tau)
         w_adjacent = 2.0 * wtau * (h * that) ** (1.0 - ps) / (alpha + 1.0)
 
@@ -208,30 +203,29 @@ class _Tableau:
         # reproduces the energy to rounding error
         eta_t = xi * eta
 
-        adjacent, separated, triangle = [], [], []
-        for g in range(1, min(r, n - 1) + 1):  # the pairs (e, e + g) of Omega's elements
-            if g == 1:
-                adjacent.append((0, n - g, g, w_adjacent))
-            elif g == r:
-                half = ww * xi * (g + eta_t - xi) ** (-(1.0 + ps))
-                triangle.append((0, n - g, g, np.concatenate([half, half])))
-            else:
-                separated.append((0, n - g, g, 2.0 * ww * (g + eta - xi) ** (-(1.0 + ps))))
-        self.rules += [_Rule(np.vstack([_basis(xt), -_basis(yt)]), blocks) for xt, yt, blocks in (
-            (1.0 - that * (1.0 - tau), that * tau, adjacent), (xi, eta, separated),
-            (np.concatenate([xi, 1.0 - eta_t]), np.concatenate([eta_t, 1.0 - xi]), triangle))
-            if blocks]
+        # the pairs (e, e + g) of Omega's elements up to gap min(r, n - 1): adjacent at
+        # g = 1, separated, and the cutoff triangle at g = r > 1
+        adjacent, separated, triangle = np.split(np.arange(1, min(r, n - 1) + 1),
+                                                 [1, max(r - 1, 1)])
+        half = ww * xi * (triangle[:, None] + eta_t - xi) ** (-(1.0 + ps))
+        for xt, yt, gaps, w in (
+                (1.0 - that * (1.0 - tau), that * tau, adjacent, w_adjacent[None]),
+                (xi, eta, separated, 2.0 * ww * (separated[:, None] + eta - xi) ** (-(1.0 + ps))),
+                (np.concatenate([xi, 1.0 - eta_t]), np.concatenate([eta_t, 1.0 - xi]), triangle,
+                 np.concatenate([half, half], axis=1))):
+            if len(gaps):
+                self.rules.append(_Rule(np.vstack([_basis(xt), -_basis(yt)]), w, *_rows(n, gaps)))
 
         # the tail: 2 |u|^p k_delta over the elements within delta of an end
         a, b, cut = mesh.domain.a, mesh.domain.b, delta ** -ps
         loc, wloc = _tail_template(_tail_order(p))
-        tail = []
-        for lo, hi in [(0, n)] if 2 * r >= n else [(0, r), (n - r, n)]:
-            x = mesh.nodes[lo:hi, None] + h * loc
-            kernel = (np.maximum(np.power(x - a, -ps) - cut, 0.0)
-                      + np.maximum(np.power(b - x, -ps) - cut, 0.0)) / ps
-            tail.append((lo, hi, 0, 2.0 * h * wloc * kernel))
-        self.rules.append(_Rule(_basis(loc), tail))
+        e = np.arange(n, dtype=np.int32)
+        e = e[np.minimum(e, n - 1 - e) < r]
+        x = mesh.nodes[e, None] + h * loc
+        kernel = (np.maximum(np.power(x - a, -ps) - cut, 0.0)
+                  + np.maximum(np.power(b - x, -ps) - cut, 0.0)) / ps
+        self.rules.append(_Rule(_basis(loc), 2.0 * h * wloc * kernel, e, 0 * e,
+                                np.arange(len(e), dtype=np.int32)))
         self.nn = n + 1
 
 
@@ -355,7 +349,7 @@ def _mass_rules(mesh: Mesh, order: int):
     """The per-element Gauss rule of the given order over Omega, built once per (mesh,
     order)."""
     gx, gw = _gauss01(order)
-    return [_Rule(_basis(gx), [(0, mesh.n_interior, 0, gw * mesh.h)])]
+    return [_Rule(_basis(gx), (gw * mesh.h)[None], *_rows(mesh.n_interior, [0]))]
 
 
 def _lp_rules(mesh: Mesh, p: float) -> list:

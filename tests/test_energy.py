@@ -55,34 +55,36 @@ def horizon_instance(mesh_delta, kernel_delta, p, seed):
 
 
 def einsum_gram(rules, nn, vals=None, p=2.0):
-    """Reference Gram matrix: each block's local matrices by the 4-index einsum
-    basis diag(w) basis^T, added entry by entry at node offsets 0, 1, g, g+1.
+    """Reference Gram matrix: each row's local matrix by the einsum basis diag(w) basis^T,
+    added entry by entry at the row's nodes (e, e+1 and, for pairs, e+g, e+g+1).
     Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_sweep``."""
     G = np.zeros((nn, nn))
     for rule in rules:
-        for lo, hi, g, w in rule.blocks:
-            offsets = (0, 1) if len(rule.basis) == 2 else (0, 1, g, g + 1)
-            if vals is not None:
-                # the point values u(x) - u(y), or u(x) for one-element rules
-                d = np.stack([vals[lo:hi], vals[lo + 1:hi + 1]], axis=1) @ rule.basis[:2]
-                if len(offsets) == 4:
-                    d += np.stack([vals[lo + g:hi + g], vals[lo + g + 1:hi + g + 1]],
-                                  axis=1) @ rule.basis[2:]
-                floor = 1e-12 * np.max(np.abs(vals)) if p < 2.0 else 0.0
-                w = w * np.maximum(np.abs(d), floor) ** (p - 2.0)
-            rows = np.arange(lo, hi)
-            local = np.einsum("at,...t,bt->...ab", rule.basis, w, rule.basis)
-            for i, oi in enumerate(offsets):
-                for j, oj in enumerate(offsets):
-                    np.add.at(G, (rows + oi, rows + oj), local[..., i, j])
+        w = rule.weights[rule.widx]  # one weight vector per row
+        if vals is not None:
+            # the point values u(x) - u(y), or u(x) for one-element rules
+            d = np.einsum("ra,at->rt", vals[rule.nodes], rule.basis)
+            floor = 1e-12 * np.max(np.abs(vals)) if p < 2.0 else 0.0
+            w = w * np.maximum(np.abs(d), floor) ** (p - 2.0)
+        local = np.einsum("at,rt,bt->rab", rule.basis, w, rule.basis)
+        for i in range(len(rule.basis)):
+            for j in range(len(rule.basis)):
+                np.add.at(G, (rule.nodes[:, i], rule.nodes[:, j]), local[:, i, j])
     return G
 
 
 class TestBruteForceOracle:
     def test_assembly_matches_double_quadrature(self):
         rng = np.random.default_rng(0)
-        for trial in range(10):
-            u, params = random_instance(rng, trial)
+        instances = [random_instance(rng, trial) for trial in range(10)]
+        # the cutoff triangle (g = r > 1), which the seeded trials above never draw
+        for p in (1.5, 2.0, 2.5, 3.0):
+            for n, r in ((10, 2), (10, 3), (8, 7)):
+                mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
+                s = float(rng.uniform(0.2, 0.8))
+                instances.append((random_function(mesh, rng),
+                                  KernelParams(s, p, mesh.delta_effective)))
+        for u, params in instances:
             lib = nonlocal_energy(u, params).total
             oracle = brute_force_energy(u, params.s, params.p, params.delta)
             assert abs(lib - oracle) / abs(oracle) <= 1e-5
@@ -367,9 +369,9 @@ class TestMassAndLocalEnergy:
         rules = []
 
         class Counting(en._Rule):
-            def __init__(self, basis, blocks=()):
+            def __init__(self, basis, *rows):
                 rules.append(basis.shape[1])
-                super().__init__(basis, blocks)
+                super().__init__(basis, *rows)
 
         monkeypatch.setattr(en, "_Rule", Counting)
         en._mass_rules.cache_clear()
@@ -407,12 +409,11 @@ def truncated_tail(mesh, params):
     ps, (a, b) = params.p * params.s, (mesh.domain.a, mesh.domain.b)
     c = 2.0 / ps * params.delta ** -ps if params.delta >= b - a else 0.0
     *rules, tail = en._table(mesh, params).rules
-    blocks = []
-    for lo, hi, g, w in tail.blocks:  # interaction rows at points basis[1]
-        x = mesh.nodes[lo:hi, None] + mesh.h * tail.basis[1]
-        kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
-        blocks.append((lo, hi, g, w / kernel * (kernel - c) if c else w))
-    return rules + [en._Rule(tail.basis, blocks)]
+    e, w = tail.nodes[:, 0], tail.weights[tail.widx]
+    x = mesh.nodes[e, None] + mesh.h * tail.basis[1]  # interaction rows at points basis[1]
+    kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
+    return rules + [en._Rule(tail.basis, w / kernel * (kernel - c) if c else w, e, 0 * e,
+                             np.arange(len(e)))]
 
 
 class TestSplitStiffness:
@@ -537,11 +538,35 @@ class TestTableauMemory:
 
     def test_one_tail_rule_per_tableau(self):
         # the pair rules (same element, adjacent, separated and, below |Omega|, the cutoff
-        # triangle), then one tail rule over the elements within delta of an end
-        for delta, count, rows in ((INFINITE, 4, 12), (0.25, 5, 6)):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), 12)
+        # triangle), then one tail rule over the elements within delta of an end; at r = 1
+        # the adjacent rule is the cutoff pair, and there is no triangle
+        for n, r, rows in ((12, None, [12, 11, 55, 12]), (12, 3, [12, 11, 10, 9, 6]),
+                           (8, 1, [8, 7, 2]), (8, 7, [8, 7, 20, 1, 8])):
+            mesh = build_mesh(DomainSpec(0.0, 1.0, r / n if r else INFINITE), n)
             rules = en._table(mesh, KernelParams(0.5, 3.0, mesh.delta_effective)).rules
-            assert len(rules) == count and len(rules[-1].nodes) == rows
+            assert [len(rule.nodes) for rule in rules] == rows
+            assert all(rule.nodes.dtype == np.int32 for rule in rules)
+            # the pair rows list each (e, e + g), 1 <= g <= min(r, n - 1), once, gap by gap
+            pairs = np.concatenate([rule.nodes[:, [0, 2]] for rule in rules[1:-1]])
+            assert pairs.tolist() == [[e, e + g] for g in range(1, min(r or n, n - 1) + 1)
+                                      for e in range(n - g)]
+
+    def test_pair_weights_match_the_per_gap_loop(self):
+        # one expression gives the separated weights of every gap, bit for bit the per-gap
+        # one, and each row reads the vector of its gap
+        n, r, s, p = 8, 7, 0.5, 3.0
+        mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
+        separated, triangle = en._table(mesh, KernelParams(s, p, mesh.delta_effective)).rules[2:4]
+        q, ps = en._PAIR_ORDER_KINK, p * s
+        gx, gw = en._gauss01(q)
+        xi, eta = np.repeat(gx, q), np.tile(gx, q)
+        ww = np.repeat(gw, q) * np.tile(gw, q) * mesh.h ** (1.0 - ps)
+        for g in range(2, r):
+            assert np.array_equal(separated.weights[g - 2],
+                                  2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)))
+        assert np.array_equal(separated.widx, separated.nodes[:, 2] - separated.nodes[:, 0] - 2)
+        half = ww * xi * (r + xi * eta - xi) ** (-(1.0 + ps))
+        assert np.array_equal(triangle.weights, [np.concatenate([half, half])])
 
     def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau
