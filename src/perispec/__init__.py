@@ -55,6 +55,6 @@ from .kernelmath import (
     local_p_laplacian_lambda1,
     scaling_factor,
 )
-from .mesh import DiscreteFunction, DomainSpec, Mesh, build_mesh, interpolate
+from .mesh import DiscreteFunction, Mesh, interpolate
 from .energy import EnergyBreakdown, energy_derivatives, lp_mass, nonlocal_energy
 from .eigensolver import EigenPair, solve_eigenpairs

@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .kernelmath import INFINITE, KernelParams, gamma_constant
-from .mesh import DomainSpec, build_mesh
+from .mesh import Mesh
 from .harness import _check_keys, run_all, run_configs
 from .eigensolver import SpectrumRequestError, solve_eigenpairs
 
@@ -87,12 +87,11 @@ def _cmd_eigen(args) -> int:
         _check_keys(d, {"p", "s", "delta", "a", "b", "n_interior", "k_max"}, args.config)
         a, b = float(d.get("a", 0.0)), float(d.get("b", 1.0))
         delta = INFINITE if d.get("delta") == "INF" else float(d["delta"])
-        params = KernelParams(float(d["s"]), float(d["p"]), delta)
         n_interior, k_max = d.get("n_interior", 128), d.get("k_max", 1)
         if not (isinstance(n_interior, int) and isinstance(k_max, int)):
             raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
-        mesh = build_mesh(DomainSpec(a, b, delta), n_interior)
-        params = params.with_delta(mesh.delta_effective)
+        mesh = Mesh(a, b, n_interior)
+        params = KernelParams(float(d["s"]), float(d["p"]), mesh.snap(delta))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _config_error(exc)
     try:

@@ -106,7 +106,7 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     A = en._stiffness(mesh, params)[ii, ii]
     M = en._gram(en._lp_rules(mesh, params.p), len(mesh.nodes))[ii, ii]
     n = len(A)
-    t = (mesh.nodes[ii] - mesh.domain.a) * (math.pi / mesh.domain.length)
+    t = (mesh.nodes[ii] - mesh.a) * (math.pi / mesh.length)
     folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]
 
     def modes(i, first, count=1):  # folded sine modes of odd k (block 0) or even k (block 1)
@@ -158,7 +158,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
     p = params.p
     newton = p >= 2.0
     ii = mesh.interior
-    a, b = mesh.domain.a, mesh.domain.b
+    a, b = mesh.a, mesh.b
 
     def sign_changing(v):
         return np.min(v) < -1e-10 * np.max(np.abs(v))

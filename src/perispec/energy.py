@@ -50,7 +50,7 @@ from .mesh import DiscreteFunction, Mesh
 
 
 class InconsistentHorizonError(ValueError):
-    """Kernel horizon does not match the horizon the mesh represents."""
+    """Kernel horizon below |Omega| is not a whole number of the mesh's cells."""
 
 
 class ConstraintViolationError(ValueError):
@@ -217,7 +217,7 @@ class _Tableau:
                 self.rules.append(_Rule(np.vstack([_basis(xt), -_basis(yt)]), w, *_rows(n, gaps)))
 
         # the tail: 2 |u|^p k_delta over the elements within delta of an end
-        a, b, cut = mesh.domain.a, mesh.domain.b, delta ** -ps
+        a, b, cut = mesh.a, mesh.b, delta ** -ps
         loc, wloc = _tail_template(_tail_order(p))
         e = np.arange(n, dtype=np.int32)
         e = e[np.minimum(e, n - 1 - e) < r]
@@ -237,17 +237,16 @@ def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
 
 def _tail_horizon(mesh: Mesh, delta: float) -> float:
     """The horizon the tableau of delta is built at: delta below |Omega|, else infinity."""
-    return delta if delta < mesh.domain.length * (1.0 - 1e-12) else math.inf
+    return delta if delta < mesh.length * (1.0 - 1e-12) else math.inf
 
 
 def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
-    """The memoized tableau of params on mesh; a horizon below |Omega| must be the mesh's."""
-    delta, snapped = params.delta, mesh.delta_effective
-    if (min(_tail_horizon(mesh, delta), _tail_horizon(mesh, snapped)) < math.inf
-            and not math.isclose(delta, snapped, rel_tol=1e-9, abs_tol=1e-12)):
+    """The memoized tableau of params on mesh.  A horizon below |Omega| must be a whole
+    number of cells, mesh.snap(delta) (HorizonUnderresolvedError below one cell)."""
+    delta = params.delta
+    if not math.isclose(delta, mesh.snap(delta), rel_tol=1e-9, abs_tol=1e-12):
         raise InconsistentHorizonError(
-            f"kernel horizon {delta} does not match mesh delta_effective {snapped} "
-            f"(they may differ only at or above |Omega|={mesh.domain.length})")
+            f"kernel horizon {delta} is not a whole number of cells h={mesh.h}")
     return _built(mesh, params.s, params.p, _tail_horizon(mesh, delta))
 
 

@@ -46,7 +46,7 @@ from .kernelmath import (
     horizon_shift,
     scaling_factor,
 )
-from .mesh import DomainSpec, build_mesh, interpolate
+from .mesh import Mesh, interpolate
 from .energy import nonlocal_energy
 from .eigensolver import available_pairs, local_reference_lambda, solve_eigenpairs
 
@@ -332,9 +332,9 @@ def extrapolate_limit(deltas, values):
 
 
 def _horizon_mesh(config: SweepConfig, delta: float):
-    """Mesh with h = delta/m for one zero/bbm horizon, and the kernel on its snapped horizon."""
-    mesh = build_mesh(DomainSpec(config.a, config.b, delta), config.mesh_cells(delta))
-    return mesh, KernelParams(config.s, config.p, mesh.delta_effective)
+    """Mesh with h = delta/m for one zero/bbm horizon, and the kernel at mesh.snap(delta)."""
+    mesh = Mesh(config.a, config.b, config.mesh_cells(delta))
+    return mesh, KernelParams(config.s, config.p, mesh.snap(delta))
 
 
 def _timed_rows(rows_of, deltas, threads: int):
@@ -411,7 +411,7 @@ def _inf_study(report: SweepReport) -> None:
     """
     config = report.config
     finite = config.delta_list[:-1]
-    mesh = build_mesh(DomainSpec(config.a, config.b, INFINITE), config.n_interior)
+    mesh = Mesh(config.a, config.b, config.n_interior)
     t0 = time.perf_counter()
     pairs = solve_eigenpairs(mesh, KernelParams(config.s, config.p, INFINITE), max(config.k_list))
     elapsed = time.perf_counter() - t0
@@ -470,11 +470,11 @@ def _bbm_study(report: SweepReport, threads: int) -> None:
         mesh, params = _horizon_mesh(config, delta)
         u = interpolate(sine, mesh)
         h = mesh.h  # the sine at the snapped collar grid a - j h, b + j h, j = 1..r
-        collar = [sine(x) for j in range(1, round(mesh.delta_effective / h) + 1)
+        collar = [sine(x) for j in range(1, round(params.delta / h) + 1)
                   for x in (a - j * h, b + j * h)]
         truncated[delta] = max(map(abs, collar)) > 1e-14 * abs(u.values).max()
         val = scaling_factor(params) * nonlocal_energy(u, params).total
-        return [Row(delta, mesh.delta_effective, 1, val, val)]
+        return [Row(delta, params.delta, 1, val, val)]
 
     report.rows = _timed_rows(rows_of, config.delta_list, threads)
     ref = gamma_constant(1, p) * _sine_gradient_integral(p, length)

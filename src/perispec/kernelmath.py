@@ -48,21 +48,20 @@ class KernelParams:
         """Singular kernel exponent minus N: the kernel is |x-y|^-(N+ps)."""
         return self.p * self.s
 
-    def with_delta(self, delta: float) -> "KernelParams":
-        return KernelParams(self.s, self.p, delta)
-
 
 def gamma_constant(N: int, p: float) -> float:
     """Moment of |e.z|^p over the unit sphere S^(N-1), independent of e.
 
     Evaluated in closed form via Gamma functions:
-    2 * pi^((N-1)/2) * Gamma((p+1)/2) / Gamma((N+p)/2).
+    2 * pi^((N-1)/2) * Gamma((p+1)/2) / Gamma((N+p)/2), the ratio as exp of a difference
+    of lgamma so that it does not overflow at large p (and is 1 exactly at N = 1).
     """
     if N not in (1, 2, 3):
         raise UnsupportedDimensionError(f"sphere moment supported for N in {{1,2,3}}, got {N}")
-    if not p > 1.0:
-        raise ValueError(f"exponent p must exceed 1, got {p}")
-    return 2.0 * math.pi ** ((N - 1) / 2.0) * math.gamma((p + 1) / 2.0) / math.gamma((N + p) / 2.0)
+    if not (p > 1.0 and math.isfinite(p)):
+        raise ValueError(f"exponent p must lie in (1, inf), got {p}")
+    ratio = math.exp(math.lgamma((p + 1) / 2.0) - math.lgamma((N + p) / 2.0))
+    return 2.0 * math.pi ** ((N - 1) / 2.0) * ratio
 
 
 def scaling_factor(params: KernelParams) -> float:

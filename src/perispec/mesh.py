@@ -1,15 +1,16 @@
 """Uniform 1-D meshes of the interval Omega = (a, b).
 
-A mesh holds Omega's nodes only: functions of the constrained space vanish off Omega,
+A mesh is Omega's partition only: functions of the constrained space vanish off Omega,
 so their interaction with the complement is a weighted L^p term over Omega that the
-energy module integrates analytically.  A requested horizon below |Omega| is snapped to
-an integer multiple r h of the cell size so the interaction cutoff aligns with element
-boundaries; the snapped value is recorded and used downstream.
+energy module integrates analytically.  The horizon belongs to the kernel; ``Mesh.snap``
+rounds a requested horizon below |Omega| to an integer multiple r h of the cell size, so
+the interaction cutoff aligns with element boundaries, and the kernel is built at it.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,47 +25,33 @@ class InvalidFunctionError(ValueError):
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    """Open interval (a, b) plus the horizon of the kernel on it."""
+class Mesh:
+    """Immutable uniform partition of Omega = (a, b) into n_interior elements, fixed by its
+    numbers: separately built copies compare and hash equal and share one memoized tableau
+    per horizon.  The nodes are built on first use, read-only."""
 
     a: float
     b: float
-    delta: float
+    n_interior: int
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if not self.delta > 0.0:
-            raise ValueError(f"horizon must be positive or INFINITE, got {self.delta}")
+        if not 2 <= self.n_interior <= sys.float_info.max:  # h = |Omega| / n is a float
+            raise ValueError(f"need 2 <= n_interior <= {sys.float_info.max:g}, "
+                             f"got {self.n_interior}")
 
     @property
     def length(self) -> float:
         return self.b - self.a
 
-
-@dataclass(frozen=True)
-class Mesh:
-    """Immutable uniform partition of Omega into n_interior elements, fixed by its numbers.
-
-    ``domain`` holds the horizon, snapped to r h below |Omega|.  The two fields are the
-    identity: separately built copies compare and hash equal and share one memoized
-    tableau.  The nodes are built on first use, read-only.
-    """
-
-    domain: DomainSpec
-    n_interior: int
-
     @property
     def h(self) -> float:
-        return self.domain.length / self.n_interior
-
-    @property
-    def delta_effective(self) -> float:
-        return self.domain.delta
+        return self.length / self.n_interior
 
     @property
     def fingerprint(self) -> tuple:
-        return (self.domain.a, self.domain.b, self.h, self.n_interior + 1, self.domain.delta)
+        return (self.a, self.b, self.h, self.n_interior + 1)
 
     @property
     def interior(self) -> slice:
@@ -73,9 +60,19 @@ class Mesh:
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
-        nodes = np.linspace(self.domain.a, self.domain.b, self.n_interior + 1)
+        nodes = np.linspace(self.a, self.b, self.n_interior + 1)
         nodes.setflags(write=False)
         return nodes
+
+    def snap(self, delta: float) -> float:
+        """The horizon a kernel on this mesh takes for delta: below |Omega|, round(delta/h) h;
+        at or above it, delta as given."""
+        if delta >= self.length:
+            return delta
+        if delta < self.h * (1.0 - 1e-12):
+            raise HorizonUnderresolvedError(
+                f"horizon {delta} is below one cell h={self.h}; refine the mesh")
+        return round(delta / self.h) * self.h
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,21 +94,6 @@ class DiscreteFunction:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def build_mesh(domain: DomainSpec, n_interior: int) -> Mesh:
-    """Uniform mesh of Omega with h = (b-a)/n_interior; a horizon below |Omega| is
-    snapped to round(delta/h) h."""
-    if n_interior < 2:
-        raise ValueError(f"need at least 2 interior elements, got {n_interior}")
-    h = domain.length / n_interior
-    if domain.delta >= domain.length:
-        return Mesh(domain, n_interior)
-    if domain.delta < h * (1.0 - 1e-12):
-        raise HorizonUnderresolvedError(
-            f"horizon {domain.delta} is below one cell h={h}; refine the mesh"
-        )
-    return Mesh(DomainSpec(domain.a, domain.b, round(domain.delta / h) * h), n_interior)
 
 
 def interpolate(f, mesh: Mesh) -> DiscreteFunction:

@@ -105,7 +105,7 @@ def brute_force_energy(u: DiscreteFunction, s: float, p: float, delta: float) ->
     mesh = u.mesh
     nodes, vals = mesh.nodes, u.values
     uat = _piecewise_linear(nodes, vals)
-    a, b = mesh.domain.a, mesh.domain.b
+    a, b = mesh.a, mesh.b
     ps = p * s
     width = b - a  # u vanishes on the collar, so this is the support width
 
@@ -155,7 +155,7 @@ def tail_energy(u: DiscreteFunction, s: float, p: float, delta: float) -> float:
     delta, by adaptive quadrature one element at a time; the killing kernel is
     k_delta(x) = (1/(ps)) [((x-a)^-ps - delta^-ps)_+ + ((b-x)^-ps - delta^-ps)_+]."""
     mesh = u.mesh
-    a, b = mesh.domain.a, mesh.domain.b
+    a, b = mesh.a, mesh.b
     ps = p * s
     cut = delta ** -ps
 

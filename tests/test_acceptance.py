@@ -20,7 +20,7 @@ from perispec.kernelmath import (
     local_p_laplacian_lambda1,
     p_pi,
 )
-from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh
+from perispec.mesh import DiscreteFunction, Mesh
 from perispec.energy import energy_derivatives, nonlocal_energy
 from perispec.eigensolver import solve_first_eigenpair, solve_p2_spectrum
 from perispec.harness import run_all
@@ -132,8 +132,8 @@ def test_criterion_6_oracle_equivalence():
         oracle = brute_force_energy(u, params.s, params.p, params.delta)
         worst = max(worst, abs(lib - oracle) / abs(oracle))
     quad_ok = True
-    mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-    params = KernelParams(0.5, 2.0, mesh.delta_effective)
+    mesh = Mesh(0.0, 1.0, 12)
+    params = KernelParams(0.5, 2.0, mesh.snap(0.25))
     A, _ = p2_matrices(mesh, params)
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -158,10 +158,10 @@ def test_criterion_7_gradient_checks():
             s = float(rng.uniform(0.2, 0.8))
             if trial % 2 == 0:
                 delta = float(rng.choice([1, 2])) / n
-                mesh = build_mesh(DomainSpec(0.0, 1.0, delta), n)
-                params = KernelParams(s, p, mesh.delta_effective)
+                mesh = Mesh(0.0, 1.0, n)
+                params = KernelParams(s, p, mesh.snap(delta))
             else:
-                mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+                mesh = Mesh(0.0, 1.0, n)
                 params = KernelParams(s, p, INFINITE)
             u = random_function(mesh, rng)
             ii = np.arange(1, mesh.n_interior)
@@ -180,8 +180,8 @@ def test_criterion_7_gradient_checks():
 
 
 def test_criterion_8_structural_invariants():
-    mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-    params = KernelParams(0.5, 2.5, mesh.delta_effective)
+    mesh = Mesh(0.0, 1.0, 16)
+    params = KernelParams(0.5, 2.5, mesh.snap(0.25))
     u = random_function(mesh, np.random.default_rng(5))
 
     br = nonlocal_energy(u, params)
@@ -194,7 +194,7 @@ def test_criterion_8_structural_invariants():
                      - br.total) <= 1e-12 * abs(br.total)
     sign = nonlocal_energy(DiscreteFunction(-u.values, mesh), params).total == br.total
 
-    p2 = KernelParams(0.5, 2.0, mesh.delta_effective)
+    p2 = KernelParams(0.5, 2.0, mesh.snap(0.25))
     pairs = solve_p2_spectrum(mesh, p2, 2)
     first = pairs[0].eigenfunction.values[mesh.interior]
     if first.sum() < 0:
@@ -202,7 +202,7 @@ def test_criterion_8_structural_invariants():
     sign_constant = bool(np.all(first > -1e-12 * np.max(np.abs(first))))
     simplicity = pairs[1].lam - pairs[0].lam > 1e-6 * pairs[0].lam
 
-    p3 = KernelParams(0.5, 3.0, mesh.delta_effective)
+    p3 = KernelParams(0.5, 3.0, mesh.snap(0.25))
     history = solve_first_eigenpair(mesh, p3).diagnostics["rayleigh_history"]
     monotone = all(b <= a * (1.0 + 1e-10) for a, b in zip(history, history[1:]))
 

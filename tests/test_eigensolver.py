@@ -14,7 +14,7 @@ from perispec.kernelmath import (
     local_p_laplacian_lambda1,
     p_pi,
 )
-from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh
+from perispec.mesh import DiscreteFunction, Mesh
 from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
@@ -58,14 +58,14 @@ def embed(mesh, x):
 
 
 class TestP2Assembly:
-    # (mesh horizon, kernel horizon): below |Omega|, INF, and a finite horizon above
-    # |Omega|, the INF stiffness less the horizon shift times the mass
+    # the kernel at kernel_delta, else at mesh.snap(mesh_delta): below |Omega|, INF, and a
+    # finite horizon above |Omega|, the INF stiffness less the horizon shift times the mass
     @pytest.mark.parametrize("mesh_delta, kernel_delta", [
         (0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0),
     ], ids=["0.25", "inf", "inf-2.0"])
     def test_quadratic_form_matches_energy(self, mesh_delta, kernel_delta):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
-        params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 12)
+        params = KernelParams(0.5, 2.0, kernel_delta or mesh.snap(mesh_delta))
         A, _ = p2_matrices(mesh, params)
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -75,13 +75,13 @@ class TestP2Assembly:
             assert abs(quad_form - via_energy) <= 1e-10 * abs(via_energy)
 
     def test_stiffness_symmetric(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        A, _ = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
+        mesh = Mesh(0.0, 1.0, 12)
+        A, _ = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.snap(0.25)))
         assert np.max(np.abs(A - A.T)) == 0.0
 
     def test_mass_row_sums(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
-        _, M = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.delta_effective))
+        mesh = Mesh(0.0, 1.0, 12)
+        _, M = p2_matrices(mesh, KernelParams(0.5, 2.0, mesh.snap(0.25)))
         sums = M.sum(axis=1)
         # interior rows see the full hat: h*(1/6 + 4/6 + 1/6) = h
         assert np.allclose(sums[1:-1], mesh.h, rtol=1e-14)
@@ -90,7 +90,7 @@ class TestP2Assembly:
 
 class TestP2Spectrum:
     def test_ordering_and_first_gap(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        mesh = Mesh(0.0, 1.0, 16)
         pairs = solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, 0.25), 4)
         lams = [ep.lam for ep in pairs]
         assert lams[0] < lams[1] - 1e-8  # simplicity of the first eigenvalue
@@ -98,13 +98,13 @@ class TestP2Spectrum:
         assert all(ep.residual <= 1e-8 for ep in pairs)
 
     def test_eigenfunctions_normalized(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        mesh = Mesh(0.0, 1.0, 16)
         pairs = solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, 0.25), 3)
         for ep in pairs:
             assert lp_mass(ep.eigenfunction, 2.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_first_eigenfunction_sign_constant_second_changes_once(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 32)
+        mesh = Mesh(0.0, 1.0, 32)
         pairs = solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, 0.25), 2)
         first = pairs[0].eigenfunction.values[mesh.interior]
         if first.sum() < 0:
@@ -116,8 +116,8 @@ class TestP2Spectrum:
         assert changes == 1
 
     def test_indefinite_mass_raises(self, monkeypatch):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        params = KernelParams(0.5, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 8)
+        params = KernelParams(0.5, 2.0, mesh.snap(0.25))
         (rule,) = en._mass_rules(mesh, en._TAIL_ORDER)
         e = rule.nodes[:, 0]
         negated = [en._Rule(rule.basis, -rule.weights, e, 0 * e, rule.widx)]
@@ -128,8 +128,8 @@ class TestP2Spectrum:
     def test_fine_mesh_converges_at_the_rounding_floor(self):
         # at s = 0.99 on 640 cells, rounding in A x alone leaves a relative residual of
         # ~2e-11, above the 1e-11 target: the stop allows for it instead of hitting the cap
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.0125), 640)
-        params = KernelParams(0.99, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 640)
+        params = KernelParams(0.99, 2.0, mesh.snap(0.0125))
         pairs = solve_p2_spectrum(mesh, params, 2)
         A, M = p2_matrices(mesh, params)
         for ep, v in zip(pairs, scipy.linalg.eigh(A, M, subset_by_index=[0, 1])[1].T):
@@ -140,17 +140,16 @@ class TestP2Spectrum:
     def test_eigenvalues_monotone_in_horizon(self):
         params_small = KernelParams(0.5, 2.0, 0.25)
         params_large = KernelParams(0.5, 2.0, 0.5)
-        mesh_small = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        mesh_large = build_mesh(DomainSpec(0.0, 1.0, 0.5), 16)
-        small = [ep.lam for ep in solve_p2_spectrum(mesh_small, params_small, 5)]
-        large = [ep.lam for ep in solve_p2_spectrum(mesh_large, params_large, 5)]
+        mesh = Mesh(0.0, 1.0, 16)  # 4 and 8 cells
+        small = [ep.lam for ep in solve_p2_spectrum(mesh, params_small, 5)]
+        large = [ep.lam for ep in solve_p2_spectrum(mesh, params_large, 5)]
         assert all(a <= b + 1e-12 for a, b in zip(small, large))
 
     def test_h_refinement_extrapolation_self_consistent(self):
         params = KernelParams(0.5, 2.0, INFINITE)
         lams = []
         for n in (32, 64, 128):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+            mesh = Mesh(0.0, 1.0, n)
             lams.append(solve_p2_spectrum(mesh, params, 1)[0].lam)
         v1, v2, v3 = lams
         r = (v3 - v2) / (v2 - v1)
@@ -167,8 +166,8 @@ FOLD_MESHES = [(mesh_delta, kernel_delta, n) for mesh_delta, kernel_delta in
 
 
 def fold_instance(mesh_delta, kernel_delta, n, s):
-    mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
-    return mesh, KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
+    mesh = Mesh(0.0, 1.0, n)
+    return mesh, KernelParams(s, 2.0, kernel_delta or mesh.snap(mesh_delta))
 
 
 class TestP2Fold:
@@ -256,9 +255,9 @@ class TestP2Fold:
 
         for name in ("eigh", "inv"):
             monkeypatch.setattr(eigensolver, name, watch(getattr(eigensolver, name)))
-        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
+        mesh = Mesh(0.0, 1.0, n)
         for k_max in (1, 2):
-            solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), k_max)
+            solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.snap(mesh_delta)), k_max)
         assert sizes and max(max(shape) for shape in sizes) <= 1
 
 
@@ -275,7 +274,7 @@ class TestInfRows:
             "delta_list": [1.0, 2.0, 4.0, 8.0, "INF"], "n_interior": n,
             "k_list": list(range(1, k_max + 1)), "thresholds": [0.5] * k_max}, name="rows")
         rows = run_study(cfg).rows
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+        mesh = Mesh(0.0, 1.0, n)
         tol = 1e-10 if p == 3.0 else 1e-12
         for delta in cfg.delta_list[:-1]:
             cold = solve_eigenpairs(mesh, KernelParams(0.5, p, delta), k_max)
@@ -288,24 +287,24 @@ class TestInfRows:
 
 class TestInversePower:
     def test_p2_agrees_with_matrix_path(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(0.5, 2.0, mesh.snap(0.25))
         lam_matrix = solve_p2_spectrum(mesh, params, 1)[0].lam
         ep = solve_first_eigenpair(mesh, params)
         assert ep.converged
         assert abs(ep.lam - lam_matrix) / lam_matrix <= 1e-8
 
     def test_rayleigh_quotient_nonincreasing(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(0.5, 3.0, mesh.snap(0.25))
         ep = solve_first_eigenpair(mesh, params)
         history = ep.diagnostics["rayleigh_history"]
         for before, after in zip(history, history[1:]):
             assert after <= before * (1.0 + 1e-10)
 
     def test_rayleigh_probe_lower_bound(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(0.5, 3.0, mesh.snap(0.25))
         ep = solve_first_eigenpair(mesh, params)
         assert ep.converged
         # lambda equals the quotient of its own eigenfunction
@@ -320,15 +319,15 @@ class TestInversePower:
             assert probe >= ep.lam * (1.0 - 1e-8)
 
     def test_first_eigenfunction_nonnegative_general_p(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(0.5, 3.0, mesh.snap(0.25))
         ep = solve_first_eigenpair(mesh, params)
         vals = ep.eigenfunction.values
         assert np.all(vals >= -1e-10 * np.max(np.abs(vals)))
 
     def test_serialization(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        params = KernelParams(0.5, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 8)
+        params = KernelParams(0.5, 2.0, mesh.snap(0.25))
         d = solve_first_eigenpair(mesh, params).to_json_dict()
         assert {"lambda", "k", "residual", "iterations", "converged"} <= set(d)
 
@@ -342,14 +341,14 @@ class TestInnerSolvers:
         monkeypatch.setattr(eigensolver, "_RES_TOL", 0.0)
         if f_rounding is not None:
             monkeypatch.setattr(eigensolver, "_F_ROUNDING", f_rounding)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        ep = solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
+        mesh = Mesh(0.0, 1.0, 16)
+        ep = solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.snap(0.25)))
         assert ep.converged
         assert ep.diagnostics["inner_iterations"] <= 10 * ep.iterations
 
     def test_unfactorable_hessian_falls_back_to_the_stiffness(self, monkeypatch):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(0.5, 3.0, mesh.snap(0.25))
         base = solve_first_eigenpair(mesh, params)
         n = mesh.n_interior - 1
 
@@ -388,8 +387,8 @@ class TestInnerSolvers:
         monkeypatch.setattr(en, "energy_derivatives", counted(fused))
         for delta in (0.2, 0.1, 0.05, 0.025):
             calls.clear()
-            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
-            ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))[0]
+            mesh = Mesh(0.0, 1.0, round(4 / delta))
+            ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.snap(delta)))[0]
             assert ep.converged
             assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
             assert calls.count(mass) == calls.count(fused)
@@ -404,8 +403,8 @@ class TestInnerSolvers:
         # majorizer's Newton direction do not grow with the mesh
         steps = []
         for delta in (0.2, 0.1, 0.05):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, delta), round(4 / delta))
-            ep = solve_eigenpairs(mesh, KernelParams(0.5, 1.5, mesh.delta_effective))[0]
+            mesh = Mesh(0.0, 1.0, round(4 / delta))
+            ep = solve_eigenpairs(mesh, KernelParams(0.5, 1.5, mesh.snap(delta)))[0]
             assert ep.converged
             steps.append(ep.diagnostics["inner_iterations"])
         assert max(steps) - min(steps) <= 3
@@ -419,8 +418,8 @@ class TestInnerSolvers:
         # without the safeguard the Newton steps at s = 0.9, p = 4 and 6 end at
         # a wrong eigenvalue or run to the iteration cap; without the bordered
         # solve every step is descent along -H_E(u)^-1 res on the Rayleigh quotient
-        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 16)
-        params = KernelParams(s, p, kernel_delta or mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 16)
+        params = KernelParams(s, p, kernel_delta or mesh.snap(mesh_delta))
         newton = solve_first_eigenpair(mesh, params)
         n = mesh.n_interior - 1
 
@@ -479,8 +478,8 @@ class TestInnerSolvers:
         monkeypatch.setattr(en, "energy_derivatives", sweep)
         monkeypatch.setattr(en, "lp_mass_derivatives", mass_sweep)
         monkeypatch.setattr(eigensolver, "solve", watched_solve)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
-        params = KernelParams(0.5, 3.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 40)
+        params = KernelParams(0.5, 3.0, mesh.snap(0.2))
         ep = solve_eigenpairs(mesh, params)[0]
         assert ep.diagnostics["newton_steps"] == 5 and ep.diagnostics["inner_iterations"] == 0
         # one sweep, Hessian included, at the cold start, per Newton step and at the
@@ -500,8 +499,8 @@ class TestInnerSolvers:
         # first reads 4.6058254559, 2.0e-9 from its pin (the collar pair rules missed by 5.4e-9)
         for mesh_delta, kernel_delta, lam in ((0.25, None, 4.605825446702171),
                                               (INFINITE, 1.0, 9.933379884298978)):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 16)
-            params = KernelParams(0.5, 1.5, kernel_delta or mesh.delta_effective)
+            mesh = Mesh(0.0, 1.0, 16)
+            params = KernelParams(0.5, 1.5, kernel_delta or mesh.snap(mesh_delta))
             ep = solve_first_eigenpair(mesh, params)
             assert ep.converged
             assert abs(ep.lam - lam) <= 1e-10 * lam
@@ -516,8 +515,8 @@ class TestInnerSolvers:
     def test_descent_near_p1(self, p):
         # the zero row at delta = 0.2, n = 40: toward p = 1 the weights |d|^(p-2) spread
         # over many orders of magnitude, and the step count must stay bounded
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.2), 40)
-        ep = solve_first_eigenpair(mesh, KernelParams(0.5, p, mesh.delta_effective))
+        mesh = Mesh(0.0, 1.0, 40)
+        ep = solve_first_eigenpair(mesh, KernelParams(0.5, p, mesh.snap(0.2)))
         assert ep.converged and ep.diagnostics["inner_iterations"] <= 150
         history = ep.diagnostics["rayleigh_history"]
         for before, after in zip(history, history[1:]):
@@ -528,9 +527,9 @@ class TestInnerSolvers:
 
 class TestSolveEigenpairs:
     def test_dispatch_and_k_max(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        p3 = KernelParams(0.5, 3.0, mesh.delta_effective)
-        p2 = KernelParams(0.5, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 8)
+        p3 = KernelParams(0.5, 3.0, mesh.snap(0.25))
+        p2 = KernelParams(0.5, 2.0, mesh.snap(0.25))
         with pytest.raises(ValueError):
             solve_eigenpairs(mesh, p3, 2)
         for k_max in (0, 8):  # 7 interior nodes
@@ -561,10 +560,10 @@ class TestSolveEigenpairs:
         assert {"cholesky", "eigh", "inv", "qr", "solve"} <= set(names)
         for name in names:
             monkeypatch.setattr(eigensolver, name, watch(getattr(eigensolver, name)))
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 8)
-        solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.delta_effective))
-        solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.delta_effective))
-        solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.delta_effective), 1)
+        mesh = Mesh(0.0, 1.0, 8)
+        solve_first_eigenpair(mesh, KernelParams(0.5, 3.0, mesh.snap(0.25)))
+        solve_first_eigenpair(mesh, KernelParams(0.5, 1.5, mesh.snap(0.25)))
+        solve_p2_spectrum(mesh, KernelParams(0.5, 2.0, mesh.snap(0.25)), 1)
         assert len(inside) > 1
         assert inside == [[1] * len(getters)] * len(inside)
 
@@ -579,7 +578,7 @@ class TestCauchyOracle:
         assert abs(ref - 14.549015710171272) <= 1e-15 * ref
         errors, lams = [], []
         for n in (256, 512):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+            mesh = Mesh(0.0, 1.0, n)
             (ep,) = solve_eigenpairs(mesh, KernelParams(0.5, 2.0, INFINITE))
             assert ep.converged
             lams.append(ep.lam)

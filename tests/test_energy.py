@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from perispec.kernelmath import INFINITE, KernelParams
-from perispec.mesh import DiscreteFunction, DomainSpec, build_mesh, interpolate
+from perispec.mesh import DiscreteFunction, HorizonUnderresolvedError, Mesh, interpolate
 from perispec import energy as en
 from perispec.energy import (
     ConstraintViolationError,
@@ -33,24 +33,25 @@ def random_instance(rng, trial):
     kind = trial % 3
     if kind == 0:
         delta = float(rng.choice([1, 2, 3])) / n
-        mesh = build_mesh(DomainSpec(0.0, 1.0, delta), n)
-        params = KernelParams(s, p, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, n)
+        params = KernelParams(s, p, mesh.snap(delta))
     elif kind == 1:
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+        mesh = Mesh(0.0, 1.0, n)
         params = KernelParams(s, p, INFINITE)
     else:
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+        mesh = Mesh(0.0, 1.0, n)
         params = KernelParams(s, p, float(rng.uniform(1.0, 5.0)))
     return random_function(mesh, rng), params
 
 
-# (mesh horizon, kernel horizon): below |Omega|, INF, and a finite horizon above |Omega|
+# the kernel at kernel_delta, else at mesh.snap(mesh_delta): below |Omega|, INF, and a
+# finite horizon above |Omega|
 HORIZONS = [(0.25, None), (INFINITE, INFINITE), (INFINITE, 2.0)]
 
 
 def horizon_instance(mesh_delta, kernel_delta, p, seed):
-    mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
-    params = KernelParams(0.5, p, kernel_delta or mesh.delta_effective)
+    mesh = Mesh(0.0, 1.0, 12)
+    params = KernelParams(0.5, p, kernel_delta or mesh.snap(mesh_delta))
     return random_function(mesh, np.random.default_rng(seed)), params
 
 
@@ -80,10 +81,10 @@ class TestBruteForceOracle:
         # the cutoff triangle (g = r > 1), which the seeded trials above never draw
         for p in (1.5, 2.0, 2.5, 3.0):
             for n, r in ((10, 2), (10, 3), (8, 7)):
-                mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
+                mesh = Mesh(0.0, 1.0, n)
                 s = float(rng.uniform(0.2, 0.8))
                 instances.append((random_function(mesh, rng),
-                                  KernelParams(s, p, mesh.delta_effective)))
+                                  KernelParams(s, p, mesh.snap(r / n))))
         for u, params in instances:
             lib = nonlocal_energy(u, params).total
             oracle = brute_force_energy(u, params.s, params.p, params.delta)
@@ -95,10 +96,10 @@ class TestTailOracle:
     @pytest.mark.parametrize("n, r", [(16, 4), (16, 8), (160, 8)])
     def test_interaction_matches_quadrature_of_the_killing_term(self, n, r, p):
         # the interaction of u with the complement within delta = r h is 2 int |u|^p k_delta
-        mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
+        mesh = Mesh(0.0, 1.0, n)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         for s in (0.1, 0.5, 0.9):
-            params = KernelParams(s, p, mesh.delta_effective)
+            params = KernelParams(s, p, mesh.snap(r / n))
             oracle = tail_energy(u, s, p, params.delta)
             assert abs(nonlocal_energy(u, params).interaction - oracle) <= 1e-10 * oracle
 
@@ -112,10 +113,10 @@ class TestGradients:
             s = float(rng.uniform(0.2, 0.8))
             if trial % 2 == 0:
                 delta = float(rng.choice([1, 2])) / n
-                mesh = build_mesh(DomainSpec(0.0, 1.0, delta), n)
-                params = KernelParams(s, p, mesh.delta_effective)
+                mesh = Mesh(0.0, 1.0, n)
+                params = KernelParams(s, p, mesh.snap(delta))
             else:
-                mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), n)
+                mesh = Mesh(0.0, 1.0, n)
                 params = KernelParams(s, p, INFINITE)
             u = random_function(mesh, rng)
             ii = np.arange(1, mesh.n_interior)
@@ -141,7 +142,7 @@ class TestGradients:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_lp_mass_gradient_matches_finite_differences(self, p):
         rng = np.random.default_rng(23)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 12)
+        mesh = Mesh(0.0, 1.0, 12)
         ii = np.arange(1, mesh.n_interior)
         for _ in range(5):
             u = random_function(mesh, rng)
@@ -203,8 +204,8 @@ class TestHessian:
 
     def test_p2_hessian_is_twice_the_stiffness(self):
         for mesh_delta, kernel_delta in HORIZONS:
-            mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), 12)
-            params = KernelParams(0.5, 2.0, kernel_delta or mesh.delta_effective)
+            mesh = Mesh(0.0, 1.0, 12)
+            params = KernelParams(0.5, 2.0, kernel_delta or mesh.snap(mesh_delta))
             u = random_function(mesh, np.random.default_rng(37))
             stiffness = en._stiffness(mesh, params)
             mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER), len(mesh.nodes))
@@ -214,8 +215,8 @@ class TestHessian:
 
 class TestStructuralInvariants:
     def setup_method(self):
-        self.mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
-        self.params = KernelParams(0.5, 2.5, self.mesh.delta_effective)
+        self.mesh = Mesh(0.0, 1.0, 16)
+        self.params = KernelParams(0.5, 2.5, self.mesh.snap(0.25))
         rng = np.random.default_rng(5)
         self.u = random_function(self.mesh, rng)
 
@@ -251,7 +252,7 @@ class TestStructuralInvariants:
         assert nonlocal_energy(flipped, self.params) == nonlocal_energy(self.u, self.params)
 
     def test_monotone_in_horizon_bounded_by_fractional(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
+        mesh = Mesh(0.0, 1.0, 12)
         u = random_function(mesh, np.random.default_rng(9))
         s, p = 0.5, 2.5
         values = [nonlocal_energy(u, KernelParams(s, p, d)).total for d in (1.0, 2.0, 4.0, 8.0)]
@@ -260,14 +261,21 @@ class TestStructuralInvariants:
         assert all(v < full for v in values)
 
     def test_horizon_mismatch_rejected(self):
+        # below |Omega| the cutoff must fall on element boundaries: 0.23 is 3.68 cells
         with pytest.raises(InconsistentHorizonError):
-            nonlocal_energy(self.u, KernelParams(0.5, 2.5, 0.5))
+            nonlocal_energy(self.u, KernelParams(0.5, 2.5, 0.23))
 
     def test_collarless_requires_horizon_at_least_domain(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
+        # a horizon of no whole number of cells is taken as given only from |Omega| on
+        mesh = Mesh(0.0, 1.0, 8)
         u = random_function(mesh, np.random.default_rng(1))
+        assert nonlocal_energy(u, KernelParams(0.5, 2.0, 1.03)).total > 0.0
         with pytest.raises(InconsistentHorizonError):
-            nonlocal_energy(u, KernelParams(0.5, 2.0, 0.5))
+            nonlocal_energy(u, KernelParams(0.5, 2.0, 0.23))
+
+    def test_horizon_below_one_cell_rejected(self):
+        with pytest.raises(HorizonUnderresolvedError):
+            nonlocal_energy(self.u, KernelParams(0.5, 2.5, 0.05))  # h = 0.0625
 
     def test_nonzero_collar_rejected(self):
         vals = np.ones(len(self.mesh.nodes))
@@ -289,7 +297,7 @@ class TestStructuralInvariants:
         # Without a collar the interaction is the analytic tail, at every horizon:
         # a finite delta >= |Omega| lowers it by (4/(ps)) delta^(-ps) ||u||_p^p and
         # leaves the pair rules, the principal part, as they are.
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
+        mesh = Mesh(0.0, 1.0, 8)
         u = random_function(mesh, np.random.default_rng(2))
         s, delta = 0.5, 2.0
         at_inf = nonlocal_energy(u, KernelParams(s, 2.0, INFINITE))
@@ -303,7 +311,7 @@ class TestStructuralInvariants:
         # On a collarless mesh a finite horizon delta >= |Omega| shifts the
         # INF energy by -(4/(ps)) delta^(-ps) ||u||_p^p; at p=2 both tail
         # quadratures are exact, so the gradients differ by exactly that.
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 8)
+        mesh = Mesh(0.0, 1.0, 8)
         u = random_function(mesh, np.random.default_rng(2))
         s, delta = 0.5, 2.0
         g_inf = energy_derivatives(u, KernelParams(s, 2.0, INFINITE))[1]
@@ -320,7 +328,7 @@ class TestHorizonShift:
         # without a collar, a horizon delta >= |Omega| lowers the value, the gradient and
         # the Hessian by kappa = (4/(ps)) delta^-ps times those of lp_mass, at every p and
         # on sign-changing u too: the shift sweeps lp_mass's own rule
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 64)
+        mesh = Mesh(0.0, 1.0, 64)
         u = random_function(mesh, np.random.default_rng(61))
         kappa = 4.0 / (0.5 * p) * delta ** (-0.5 * p)
         at_delta = energy_derivatives(u, KernelParams(0.5, p, delta), hessian=True)
@@ -331,7 +339,7 @@ class TestHorizonShift:
 
 class TestMassAndLocalEnergy:
     def test_lp_mass_matches_exact_norm(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.25), 16)
+        mesh = Mesh(0.0, 1.0, 16)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         # the per-element Gauss rule (16 points at p >= 2, 32 below) is exact for
         # polynomial powers of a sign-constant linear function, and accurate (not
@@ -341,7 +349,7 @@ class TestMassAndLocalEnergy:
 
     def test_lp_mass_converges_to_sine_moment(self):
         # int_0^1 sin(pi x)^3 dx = 4 / (3 pi)
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 512)
+        mesh = Mesh(0.0, 1.0, 512)
         u = interpolate(lambda x: math.sin(math.pi * x), mesh)
         assert lp_mass(u, 3.0) == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-4)
 
@@ -355,8 +363,7 @@ class TestMassAndLocalEnergy:
         monkeypatch.setattr(en, "leggauss", counting)
         en._gauss01.cache_clear()
         try:
-            u = random_function(build_mesh(DomainSpec(0.0, 1.0, 0.25), 16),
-                                np.random.default_rng(8))
+            u = random_function(Mesh(0.0, 1.0, 16), np.random.default_rng(8))
             for _ in range(10):
                 lp_mass(u, 3.0)
             x, w = en._gauss01(en._TAIL_ORDER)
@@ -376,14 +383,29 @@ class TestMassAndLocalEnergy:
         monkeypatch.setattr(en, "_Rule", Counting)
         en._mass_rules.cache_clear()
         try:
-            u = random_function(build_mesh(DomainSpec(0.0, 1.0, 0.25), 16),
-                                np.random.default_rng(8))
+            u = random_function(Mesh(0.0, 1.0, 16), np.random.default_rng(8))
             for _ in range(10):
                 for p in (3.0, 2.0, 1.5):  # one rule per order: p >= 2 share theirs
                     lp_mass(u, p)
         finally:
             en._mass_rules.cache_clear()
         assert rules == [en._TAIL_ORDER, en._TAIL_ORDER_HOLDER]
+
+    def test_one_partition_shares_one_mass_rule_across_horizons(self):
+        # a mesh is Omega's partition only: the meshes built per horizon compare equal,
+        # and every horizon, below |Omega| or not, reads one L^p mass rule
+        en._mass_rules.cache_clear()
+        try:
+            for delta in (0.125, 0.25, 0.5, 2.0):
+                mesh = Mesh(0.0, 1.0, 16)
+                assert mesh == Mesh(0.0, 1.0, 16) and hash(mesh) == hash(Mesh(0.0, 1.0, 16))
+                u = random_function(mesh, np.random.default_rng(8))
+                energy_derivatives(u, KernelParams(0.5, 3.0, mesh.snap(delta)), hessian=True)
+                lp_mass_derivatives(u, 3.0, hessian=True)
+            info = en._mass_rules.cache_info()
+        finally:
+            en._mass_rules.cache_clear()
+        assert (info.misses, info.hits) == (1, 4)
 
 
 @pytest.fixture
@@ -406,7 +428,7 @@ def truncated_tail(mesh, params):
     """The tableau's rules, at delta >= |Omega| each tail weight mass * k(x) lowered to
     mass * (k(x) - c), c = (2/(ps)) delta^-ps: the tail of the kernel truncated at delta,
     assembled directly.  Below |Omega| the tableau's own tail is truncated at delta."""
-    ps, (a, b) = params.p * params.s, (mesh.domain.a, mesh.domain.b)
+    ps, (a, b) = params.p * params.s, (mesh.a, mesh.b)
     c = 2.0 / ps * params.delta ** -ps if params.delta >= b - a else 0.0
     *rules, tail = en._table(mesh, params).rules
     e, w = tail.nodes[:, 0], tail.weights[tail.widx]
@@ -426,8 +448,8 @@ class TestSplitStiffness:
         # the stiffness at a finite horizon, the INF one less the horizon shift times the
         # mass Gram, is the Gram of the tail truncated at delta: both tail rules are exact
         # on products of hat functions
-        mesh = build_mesh(DomainSpec(0.0, 1.0, mesh_delta), n)
-        params = KernelParams(s, 2.0, kernel_delta or mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, n)
+        params = KernelParams(s, 2.0, kernel_delta or mesh.snap(mesh_delta))
         full = en._gram(truncated_tail(mesh, params), len(mesh.nodes))
         assert np.linalg.norm(en._stiffness(mesh, params) - full) <= 1e-14 * np.linalg.norm(full)
 
@@ -483,7 +505,7 @@ class TestHomogeneity:
 class TestTableauMemory:
     def test_cold_tableau_is_small(self):
         # per-gap templates: O(r q^2 + n) floats, not one copy per element pair
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        mesh = Mesh(0.0, 1.0, 256)
         u = random_function(mesh, np.random.default_rng(4))
         params = KernelParams(0.4375, 3.0, INFINITE)  # a key no other test builds
         tracemalloc.start()
@@ -496,7 +518,7 @@ class TestTableauMemory:
         assert 2 ** 16 < retained < 4 * 2 ** 20  # the lower bound shows the build was cold
 
     def test_cold_p2_stiffness_keeps_only_the_shared_gram(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        mesh = Mesh(0.0, 1.0, 256)
         params = KernelParams(0.4375, 2.0, 2.0)  # a key no other test builds
         tracemalloc.start()
         try:
@@ -508,8 +530,8 @@ class TestTableauMemory:
         assert 2 ** 16 < retained < 4 * 2 ** 20 + 8 * len(mesh.nodes) ** 2
 
     def test_collar_p2_stiffness_keeps_no_gram(self):
-        mesh = build_mesh(DomainSpec(0.0, 1.0, 0.0625), 256)
-        params = KernelParams(0.4375, 2.0, mesh.delta_effective)
+        mesh = Mesh(0.0, 1.0, 256)
+        params = KernelParams(0.4375, 2.0, mesh.snap(0.0625))
         en._table(mesh, params)  # built before the count
         tracemalloc.start()
         try:
@@ -522,7 +544,7 @@ class TestTableauMemory:
 
     def test_chunked_passes_bound_their_temporaries(self):
         # a cold collarless p = 3 Hessian and a cold p = 2 stiffness, tableau build included
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 256)
+        mesh = Mesh(0.0, 1.0, 256)
         u = random_function(mesh, np.random.default_rng(10))
         for params, call in ((KernelParams(0.3125, 3.0, INFINITE),
                                lambda p: energy_derivatives(u, p, hessian=True)),
@@ -542,8 +564,9 @@ class TestTableauMemory:
         # the adjacent rule is the cutoff pair, and there is no triangle
         for n, r, rows in ((12, None, [12, 11, 55, 12]), (12, 3, [12, 11, 10, 9, 6]),
                            (8, 1, [8, 7, 2]), (8, 7, [8, 7, 20, 1, 8])):
-            mesh = build_mesh(DomainSpec(0.0, 1.0, r / n if r else INFINITE), n)
-            rules = en._table(mesh, KernelParams(0.5, 3.0, mesh.delta_effective)).rules
+            mesh = Mesh(0.0, 1.0, n)
+            params = KernelParams(0.5, 3.0, mesh.snap(r / n if r else INFINITE))
+            rules = en._table(mesh, params).rules
             assert [len(rule.nodes) for rule in rules] == rows
             assert all(rule.nodes.dtype == np.int32 for rule in rules)
             # the pair rows list each (e, e + g), 1 <= g <= min(r, n - 1), once, gap by gap
@@ -555,8 +578,8 @@ class TestTableauMemory:
         # one expression gives the separated weights of every gap, bit for bit the per-gap
         # one, and each row reads the vector of its gap
         n, r, s, p = 8, 7, 0.5, 3.0
-        mesh = build_mesh(DomainSpec(0.0, 1.0, r / n), n)
-        separated, triangle = en._table(mesh, KernelParams(s, p, mesh.delta_effective)).rules[2:4]
+        mesh = Mesh(0.0, 1.0, n)
+        separated, triangle = en._table(mesh, KernelParams(s, p, mesh.snap(r / n))).rules[2:4]
         q, ps = en._PAIR_ORDER_KINK, p * s
         gx, gw = en._gauss01(q)
         xi, eta = np.repeat(gx, q), np.tile(gx, q)
@@ -570,7 +593,7 @@ class TestTableauMemory:
 
     def test_collarless_horizons_share_one_tableau(self, built):
         # a finite delta >= |Omega| only lowers the tail weights of the INF tableau
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
+        mesh = Mesh(0.0, 1.0, 12)
         u = random_function(mesh, np.random.default_rng(6))
         for delta in (1.0, 2.0, 4.0, 8.0, INFINITE):
             nonlocal_energy(u, KernelParams(0.5, 3.0, delta))
@@ -579,20 +602,19 @@ class TestTableauMemory:
 
     def test_finite_horizon_rules_are_built_once(self):
         # a finite delta reads the rules of the INF tableau: none are built per horizon
-        mesh = build_mesh(DomainSpec(0.0, 1.0, INFINITE), 12)
+        mesh = Mesh(0.0, 1.0, 12)
         first, again, other, inf = (en._table(mesh, KernelParams(0.5, 3.0, delta)).rules
                                     for delta in (2.0, 2.0, 4.0, INFINITE))
         assert first is again is other is inf
 
     def test_equal_meshes_share_one_tableau(self, built):
         # the zero-p2 and bbm studies build equal meshes separately
-        spec = DomainSpec(0.0, 1.0, 0.125)
         params = KernelParams(0.5, 2.0, 0.125)
-        first, second = build_mesh(spec, 32), build_mesh(spec, 32)
+        first, second = Mesh(0.0, 1.0, 32), Mesh(0.0, 1.0, 32)
         assert first is not second and first == second
         rng = np.random.default_rng(9)
         for mesh in (first, second):
             nonlocal_energy(random_function(mesh, rng), params)
         assert len(built) == 1
-        nonlocal_energy(random_function(build_mesh(spec, 16), rng), params)
+        nonlocal_energy(random_function(Mesh(0.0, 1.0, 16), rng), params)
         assert len(built) == 2

@@ -382,6 +382,14 @@ class TestCli:
     def test_gamma_bad_dimension(self, capsys):
         assert cli.main(["gamma", "7", "2.0"]) == 2
 
+    def test_gamma_non_finite_p_is_config_error(self, capsys):
+        assert cli.main(["gamma", "1", "inf"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_gamma_at_large_p(self, capsys):
+        assert cli.main(["gamma", "1", "400"]) == 0
+        assert capsys.readouterr().out.strip() == "2.0"
+
     def test_sweep_zero_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "tiny.json"
         cfg_path.write_text(json.dumps(base_config(name="tiny")))
@@ -441,6 +449,16 @@ class TestCli:
                 lams.append(pair["lambda"])
             expected = lams[1] - 4.0 / (0.5 * p) * 2.0 ** (-0.5 * p)
             assert abs(lams[0] - expected) <= 1e-10 * expected
+
+    def test_eigen_snaps_the_horizon(self, tmp_path, capsys):
+        # 0.23 is 2.3 cells of 0.1: the kernel takes 2 cells and writes the bytes of 0.2
+        cfg_path = tmp_path / "eig.json"
+        outputs = []
+        for delta in (0.23, 0.2):
+            cfg_path.write_text(json.dumps({"p": 3, "s": 0.5, "delta": delta, "n_interior": 10}))
+            assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"

@@ -13,6 +13,7 @@ from perispec.kernelmath import (
     p_pi,
     scaling_factor,
 )
+from perispec.mesh import Mesh
 
 from _oracles import k_constant_beta, shooting_oracle_lambda1, sphere_moment_quadrature
 
@@ -35,6 +36,22 @@ class TestGammaConstant:
 
     def test_sphere_p2(self):
         assert gamma_constant(3, 2.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_large_p_does_not_overflow(self, N):
+        # Gamma((p+1)/2) alone overflows past p ~ 342.  At even p the moments have products
+        # for closed forms: 2, 2 pi prod_k (2k-1)/(2k) (Wallis), 4 pi / (p+1)
+        value = gamma_constant(N, 400.0)
+        if N == 1:
+            assert value == 2.0
+        else:
+            wallis = 2.0 * math.pi * math.prod((2 * k - 1) / (2 * k) for k in range(1, 201))
+            assert value == pytest.approx(wallis if N == 2 else 4.0 * math.pi / 401.0, rel=1e-12)
+
+    def test_non_finite_p_rejected(self):
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                gamma_constant(1, p)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -65,8 +82,9 @@ class TestKernelParams:
             KernelParams(s, p, delta)
 
     def test_with_delta(self):
-        kp = KernelParams(0.5, 3.0, 1.0).with_delta(2.0)
-        assert kp.delta == 2.0 and kp.p == 3.0
+        # the kernel takes the horizon its mesh snaps: 0.23 is 2 cells of 0.1
+        kp = KernelParams(0.5, 3.0, Mesh(0.0, 1.0, 10).snap(0.23))
+        assert kp.delta == pytest.approx(0.2, abs=1e-15) and kp.p == 3.0
 
 
 class TestScalingFactor:
