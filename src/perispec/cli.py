@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -92,6 +93,9 @@ def _cmd_eigen(args) -> int:
             raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
         mesh = Mesh(a, b, n_interior)
         params = KernelParams(float(d["s"]), float(d["p"]), mesh.snap(delta))
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out {args.out} is a directory or lies in a missing one")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _config_error(exc)
     try:

@@ -53,10 +53,6 @@ class InconsistentHorizonError(ValueError):
     """Kernel horizon below |Omega| is not a whole number of the mesh's cells."""
 
 
-class ConstraintViolationError(ValueError):
-    """Function is nonzero at an end of the domain, where the constrained space vanishes."""
-
-
 # quadrature controls
 _PAIR_ORDER_SMOOTH = 6      # tensor order when |.|^p is polynomial (even integer p)
 _PAIR_ORDER_KINK = 10       # tensor order for p >= 2 (|.|^p ridge is C^(p-1)-smooth)
@@ -236,8 +232,8 @@ def _built(mesh: Mesh, s: float, p: float, delta: float) -> _Tableau:
 
 
 def _tail_horizon(mesh: Mesh, delta: float) -> float:
-    """The horizon the tableau of delta is built at: delta below |Omega|, else infinity."""
-    return delta if delta < mesh.length * (1.0 - 1e-12) else math.inf
+    """The horizon the tableau of delta is built at: infinity if delta spans Omega, else delta."""
+    return math.inf if mesh.spans(delta) else delta
 
 
 def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
@@ -248,11 +244,6 @@ def _table(mesh: Mesh, params: KernelParams) -> _Tableau:
         raise InconsistentHorizonError(
             f"kernel horizon {delta} is not a whole number of cells h={mesh.h}")
     return _built(mesh, params.s, params.p, _tail_horizon(mesh, delta))
-
-
-def _check_constrained(u: DiscreteFunction):
-    if u.values[0] != 0.0 or u.values[-1] != 0.0:
-        raise ConstraintViolationError("function is nonzero at an end of the domain")
 
 
 def _sweep(rules, nn: int, vals=None, p: float = 2.0, gradient: bool = False,
@@ -328,7 +319,6 @@ def _stiffness(mesh: Mesh, params: KernelParams) -> np.ndarray:
 
 def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdown:
     """Truncated seminorm of u to the p-th power at any horizon, split principal/interaction."""
-    _check_constrained(u)
     principal, interaction, _, _ = _energy_sweep(u.mesh, params, u.values)
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
@@ -337,7 +327,6 @@ def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool 
     """(nonlocal_energy total, its nodal gradient, its Hessian or None) at u from one pass.
     The Hessian (end entries included) is exact for p >= 2, twice the stiffness bit for
     bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
-    _check_constrained(u)
     p = params.p
     principal, interaction, grad, G = _energy_sweep(u.mesh, params, u.values, True, hessian)
     return principal + interaction, grad, None if G is None else p * (p - 1.0) * G

@@ -95,6 +95,9 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: dict, name: str = "study") -> "SweepConfig":
+        """The config that d describes; name labels its errors and, without a "name" key,
+        names its reports.  KernelParams validates p, s and each horizon, and Mesh a, b and
+        n_interior: their ValueError becomes a ConfigError (exit 2)."""
         _check_keys(d, {f.name for f in fields(SweepConfig)} | {"schema_version"}, name)
         missing = [k for k in ("schema_version", "study", "p", "s", "delta_list") if k not in d]
         if missing:
@@ -107,31 +110,20 @@ class SweepConfig:
         study = d["study"]
         if study not in _STUDIES:
             raise ConfigError(f"{name}: study must be one of {_STUDIES}, got {study!r}")
-        try:
-            p = float(d["p"])
-            s = float(d["s"])
-            a = float(d.get("a", 0.0))
-            b = float(d.get("b", 1.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name}: non-numeric scalar field: {exc}") from exc
-        if not (p > 1.0 and math.isfinite(p)):
-            raise ConfigError(f"{name}: p must lie in (1, inf), got {p}")
-        if not (0.0 < s < 1.0):
-            raise ConfigError(f"{name}: s must lie in (0, 1), got {s}")
-        if not a < b:
-            raise ConfigError(f"{name}: need a < b, got a={a}, b={b}")
-
+        n_interior = d.get("n_interior", 256)
+        if not isinstance(n_interior, int):
+            raise ConfigError(f"{name}: n_interior must be an integer, got {n_interior!r}")
         raw_deltas = d["delta_list"]
         if not isinstance(raw_deltas, list) or not raw_deltas:
             raise ConfigError(f"{name}: delta_list must be a nonempty array")
-        deltas = []
-        for entry in raw_deltas:
-            if entry == "INF":
-                deltas.append(INFINITE)
-            elif entry > 0.0:
-                deltas.append(float(entry))
-            else:
-                raise ConfigError(f"{name}: horizons must be positive, got {entry}")
+        try:
+            p, s = float(d["p"]), float(d["s"])
+            deltas = [INFINITE if x == "INF" else float(x) for x in raw_deltas]
+            for delta in deltas:
+                KernelParams(s, p, delta)
+            mesh = Mesh(float(d.get("a", 0.0)), float(d.get("b", 1.0)), n_interior)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
         if study == "zero" or study == "bbm":
             if any(math.isinf(x) for x in deltas):
                 raise ConfigError(f"{name}: INF horizon is only valid in 'inf' studies")
@@ -149,10 +141,9 @@ class SweepConfig:
                 raise ConfigError(f"{name}: inf studies must end with the INF horizon")
             if len(deltas) < 3:
                 raise ConfigError(f"{name}: need at least one finite horizon plus INF")
-            if deltas[0] < (b - a) * (1.0 - 1e-12):
+            if not mesh.spans(deltas[0]):
                 raise ConfigError(
-                    f"{name}: inf studies need every finite horizon >= |Omega|={b - a}"
-                )
+                    f"{name}: inf studies need every finite horizon >= |Omega|={mesh.length}")
 
         k_list = d.get("k_list", [1])
         if not isinstance(k_list, list) or not k_list or any(
@@ -170,13 +161,12 @@ class SweepConfig:
         m = d.get("cells_per_horizon", 8)
         if not isinstance(m, int) or m < 4:
             raise ConfigError(f"{name}: cells_per_horizon must be an integer >= 4, got {m!r}")
-        n_interior = d.get("n_interior", 256)
-        if not isinstance(n_interior, int) or not 2 <= n_interior <= sys.float_info.max:
-            raise ConfigError(f"{name}: n_interior must be an integer >= 2 that a float holds, "
-                              f"got {n_interior!r}")
-
+        study_name = str(d.get("name", name))  # the stem of its report files
+        if (study_name in ("", ".", "..") or os.path.basename(study_name) != study_name
+                or "\0" in study_name):
+            raise ConfigError(f"{name}: name {study_name!r} must be a file name, not a path")
         config = SweepConfig(
-            name=str(d.get("name", name)), study=study, p=p, s=s, a=a, b=b,
+            name=study_name, study=study, p=p, s=s, a=mesh.a, b=mesh.b,
             delta_list=tuple(deltas), k_list=tuple(k_list), thresholds=tuple(thresholds),
             cells_per_horizon=m, n_interior=n_interior,
         )
@@ -496,8 +486,7 @@ def run_study(config: SweepConfig, threads: int = 1) -> SweepReport:
 
 
 def write_report(report: SweepReport, out_dir) -> None:
-    """Write <name>.json, <name>.csv and <name>.meta.json under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write <name>.json, <name>.csv and <name>.meta.json in the directory out_dir."""
     base = os.path.join(out_dir, report.config.name)
     for suffix, text in ((".json", report.to_json()), (".csv", report.to_csv()),
                          (".meta.json", report.metadata())):
@@ -506,9 +495,10 @@ def write_report(report: SweepReport, out_dir) -> None:
 
 
 def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
-    """Parse every study config file, then run each in order, writing its reports
-    under out_dir and printing its status line; 0 pass, 1 fail, 2 config error
-    before any study runs (also for a config not of kind `study`, if given)."""
+    """Parse every study config file and make out_dir, then run each in order, writing its
+    reports in out_dir and printing its status line; 0 pass, 1 fail, 2 config error
+    before any study runs (also for a config not of kind `study`, if given, for two
+    configs of one name, and for an out_dir that cannot be made)."""
     configs = []
     try:
         for path in paths:
@@ -516,8 +506,12 @@ def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
             if study is not None and config.study != study:
                 raise ConfigError(f"{config.name}: config is a {config.study!r} study, "
                                   f"but the {study!r} runner was requested")
+            if any(c.name == config.name for c in configs):
+                raise ConfigError(f"{path}: a second config named {config.name!r}, "
+                                  f"whose reports would overwrite the first's")
             configs.append(config)
-    except ConfigError as exc:
+        os.makedirs(out_dir, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     all_pass = True

@@ -1,10 +1,10 @@
-"""Uniform 1-D meshes of the interval Omega = (a, b).
+"""Uniform 1-D meshes of the interval Omega = (a, b) and the constrained space on them.
 
-A mesh is Omega's partition only: functions of the constrained space vanish off Omega,
-so their interaction with the complement is a weighted L^p term over Omega that the
-energy module integrates analytically.  The horizon belongs to the kernel; ``Mesh.snap``
-rounds a requested horizon below |Omega| to an integer multiple r h of the cell size, so
-the interaction cutoff aligns with element boundaries, and the kernel is built at it.
+A mesh is Omega's partition only.  A ``DiscreteFunction`` vanishes off Omega (both its end
+values are zero), so its interaction with the complement is a weighted L^p term over Omega
+that the energy module integrates analytically.  The horizon belongs to the kernel: one
+that spans Omega (``Mesh.spans``, delta >= |Omega| to rounding) is taken as given, and
+``Mesh.snap`` rounds one below to r h, so the cutoff aligns with element boundaries.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ class HorizonUnderresolvedError(ValueError):
 
 class InvalidFunctionError(ValueError):
     """Sampled function produced a non-finite nodal value."""
+
+
+class ConstraintViolationError(ValueError):
+    """Function is nonzero at an end of the domain, where the constrained space vanishes."""
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,14 @@ class Mesh:
         nodes.setflags(write=False)
         return nodes
 
+    def spans(self, delta: float) -> bool:
+        """Whether delta >= |Omega| to rounding: the kernel reaches across Omega."""
+        return delta >= self.length * (1.0 - 1e-12)
+
     def snap(self, delta: float) -> float:
-        """The horizon a kernel on this mesh takes for delta: below |Omega|, round(delta/h) h;
-        at or above it, delta as given."""
-        if delta >= self.length:
+        """The horizon a kernel on this mesh takes for delta: delta as given if it spans
+        Omega, else round(delta/h) h."""
+        if self.spans(delta):
             return delta
         if delta < self.h * (1.0 - 1e-12):
             raise HorizonUnderresolvedError(
@@ -77,11 +85,8 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteFunction:
-    """Nodal values of a piecewise-linear function on a mesh.
-
-    Membership in the constrained space requires zeros at both ends; ``interpolate``
-    enforces this, direct construction is checked by the energy module.
-    """
+    """Nodal values of a piecewise-linear function of the constrained space on a mesh:
+    both end values are zero, or construction raises ConstraintViolationError."""
 
     values: np.ndarray
     mesh: Mesh
@@ -92,6 +97,8 @@ class DiscreteFunction:
             raise ValueError(
                 f"values shape {vals.shape} does not match mesh with {len(self.mesh.nodes)} nodes"
             )
+        if vals[0] != 0.0 or vals[-1] != 0.0:
+            raise ConstraintViolationError("function is nonzero at an end of the domain")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -38,6 +38,10 @@ def base_config(**overrides):
     return d
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("compute started for an invalid request")
+
+
 def run_python(script):
     """stdout of script run by a fresh interpreter that imports perispec from this checkout."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
@@ -93,6 +97,18 @@ class TestConfigValidation:
         {"b": 10 ** 400},
         {"study": "inf", "delta_list": [1.0, 2.0, "INF"], "n_interior": 10 ** 400},
         {"k_list": [1, 1], "thresholds": [0.5, 0.5]},  # each k once: one row and verdict
+        # the domains that KernelParams and Mesh hold
+        {"a": 2.0},
+        {"n_interior": 1},
+        {"delta_list": [0.4, 0.2, 0.0]},
+        {"delta_list": [0.4, 0.2, -0.1]},
+        # the name is the stem of the report files, not a path
+        {"name": "../escaped"},
+        {"name": ""},
+        {"name": "."},
+        {"name": ".."},
+        {"name": "sub/x"},
+        {"name": "a\0b"},                          # open() refuses it after the compute
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
@@ -320,6 +336,21 @@ class TestRunAll:
         assert calls == []
         assert not list(tmp_path.glob("reports/a.*"))
 
+    def test_two_configs_of_one_name_exit_2_before_any_study(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_study", refuse)
+        for stem in ("a", "b"):
+            (tmp_path / f"{stem}.json").write_text(json.dumps(base_config(name="a")))
+        assert run_all(tmp_path, out_dir=tmp_path / "reports") == 2
+        assert not (tmp_path / "reports").exists()
+
+    def test_out_dir_that_is_a_file_exits_2_before_any_study(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_study", refuse)
+        (tmp_path / "ok.json").write_text(json.dumps(base_config()))
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert run_all(tmp_path, out_dir=out) == 2
+        assert out.read_text() == "kept"
+
     def test_passing_study_exits_0(self, tmp_path):
         (tmp_path / "ok.json").write_text(json.dumps(base_config()))
         assert run_all(tmp_path, out_dir=tmp_path / "reports") == 0
@@ -486,6 +517,23 @@ class TestCli:
                     dict(k_max_cfg, delta="INF", n_interior=10 ** 400)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
+
+    def test_all_rejects_a_name_that_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_study", refuse)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "x.json").write_text(json.dumps(base_config(name="../escaped")))
+        assert cli.main(["all", "--config", str(configs),
+                         "--out", str(configs / "out")]) == 2
+        assert sorted(tmp_path.rglob("*")) == [configs, configs / "x.json"]
+
+    @pytest.mark.parametrize("out", ["", "missing/eig.out"], ids=["directory", "missing-parent"])
+    def test_eigen_bad_out_exits_2_before_the_solve(self, tmp_path, monkeypatch, out):
+        monkeypatch.setattr(cli, "solve_eigenpairs", refuse)
+        cfg_path = tmp_path / "eig.json"
+        cfg_path.write_text(json.dumps({"p": 3, "s": 0.5, "delta": 0.25, "n_interior": 8}))
+        assert cli.main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        assert sorted(tmp_path.rglob("*")) == [cfg_path]
 
     def test_sweep_inf_config_error_before_any_solve(self, tmp_path, monkeypatch):
         calls = []

@@ -56,6 +56,13 @@ class TestBuildMesh:
         # round(0.99 / h) = 24 cells: snapped to |Omega|; 1.3 and INF >= |Omega| are kept
         assert Mesh(0.0, 1.0, 24).snap(0.99) == 24 * (1.0 / 24)
         assert Mesh(0.0, 1.0, 10).snap(1.3) == 1.3
+
+    def test_horizon_spanning_omega_to_rounding_kept(self):
+        # |Omega| (1 - 1e-12) is where a horizon spans Omega, in snap and in the energy alike
+        mesh = Mesh(0.0, 1.0, 10)
+        assert mesh.snap(1.0 - 5e-13) == 1.0 - 5e-13
+        assert mesh.spans(1.0 - 5e-13) and not mesh.spans(1.0 - 2e-12)
+        assert math.isinf(en._tail_horizon(mesh, 1.0 - 5e-13))
         assert Mesh(0.0, 1.0, 10).snap(INFINITE) == INFINITE
 
     def test_interior_mask(self):
