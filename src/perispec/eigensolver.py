@@ -11,8 +11,10 @@ u with unit L^p mass: a Newton step on the eigen-equation at p >= 2 where it low
 Rayleigh quotient, else an Armijo step of descent on it (Knyazev 2001) along the Newton
 direction of the energy; below p = 2 that is the Newton direction of the quadratic that
 majorizes the energy at u (relaxed Kačanov: Diening, Fornasier, Tomasi, Wank 2020; Hein &
-Bühler 2010), and the Hessian weights are floored (``solve_first_eigenpair``).  The
-linear algebra is numpy.linalg, on the one OpenBLAS thread that importing ``perispec`` sets."""
+Bühler 2010), and the Hessian weights are floored.  The first eigenfunction is even
+(lambda_1 is simple), so that loop runs on the even half of the unknowns
+(``solve_first_eigenpair``).  The linear algebra is numpy.linalg, on the one OpenBLAS
+thread that importing ``perispec`` sets."""
 
 from __future__ import annotations
 
@@ -152,35 +154,37 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
     stiffness, where H_E(u) does not factor.  Two rules end the loop: at p >= 2, |res| at
     most _RES_TOL p lam (1 + lam), tested before each step; and a descent step that can
     move R only at rounding level (predicted or taken decrease, or a stalled search).
-    A trial point w costs one energy and one mass sweep, Hessians included: by p-homogeneity
-    u = w / c, c = M(w)^(1/p), has lam = E(w)/M(w), and the derivatives at w over c^(p-1)
-    and c^(p-2) (the floor of a p < 2 Hessian scales with max|w|)."""
+    The first eigenfunction is even: u holds the interior values of the first (N + 1) // 2
+    of the N nodes, unfolded once at the end, and a trial point w costs one
+    energy.folded_derivatives sweep, Hessians included (gradients U^T g, Hessians U^T H U,
+    U the unfold map).  By p-homogeneity u = w / c, c = M(w)^(1/p), has lam = E(w)/M(w),
+    and the derivatives at w over c^(p-1) and c^(p-2) (the floor of a p < 2 Hessian scales
+    with max|w|).  |res| is the full vector's: res_i^2 / m_i summed, m_i = 2, or 1 for the
+    middle node of odd N."""
     p = params.p
     newton = p >= 2.0
-    ii = mesh.interior
-    a, b = mesh.a, mesh.b
+    unfold = np.minimum(np.arange(len(mesh.nodes)), np.arange(len(mesh.nodes))[::-1])
+    root_m = np.sqrt(np.bincount(unfold)[1:])  # per unknown, the nodes it stands for
 
     def sign_changing(v):
         return np.min(v) < -1e-10 * np.max(np.abs(v))
 
     def sweep(w):  # u = w / c, lam, grad M, res and [H_E, H_M at p >= 2] at u
-        wf = _embed(mesh, w)
-        energy, grad_e, hess_e = en.energy_derivatives(wf, params, True)
-        mass, grad_m, hess_m = en.lp_mass_derivatives(wf, p, newton)
+        (energy, grad_e, hess_e), (mass, grad_m, hess_m) = en.folded_derivatives(
+            np.append(0.0, w), mesh, params, newton)
         c = mass ** (1.0 / p)
         lam, scale = energy / mass, c ** (p - 1.0)
-        hess = [h[ii, ii] / c ** (p - 2.0) for h in (hess_e, hess_m) if h is not None]
-        return w / c, lam, grad_m[ii] / scale, (grad_e[ii] - lam * grad_m[ii]) / scale, hess
+        hess = [h[1:, 1:] / c ** (p - 2.0) for h in (hess_e, hess_m) if h is not None]
+        return w / c, lam, grad_m[1:] / scale, (grad_e[1:] - lam * grad_m[1:]) / scale, hess
 
-    u, lam, grad_m, res, hess = sweep(
-        interpolate(lambda x: math.sin(math.pi * (x - a) / (b - a)), mesh).values[ii])
+    sine = interpolate(lambda x: math.sin(math.pi * (x - mesh.a) / mesh.length), mesh)
+    u, lam, grad_m, res, hess = sweep(sine.values[1:len(root_m) + 1])
     history = [lam]
     bordered = np.zeros((len(u) + 1, len(u) + 1))
     descent_steps = newton_steps = recoveries = 0
-    converged = False
-    it = 0
+    converged, it = False, 0
     for it in range(1, _MAX_ITER + 1):
-        if newton and np.linalg.norm(res) <= _RES_TOL * p * lam * (1.0 + lam):
+        if newton and np.linalg.norm(res / root_m) <= _RES_TOL * p * lam * (1.0 + lam):
             converged = True
             break
         hess_u, new, done = hess[0], None, False
@@ -201,7 +205,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
             try:
                 cholesky(hess_u)  # raises unless H_E(u) is positive definite
             except LinAlgError:  # only at p > 2, where weights vanish: the unweighted G
-                hess_u = en._stiffness(mesh, params)[ii, ii]
+                hess_u = en._stiffness(mesh, params, folded=True)[1:, 1:]
             # below p = 2, hess_u / (p - 1) is the Hessian of the majorizer
             d = solve(hess_u, -res) * min(1.0, p - 1.0)
             slope = float(res @ d)
@@ -230,8 +234,10 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
             converged = True
             break
 
-    return EigenPair(lam=float(lam), eigenfunction=_embed(mesh, u), index_k=1,
-                     residual=float(np.linalg.norm(res)), iterations=it, converged=converged,
+    eigenfunction = DiscreteFunction(np.append(0.0, u)[unfold], mesh)
+    return EigenPair(lam=float(lam), eigenfunction=eigenfunction, index_k=1,
+                     residual=float(np.linalg.norm(res / root_m)), iterations=it,
+                     converged=converged,
                      diagnostics={"inner_iterations": descent_steps, "newton_steps": newton_steps,
                                   "recoveries": recoveries, "rayleigh_history": history})
 

@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -391,13 +392,12 @@ def _zero_study(report: SweepReport, threads: int) -> None:
 def _inf_study(report: SweepReport) -> None:
     """Horizon-to-infinity sweep on a fixed mesh of Omega.
 
-    ``SweepConfig.from_dict`` ensures every finite horizon is at least the
-    domain length, so the energy at delta is that at INF less horizon_shift
-    times the L^p mass. So only INF
-    is solved: the eigenpairs at delta are (lambda(INF) - horizon_shift, u(INF)),
-    and a finite row takes INF's converged flag. Checks monotonicity in delta,
-    the norm-equivalence sandwich, and the gap at the largest finite horizon; a
-    failed check fails the verdicts of the report.
+    ``SweepConfig.from_dict`` ensures every finite horizon is at least the domain length,
+    so the energy at delta is that at INF less horizon_shift times the L^p mass.  So only
+    INF is solved: the eigenpairs at delta are (lambda(INF) - horizon_shift, u(INF)), and
+    a finite row takes INF's converged flag.  Checks monotonicity in delta, the
+    norm-equivalence sandwich, and the gap at the largest finite horizon; a failed check
+    fails the verdicts of the report.
     """
     config = report.config
     finite = config.delta_list[:-1]
@@ -498,7 +498,7 @@ def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
     """Parse every study config file and make out_dir, then run each in order, writing its
     reports in out_dir and printing its status line; 0 pass, 1 fail, 2 config error
     before any study runs (also for a config not of kind `study`, if given, for two
-    configs of one name, and for an out_dir that cannot be made)."""
+    configs of one name, and for an out_dir that cannot be made or written to)."""
     configs = []
     try:
         for path in paths:
@@ -511,6 +511,7 @@ def run_configs(paths, out_dir, threads: int = 1, study=None) -> int:
                                   f"whose reports would overwrite the first's")
             configs.append(config)
         os.makedirs(out_dir, exist_ok=True)
+        tempfile.NamedTemporaryFile(dir=out_dir).close()  # a probe file, removed on close
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -350,7 +350,7 @@ class TestInnerSolvers:
         mesh = Mesh(0.0, 1.0, 16)
         params = KernelParams(0.5, 3.0, mesh.snap(0.25))
         base = solve_first_eigenpair(mesh, params)
-        n = mesh.n_interior - 1
+        n = mesh.n_interior // 2  # the unknowns of the even half the loop runs on
 
         def unfactorable(*args, **kwargs):
             raise eigensolver.LinAlgError("not positive definite")
@@ -371,28 +371,25 @@ class TestInnerSolvers:
         assert abs(ep.lam - base.lam) <= 1e-10 * base.lam
 
     def test_newton_steps_do_not_grow_with_the_mesh(self, monkeypatch):
-        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160; one energy and
-        # one L^p mass sweep per trial point (a |w| recovery sweeps |w| instead of w), and
+        # the zero-p3 rows at 4 cells per horizon: n = 20, 40, 80, 160; one folded energy
+        # and L^p mass sweep per trial point (a |w| recovery sweeps |w| instead of w), and
         # every trial point but a rejected last one is accepted
         inner, outer, calls = [], [], []
 
-        def counted(f):
-            def call(*args):
-                calls.append(f)
-                return f(*args)
-            return call
+        def counted(*args):
+            calls.append(args[1])
+            return fused(*args)
 
-        mass, fused = en.lp_mass_derivatives, en.energy_derivatives
-        monkeypatch.setattr(en, "lp_mass_derivatives", counted(mass))
-        monkeypatch.setattr(en, "energy_derivatives", counted(fused))
+        fused = en.folded_derivatives
+        monkeypatch.setattr(en, "folded_derivatives", counted)
         for delta in (0.2, 0.1, 0.05, 0.025):
             calls.clear()
             mesh = Mesh(0.0, 1.0, round(4 / delta))
             ep = solve_eigenpairs(mesh, KernelParams(0.5, 3.0, mesh.snap(delta)))[0]
             assert ep.converged
             assert ep.diagnostics["inner_iterations"] <= 4 * ep.iterations
-            assert calls.count(mass) == calls.count(fused)
-            assert 0 <= calls.count(fused) - len(ep.diagnostics["rayleigh_history"]) <= 1
+            assert all(m is mesh for m in calls)
+            assert 0 <= len(calls) - len(ep.diagnostics["rayleigh_history"]) <= 1
             inner.append(ep.diagnostics["inner_iterations"])
             outer.append(ep.iterations)
         assert max(inner) - min(inner) <= 3
@@ -421,7 +418,7 @@ class TestInnerSolvers:
         mesh = Mesh(0.0, 1.0, 16)
         params = KernelParams(s, p, kernel_delta or mesh.snap(mesh_delta))
         newton = solve_first_eigenpair(mesh, params)
-        n = mesh.n_interior - 1
+        n = mesh.n_interior // 2  # the unknowns of the even half the loop runs on
 
         def unbordered(a, b):
             if len(a) == n + 1:
@@ -460,37 +457,33 @@ class TestInnerSolvers:
         # step built, predicts a decrease at rounding level, so u is returned
         hessians, masses, solved = [], [], []
 
-        def sweep(u, params, hessian=False):
-            result = energy_derivatives(u, params, hessian)
-            hessians.append(result[2])
-            return result
-
-        def mass_sweep(u, p, hessian=False):
-            result = lp_mass_derivatives(u, p, hessian)
-            masses.append(result[0])
-            return result
+        def sweep(half, mesh, params, mass_hessian=False):
+            energy, mass = fused(half, mesh, params, mass_hessian)
+            hessians.append(energy[2])
+            masses.append(mass[0])
+            return energy, mass
 
         def watched_solve(a, b):
             solved.append(a)
             return solve(a, b)
 
-        solve = eigensolver.solve
-        monkeypatch.setattr(en, "energy_derivatives", sweep)
-        monkeypatch.setattr(en, "lp_mass_derivatives", mass_sweep)
+        solve, fused = eigensolver.solve, en.folded_derivatives
+        monkeypatch.setattr(en, "folded_derivatives", sweep)
         monkeypatch.setattr(eigensolver, "solve", watched_solve)
         mesh = Mesh(0.0, 1.0, 40)
         params = KernelParams(0.5, 3.0, mesh.snap(0.2))
         ep = solve_eigenpairs(mesh, params)[0]
         assert ep.diagnostics["newton_steps"] == 5 and ep.diagnostics["inner_iterations"] == 0
-        # one sweep, Hessian included, at the cold start, per Newton step and at the
-        # rejected step, and one mass sweep with each
+        # one folded energy and mass sweep, Hessians included, at the cold start, per Newton
+        # step and at the rejected step
         assert len(hessians) == len(masses) == 7
         assert all(h is not None for h in hessians)
         assert abs(ep.lam - 2.8148237761991957) <= 1e-13 * ep.lam
         # H_E at u is the Hessian of the sweep at the unnormalized w over c^(p-2),
-        # c = M(w)^(1/p); the last sweep was the rejected trial point
-        ii, c = mesh.interior, masses[-2] ** (1.0 / params.p)
-        assert np.array_equal(solved[-1], hessians[-2][ii, ii] / c ** (params.p - 2.0))
+        # c = M(w)^(1/p), on the unknowns (all but the end node); the last sweep was the
+        # rejected trial point
+        c = masses[-2] ** (1.0 / params.p)
+        assert np.array_equal(solved[-1], hessians[-2][1:, 1:] / c ** (params.p - 2.0))
 
     def test_descent_below_p2(self):
         # delta below and above |Omega|, lambda pinned from this solve with lp_mass's 32-point
@@ -523,6 +516,46 @@ class TestInnerSolvers:
             assert after <= before * (1.0 + 1e-10)
         if p == 1.2:  # pinned as in test_descent_below_p2; all orders raised move it 2.0e-10
             assert abs(ep.lam - 4.042193963830259) <= 1e-9 * ep.lam
+
+
+class TestFold:
+    @pytest.mark.parametrize("p, s, n, mesh_delta, kernel_delta", [
+        (3.0, 0.5, 16, 0.25, None), (3.0, 0.5, 17, 0.25, None), (3.0, 0.5, 24, INFINITE, 2.0),
+        (3.0, 0.5, 25, INFINITE, INFINITE), (2.5, 0.5, 40, 0.2, None),
+        (4.0, 0.9, 17, 0.25, None), (1.5, 0.5, 16, 0.25, None), (1.5, 0.1, 17, 0.25, None),
+        (1.2, 0.9, 25, INFINITE, INFINITE)])
+    def test_lambda_is_the_full_quotient_of_the_unfolded_eigenfunction(self, p, s, n,
+                                                                       mesh_delta, kernel_delta):
+        # the loop runs on the even half; by the full sweeps, lambda is E(u)/M(u) of the
+        # eigenfunction it unfolds, and at p >= 2 the residual grad E - lambda grad M there
+        # meets the Newton stop (these rows end on it)
+        mesh = Mesh(0.0, 1.0, n)
+        params = KernelParams(s, p, kernel_delta or mesh.snap(mesh_delta))
+        ep = solve_first_eigenpair(mesh, params)
+        u = ep.eigenfunction
+        assert ep.converged and np.array_equal(u.values, u.values[::-1])
+        lam = nonlocal_energy(u, params).total / lp_mass(u, p)
+        assert abs(ep.lam - lam) <= 1e-14 * lam
+        if p >= 2.0:
+            ii = mesh.interior
+            res = energy_derivatives(u, params)[1][ii] - ep.lam * lp_mass_derivatives(u, p)[1][ii]
+            assert np.linalg.norm(res) <= eigensolver._RES_TOL * p * ep.lam * (1.0 + ep.lam)
+
+    def test_cold_solve_builds_no_full_layout(self):
+        # a p != 2 solve reads the folded layouts only: the tableau's and the mass rule's
+        # full layouts are never built
+        mesh = Mesh(0.0, 1.0, 256)
+        params = KernelParams(0.5, 3.0, INFINITE)
+        en._built.cache_clear()
+        en._mass_rules.cache_clear()
+        try:
+            assert solve_first_eigenpair(mesh, params).converged
+            rules = en._table(mesh, params).rules + en._lp_rules(mesh, params.p)
+        finally:
+            en._built.cache_clear()
+            en._mass_rules.cache_clear()
+        assert all("nodes" not in vars(rule) and "chunks" not in vars(rule) for rule in rules)
+        assert all("chunks" in vars(rule.folded(len(mesh.nodes))) for rule in rules)
 
 
 class TestSolveEigenpairs:

@@ -505,6 +505,49 @@ class TestHomogeneity:
                 assert np.linalg.norm(b - c ** power * a) <= 1e-13 * np.linalg.norm(b)
 
 
+def unfold_map(mesh):
+    """U, N x (N + 1) // 2: the even function U half of its first (N + 1) // 2 nodal values."""
+    nn = len(mesh.nodes)
+    i = np.arange(nn)
+    U = np.zeros((nn, (nn + 1) // 2))
+    U[i, np.minimum(i, nn - 1 - i)] = 1.0
+    return U
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", [12, 13])  # 13 and 14 nodes: a middle node, or none
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("mesh_delta, kernel_delta", HORIZONS, ids=["0.25", "inf", "2"])
+    def test_matches_the_full_sweep_at_an_even_function(self, mesh_delta, kernel_delta, p, s,
+                                                        n):
+        # the tableau is reflection-symmetric, so at an even u the folded layouts give E,
+        # U^T grad E and U^T H U of the full sweep to rounding, and the same of M.  Rounding
+        # is measured against U^T |H| U, the terms the sum cancels: below p = 2, the points
+        # where d = u(x) - u(y) vanishes by symmetry weigh |d|^(p-2) at the floor, and their
+        # odd-mode entries, up to 2e7 times |U^T H U| at p = 1.2, cancel in the fold
+        mesh = Mesh(0.0, 1.0, n)
+        params = KernelParams(s, p, kernel_delta or mesh.snap(mesh_delta))
+        U = unfold_map(mesh)
+        half = np.append(0.0, np.random.default_rng(n).standard_normal(U.shape[1] - 1))
+        u = DiscreteFunction(U @ half, mesh)
+        full = (energy_derivatives(u, params, hessian=True),
+                lp_mass_derivatives(u, p, hessian=True))
+        folded = en.folded_derivatives(half, mesh, params, mass_hessian=True)
+        for (value, grad, hessian), (f_value, f_grad, f_hessian) in zip(full, folded):
+            assert abs(f_value - value) <= 1e-13 * abs(value)
+            assert np.linalg.norm(f_grad - U.T @ grad) <= 1e-13 * np.linalg.norm(U.T @ grad)
+            assert (np.linalg.norm(f_hessian - U.T @ hessian @ U)
+                    <= 1e-13 * np.linalg.norm(U.T @ np.abs(hessian) @ U))
+
+    def test_rejects_what_is_not_a_half(self):
+        mesh = Mesh(0.0, 1.0, 12)
+        params = KernelParams(0.5, 3.0, INFINITE)
+        for half in (np.zeros(6), np.zeros(8), np.ones(7)):  # 7 values, the first one 0
+            with pytest.raises(ValueError):
+                en.folded_derivatives(half, mesh, params)
+
+
 class TestTableauMemory:
     def test_cold_tableau_is_small(self):
         # per-gap templates: O(r q^2 + n) floats, not one copy per element pair

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import types
 
 import pytest
@@ -351,10 +352,25 @@ class TestRunAll:
         assert run_all(tmp_path, out_dir=out) == 2
         assert out.read_text() == "kept"
 
+    def test_out_dir_that_cannot_be_written_exits_2_before_any_study(self, tmp_path,
+                                                                      monkeypatch):
+        # a probe file in --out fails as an unwritable directory or a full disk would; a
+        # process running as root ignores permissions, so the failure is injected
+        def unwritable(*args, dir=None, **kwargs):
+            raise PermissionError(13, "Permission denied", dir)
+
+        monkeypatch.setattr(harness, "run_study", refuse)
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", unwritable)
+        (tmp_path / "ok.json").write_text(json.dumps(base_config()))
+        assert run_all(tmp_path, out_dir=tmp_path / "reports") == 2
+        assert list((tmp_path / "reports").iterdir()) == []
+
     def test_passing_study_exits_0(self, tmp_path):
         (tmp_path / "ok.json").write_text(json.dumps(base_config()))
         assert run_all(tmp_path, out_dir=tmp_path / "reports") == 0
         assert (tmp_path / "reports" / "ok.csv").exists()
+        # the probe of --out leaves nothing behind
+        assert sorted(os.listdir(tmp_path / "reports")) == ["ok.csv", "ok.json", "ok.meta.json"]
 
 
 class TestCli:
