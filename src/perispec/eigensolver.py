@@ -26,7 +26,7 @@ from numpy.linalg import LinAlgError, cholesky, eigh, inv, qr, solve
 
 from . import energy as en
 from .kernelmath import KernelParams, local_p_laplacian_lambda1
-from .mesh import DiscreteFunction, Mesh, interpolate
+from .mesh import DiscreteFunction, Mesh
 
 
 class SpectrumRequestError(ValueError):
@@ -106,7 +106,7 @@ def solve_p2_spectrum(mesh: Mesh, params: KernelParams, k_max: int):
     eigenvalue outside span V lies below mu then.  An indefinite M raises LinAlgError."""
     ii = mesh.interior
     A = en._stiffness(mesh, params)[ii, ii]
-    M = en._gram(en._lp_rules(mesh, params.p), len(mesh.nodes))[ii, ii]
+    M = en._gram(en._lp_rules(mesh, params.p))[ii, ii]
     n = len(A)
     t = (mesh.nodes[ii] - mesh.a) * (math.pi / mesh.length)
     folds = [(_fold(A, sign), _fold(M, sign)) for sign in (1.0, -1.0)]
@@ -155,30 +155,31 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
     most _RES_TOL p lam (1 + lam), tested before each step; and a descent step that can
     move R only at rounding level (predicted or taken decrease, or a stalled search).
     The first eigenfunction is even: u holds the interior values of the first (N + 1) // 2
-    of the N nodes, unfolded once at the end, and a trial point w costs one
-    energy.folded_derivatives sweep, Hessians included (gradients U^T g, Hessians U^T H U,
-    U the unfold map).  By p-homogeneity u = w / c, c = M(w)^(1/p), has lam = E(w)/M(w),
-    and the derivatives at w over c^(p-1) and c^(p-2) (the floor of a p < 2 Hessian scales
-    with max|w|).  |res| is the full vector's: res_i^2 / m_i summed, m_i = 2, or 1 for the
-    middle node of odd N."""
+    of the N nodes, unfolded once at the end.  A trial point w costs one pass
+    (energy.folded_derivatives: U^T g, U^T H U, U the unfold map); only an accepted one is
+    rescaled to u = w / c, c = M(w)^(1/p), by p-homogeneity: lam = E(w)/M(w), derivatives
+    over c^(p-1) and c^(p-2) (the floor of a p < 2 Hessian scales with max|w|).  |res| is
+    the full vector's: res_i^2 / m_i summed, m_i = 2, or 1 for the middle node of odd N."""
     p = params.p
     newton = p >= 2.0
     unfold = np.minimum(np.arange(len(mesh.nodes)), np.arange(len(mesh.nodes))[::-1])
     root_m = np.sqrt(np.bincount(unfold)[1:])  # per unknown, the nodes it stands for
 
     def sign_changing(v):
-        return np.min(v) < -1e-10 * np.max(np.abs(v))
+        return v.min() < -1e-10 * np.abs(v).max()
 
-    def sweep(w):  # u = w / c, lam, grad M, res and [H_E, H_M at p >= 2] at u
-        (energy, grad_e, hess_e), (mass, grad_m, hess_m) = en.folded_derivatives(
-            np.append(0.0, w), mesh, params, newton)
-        c = mass ** (1.0 / p)
-        lam, scale = energy / mass, c ** (p - 1.0)
+    def sweep(w):  # w, lam and the folded derivatives at w
+        energy, mass = en.folded_derivatives(np.append(0.0, w), mesh, params, newton)
+        return w, energy[0] / mass[0], energy, mass
+
+    def accept(w, lam, energy, mass):  # u = w / c, lam, grad M, res, [H_E, H_M at p >= 2]
+        c, (_, grad_e, hess_e), (_, grad_m, hess_m) = mass[0] ** (1.0 / p), energy, mass
         hess = [h[1:, 1:] / c ** (p - 2.0) for h in (hess_e, hess_m) if h is not None]
+        scale = c ** (p - 1.0)
         return w / c, lam, grad_m[1:] / scale, (grad_e[1:] - lam * grad_m[1:]) / scale, hess
 
-    sine = interpolate(lambda x: math.sin(math.pi * (x - mesh.a) / mesh.length), mesh)
-    u, lam, grad_m, res, hess = sweep(sine.values[1:len(root_m) + 1])
+    u, lam, grad_m, res, hess = accept(*sweep(np.array(
+        [math.sin(math.pi * (x - mesh.a) / mesh.length) for x in mesh.nodes[1:len(root_m) + 1]])))
     history = [lam]
     bordered = np.zeros((len(u) + 1, len(u) + 1))
     descent_steps = newton_steps = recoveries = 0
@@ -228,7 +229,7 @@ def solve_first_eigenpair(mesh: Mesh, params: KernelParams) -> EigenPair:
             descent_steps += 1
             recoveries += int(recovered)
             done = abs(new[1] - lam) <= _F_ROUNDING * lam
-        u, lam, grad_m, res, hess = new
+        u, lam, grad_m, res, hess = accept(*new)
         history.append(lam)
         if done:
             converged = True

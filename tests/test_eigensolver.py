@@ -1,7 +1,10 @@
 import ctypes
 import glob
+import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from perispec.mesh import DiscreteFunction, Mesh
 from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
-from perispec.harness import SweepConfig, run_study
+from perispec.harness import SweepConfig, _horizon_mesh, run_study
 from perispec.eigensolver import (
     local_reference_lambda,
     solve_eigenpairs,
@@ -27,6 +30,8 @@ from perispec.eigensolver import (
 )
 
 from _oracles import cauchy_lambda1_unit_interval, shooting_oracle_lambda1
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def blas_thread_getters():
@@ -47,8 +52,14 @@ def blas_thread_getters():
 def p2_matrices(mesh, params):
     """(stiffness, mass) over interior nodes: the pencil solve_p2_spectrum reads."""
     ii = mesh.interior
-    mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER), len(mesh.nodes))
+    mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER))
     return en._stiffness(mesh, params)[ii, ii], mass[ii, ii]
+
+
+def clear_memos():
+    """Empty the memos of tableaus, mass rules and layouts: the next solve builds anew."""
+    for memo in (en._built, en._mass_rules, en._layout):
+        memo.cache_clear()
 
 
 def embed(mesh, x):
@@ -119,8 +130,7 @@ class TestP2Spectrum:
         mesh = Mesh(0.0, 1.0, 8)
         params = KernelParams(0.5, 2.0, mesh.snap(0.25))
         (rule,) = en._mass_rules(mesh, en._TAIL_ORDER)
-        e = rule.nodes[:, 0]
-        negated = [en._Rule(rule.basis, -rule.weights, e, 0 * e, rule.widx)]
+        negated = [rule._replace(weights=-rule.weights)]
         monkeypatch.setattr(en, "_mass_rules", lambda mesh, order: negated)
         with pytest.raises(LinAlgError, match="not positive definite"):
             solve_p2_spectrum(mesh, params, 1)
@@ -546,16 +556,94 @@ class TestFold:
         # full layouts are never built
         mesh = Mesh(0.0, 1.0, 256)
         params = KernelParams(0.5, 3.0, INFINITE)
-        en._built.cache_clear()
-        en._mass_rules.cache_clear()
+        clear_memos()
         try:
             assert solve_first_eigenpair(mesh, params).converged
-            rules = en._table(mesh, params).rules + en._lp_rules(mesh, params.p)
+            layouts = [rule.layout for rule in
+                       en._table(mesh, params).rules + en._lp_rules(mesh, params.p)]
         finally:
-            en._built.cache_clear()
-            en._mass_rules.cache_clear()
-        assert all("nodes" not in vars(rule) and "chunks" not in vars(rule) for rule in rules)
-        assert all("chunks" in vars(rule.folded(len(mesh.nodes))) for rule in rules)
+            clear_memos()
+        assert all("chunks" not in vars(layout) and "gram_ids" not in vars(layout)
+                   and "folded" in vars(layout) for layout in layouts)
+
+
+class TestSharedLayouts:
+    def test_solves_at_four_s_build_one_layout_per_rule(self, monkeypatch):
+        # a layout belongs to the mesh geometry: the solves at every s make one per rule
+        # and one for its fold, build the fold's chunks once, and the full chunks never
+        built = []
+
+        def counting(*args):
+            built.append(chunks(*args))
+            return built[-1]
+
+        chunks = en._chunks
+        monkeypatch.setattr(en, "_chunks", counting)
+        mesh = Mesh(0.0, 1.0, 20)
+        clear_memos()
+        try:
+            for s in (0.3, 0.4, 0.5, 0.6):
+                assert solve_first_eigenpair(mesh, KernelParams(s, 3.0, mesh.snap(0.2))).converged
+            table = en._table(mesh, KernelParams(0.6, 3.0, mesh.snap(0.2)))
+            rules, layouts = table.rules + en._lp_rules(mesh, 3.0), en._layout.cache_info()
+        finally:
+            clear_memos()
+        # same element, adjacent, separated, cutoff triangle, tail and L^p mass
+        assert len(rules) == len(built) == 6 and layouts.misses == 2 * len(rules)
+        assert all(rule.layout.chunks is b for rule, b in zip(table.folded, built))
+
+    @pytest.mark.parametrize("name", ["zero-p3", "inf-p3"])
+    def test_canonical_p3_rows_do_not_depend_on_history(self, name):
+        # each row solves bit for bit alike from empty memos and after solves at two other
+        # s and a p = 2 stiffness on its mesh, which build and share its layouts first
+        with open(os.path.join(CONFIG_DIR, name + ".json"), encoding="utf-8") as fh:
+            config = SweepConfig.from_dict(json.load(fh), name=name)
+        if config.study == "inf":
+            rows = [(Mesh(config.a, config.b, config.n_interior),
+                     KernelParams(config.s, config.p, INFINITE))]
+        else:
+            rows = [_horizon_mesh(config, delta) for delta in config.delta_list]
+        try:
+            for mesh, params in rows:
+                clear_memos()
+                fresh = solve_first_eigenpair(mesh, params)
+                for s in (0.3, 0.7):
+                    solve_first_eigenpair(mesh, KernelParams(s, params.p, params.delta))
+                en._stiffness(mesh, KernelParams(params.s, 2.0, params.delta))
+                again = solve_first_eigenpair(mesh, params)
+                assert fresh.lam == again.lam
+                assert np.array_equal(fresh.eigenfunction.values, again.eigenfunction.values)
+        finally:
+            clear_memos()
+
+    def test_threads_share_the_layouts(self):
+        # 8 threads, each solving one s on one geometry from empty memos, build and read the
+        # shared layouts at once; each result is the serial one bit for bit
+        mesh = Mesh(0.0, 1.0, 40)
+        params = [KernelParams(0.3 + 0.05 * i, 3.0, mesh.snap(0.1)) for i in range(8)]
+        clear_memos()
+        serial = [solve_first_eigenpair(mesh, kernel) for kernel in params]
+        clear_memos()
+        results = [None] * len(params)
+
+        def solve(i):
+            results[i] = solve_first_eigenpair(mesh, params[i])
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(params))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_memos()
+        assert not any(thread.is_alive() for thread in threads)
+        for ep, threaded in zip(serial, results):
+            assert threaded is not None and threaded.lam == ep.lam
+            assert np.array_equal(threaded.eigenfunction.values, ep.eigenfunction.values)
 
 
 class TestSolveEigenpairs:

@@ -60,22 +60,29 @@ def horizon_instance(mesh_delta, kernel_delta, p, seed):
     return random_function(mesh, np.random.default_rng(seed)), params
 
 
+def swept_rows(layout):
+    """(node ids, weight ids) of every row of a layout, as a sweep reads them."""
+    widx, nodes = (np.concatenate(parts) for parts in zip(*layout.chunks))
+    return nodes, widx
+
+
 def einsum_gram(rules, nn, vals=None, p=2.0):
     """Reference Gram matrix: each row's local matrix by the einsum basis diag(w) basis^T,
     added entry by entry at the row's nodes (e, e+1 and, for pairs, e+g, e+g+1).
     Below p = 2 the point values are floored at 1e-12 max|vals|, as in ``_sweep``."""
     G = np.zeros((nn, nn))
     for rule in rules:
-        w = rule.weights[rule.widx]  # one weight vector per row
+        nodes, widx = swept_rows(rule.layout)
+        w = rule.weights[widx]  # one weight vector per row
         if vals is not None:
             # the point values u(x) - u(y), or u(x) for one-element rules
-            d = np.einsum("ra,at->rt", vals[rule.nodes], rule.basis)
+            d = np.einsum("ra,at->rt", vals[nodes], rule.basis)
             floor = 1e-12 * np.max(np.abs(vals)) if p < 2.0 else 0.0
             w = w * np.maximum(np.abs(d), floor) ** (p - 2.0)
         local = np.einsum("at,rt,bt->rab", rule.basis, w, rule.basis)
         for i in range(len(rule.basis)):
             for j in range(len(rule.basis)):
-                np.add.at(G, (rule.nodes[:, i], rule.nodes[:, j]), local[:, i, j])
+                np.add.at(G, (nodes[:, i], nodes[:, j]), local[:, i, j])
     return G
 
 
@@ -191,7 +198,8 @@ class TestHessian:
         rules, nn = en._table(u.mesh, params).rules, len(u.values)
         vals = u.values if weighted else None
         reference = einsum_gram(rules, nn, vals, p)
-        gram = en._sweep(rules, nn, vals, p, hessian=True)[3] if weighted else en._gram(rules, nn)
+        gram = (en._sweep(rules, vals, p, hessian=(True, False))[2][0] if weighted
+                else en._gram(rules))
         assert np.array_equal(gram, gram.T)
         assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
 
@@ -202,7 +210,7 @@ class TestHessian:
         vals = u.values.copy()
         k = u.mesh.interior.start + 4
         vals[k + 1] = vals[k]
-        gram = en._sweep(rules, nn, vals, 1.5, hessian=True)[3]
+        gram = en._sweep(rules, vals, 1.5, hessian=(True, False))[2][0]
         assert np.all(np.isfinite(gram))
         reference = einsum_gram(rules, nn, vals, 1.5)
         assert np.linalg.norm(gram - reference) <= 1e-14 * np.linalg.norm(reference)
@@ -213,7 +221,7 @@ class TestHessian:
             params = KernelParams(0.5, 2.0, kernel_delta or mesh.snap(mesh_delta))
             u = random_function(mesh, np.random.default_rng(37))
             stiffness = en._stiffness(mesh, params)
-            mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER), len(mesh.nodes))
+            mass = en._gram(en._mass_rules(mesh, en._TAIL_ORDER))
             assert np.array_equal(energy_derivatives(u, params, hessian=True)[2], 2 * stiffness)
             assert np.array_equal(lp_mass_derivatives(u, 2.0, hessian=True)[2], 2 * mass)
 
@@ -379,9 +387,9 @@ class TestMassAndLocalEnergy:
         rules = []
 
         class Counting(en._Rule):
-            def __init__(self, basis, *rows):
+            def __new__(cls, basis, *rest):
                 rules.append(basis.shape[1])
-                super().__init__(basis, *rows)
+                return super().__new__(cls, basis, *rest)
 
         monkeypatch.setattr(en, "_Rule", Counting)
         en._mass_rules.cache_clear()
@@ -434,11 +442,11 @@ def truncated_tail(mesh, params):
     ps, (a, b) = params.p * params.s, (mesh.a, mesh.b)
     c = 2.0 / ps * params.delta ** -ps if params.delta >= b - a else 0.0
     *rules, tail = en._table(mesh, params).rules
-    e, w = tail.nodes[:, 0], tail.weights[tail.widx]
+    e, _, widx, _ = tail.layout.rows()
+    w = tail.weights[widx]
     x = mesh.nodes[e, None] + mesh.h * tail.basis[1]  # interaction rows at points basis[1]
     kernel = ((x - a) ** -ps + (b - x) ** -ps) / ps
-    return rules + [en._Rule(tail.basis, w / kernel * (kernel - c) if c else w, e, 0 * e,
-                             np.arange(len(e)))]
+    return rules + [tail._replace(weights=w / kernel * (kernel - c) if c else w)]
 
 
 class TestSplitStiffness:
@@ -453,7 +461,7 @@ class TestSplitStiffness:
         # on products of hat functions
         mesh = Mesh(0.0, 1.0, n)
         params = KernelParams(s, 2.0, kernel_delta or mesh.snap(mesh_delta))
-        full = en._gram(truncated_tail(mesh, params), len(mesh.nodes))
+        full = en._gram(truncated_tail(mesh, params))
         assert np.linalg.norm(en._stiffness(mesh, params) - full) <= 1e-14 * np.linalg.norm(full)
 
 
@@ -465,13 +473,14 @@ class TestChunkedPass:
 
         def results():
             en._built.cache_clear()
+            en._layout.cache_clear()  # the layouts, and so their chunks, are built anew
             parts = nonlocal_energy(u, params)
             _, grad, hessian = energy_derivatives(u, params, hessian=True)
-            rules = en._table(u.mesh, params).rules
+            layouts = [rule.layout for rule in en._table(u.mesh, params).rules]
             # int32 node ids; flat Gram ids only where a weighted Hessian asked for them
-            assert all(rule.nodes.dtype == np.int32 for rule in rules)
-            assert all([ids.dtype for ids in rule._ids] == [np.int32] * len(rule.chunks)
-                       if p != 2.0 else rule._ids is None for rule in rules)
+            assert all(nodes.dtype == np.int32 for layout in layouts for _, nodes in layout.chunks)
+            assert all([ids.dtype for ids in layout.gram_ids] == [np.int32] * len(layout.chunks)
+                       if p != 2.0 else "gram_ids" not in vars(layout) for layout in layouts)
             return ([parts.principal, parts.interaction], grad, hessian,
                     en._stiffness(u.mesh, params))
 
@@ -481,6 +490,7 @@ class TestChunkedPass:
             one_row = results()
         finally:
             en._built.cache_clear()
+            en._layout.cache_clear()
         for a, b in zip(default, one_row):
             assert np.linalg.norm(np.subtract(a, b)) <= 1e-13 * np.linalg.norm(a)
         assert all(np.abs(a - b) <= 1e-13 * np.abs(a) for a, b in zip(default[0], one_row[0]))
@@ -604,6 +614,26 @@ class TestTableauMemory:
                 tracemalloc.stop()
             assert peak < 4 * 2 ** 20 + 8 * len(mesh.nodes) ** 2
 
+    def test_tableaus_at_24_s_share_one_set_of_layouts(self):
+        # 24 tableaus of one collar geometry (zero-p3's finest) with their folded rules and
+        # Gram ids, as 24 s offsets of a study leave them: the layouts are kept once, so
+        # they retain 1.6 MB, where one set of layouts per tableau took 4.8 MB
+        mesh = Mesh(0.0, 1.0, 320)
+        half = np.append(0.0, np.ones(160))
+        for memo in (en._built, en._mass_rules, en._layout):
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(24):
+                en.folded_derivatives(half, mesh, KernelParams(0.3 + 0.01 * i, 3.0,
+                                                               mesh.snap(0.025)), True)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            en._built.cache_clear()
+        assert retained < 2.5 * 2 ** 20
+
     def test_one_tail_rule_per_tableau(self):
         # the pair rules (same element, adjacent, separated and, below |Omega|, the cutoff
         # triangle), then one tail rule over the elements within delta of an end; at r = 1
@@ -612,11 +642,12 @@ class TestTableauMemory:
                            (8, 1, [8, 7, 2]), (8, 7, [8, 7, 20, 1, 8])):
             mesh = Mesh(0.0, 1.0, n)
             params = KernelParams(0.5, 3.0, mesh.snap(r / n if r else INFINITE))
-            rules = en._table(mesh, params).rules
-            assert [len(rule.nodes) for rule in rules] == rows
-            assert all(rule.nodes.dtype == np.int32 for rule in rules)
+            layouts = [rule.layout for rule in en._table(mesh, params).rules]
+            nodes = [swept_rows(layout)[0] for layout in layouts]
+            assert [len(x) for x in nodes] == rows
+            assert all(x.dtype == np.int32 for x in nodes)
             # the pair rows list each (e, e + g), 1 <= g <= min(r, n - 1), once, gap by gap
-            pairs = np.concatenate([rule.nodes[:, [0, 2]] for rule in rules[1:-1]])
+            pairs = np.concatenate([x[:, [0, 2]] for x in nodes[1:-1]])
             assert pairs.tolist() == [[e, e + g] for g in range(1, min(r or n, n - 1) + 1)
                                       for e in range(n - g)]
 
@@ -633,7 +664,8 @@ class TestTableauMemory:
         for g in range(2, r):
             assert np.array_equal(separated.weights[g - 2],
                                   2.0 * ww * (g + eta - xi) ** (-(1.0 + ps)))
-        assert np.array_equal(separated.widx, separated.nodes[:, 2] - separated.nodes[:, 0] - 2)
+        nodes, widx = swept_rows(separated.layout)
+        assert np.array_equal(widx, nodes[:, 2] - nodes[:, 0] - 2)
         half = ww * xi * (r + xi * eta - xi) ** (-(1.0 + ps))
         assert np.array_equal(triangle.weights, [np.concatenate([half, half])])
 
@@ -664,3 +696,25 @@ class TestTableauMemory:
         assert len(built) == 1
         nonlocal_energy(random_function(Mesh(0.0, 1.0, 16), rng), params)
         assert len(built) == 2
+
+
+class TestSharedLayouts:
+    def test_geometry_keys_the_layouts(self):
+        # a layout depends on n, r, the rule kind and the template's point count only
+        def layouts(n, r, s, p):
+            mesh = Mesh(0.0, 1.0, n)
+            table = en._table(mesh, KernelParams(s, p, mesh.snap(r / n)))
+            return [rule.layout for rule in table.rules + table.folded]
+
+        base = layouts(16, 3, 0.5, 3.0)
+        # same element, adjacent, separated, cutoff triangle and tail, then folded with the
+        # L^p mass: every s, and p = 2.5 with p = 3 (order-10 pairs, order-16 tail), share
+        assert len(base) == 11
+        assert all(a is b for a, b in zip(base, layouts(16, 3, 0.3, 2.5)))
+        # another n builds every layout anew
+        assert not any(a is b for a in base for b in layouts(20, 3, 0.5, 3.0))
+        # another r, or another pair order (p = 1.5: order-20 pairs, order-32 tail and mass),
+        # shares only the same-element and adjacent rows, and r shares the mass rule's too
+        shared = [True, True, False, False, False]
+        assert [a is b for a, b in zip(base, layouts(16, 4, 0.5, 3.0))] == shared * 2 + [True]
+        assert [a is b for a, b in zip(base, layouts(16, 3, 0.5, 1.5))] == shared * 2 + [False]

@@ -14,6 +14,8 @@ from perispec.mesh import (
     interpolate,
 )
 
+from test_energy import swept_rows
+
 
 class TestBuildMesh:
     def test_uniform_spacing(self):
@@ -50,7 +52,8 @@ class TestBuildMesh:
         assert len(mesh.nodes) == 17
         assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
         rules = en._table(mesh, KernelParams(0.5, 3.0, mesh.snap(delta))).rules
-        assert all(rule.nodes.min() >= 0 and rule.nodes.max() <= 16 for rule in rules)
+        nodes = [swept_rows(rule.layout)[0] for rule in rules]
+        assert all(x.min() >= 0 and x.max() <= 16 for x in nodes)
 
     def test_horizon_snapped_only_below_the_domain_length(self):
         # round(0.99 / h) = 24 cells: snapped to |Omega|; 1.3 and INF >= |Omega| are kept
@@ -62,7 +65,7 @@ class TestBuildMesh:
         mesh = Mesh(0.0, 1.0, 10)
         assert mesh.snap(1.0 - 5e-13) == 1.0 - 5e-13
         assert mesh.spans(1.0 - 5e-13) and not mesh.spans(1.0 - 2e-12)
-        assert math.isinf(en._tail_horizon(mesh, 1.0 - 5e-13))
+        assert math.isinf(en._table(mesh, KernelParams(0.5, 3.0, 1.0 - 5e-13)).delta)
         assert Mesh(0.0, 1.0, 10).snap(INFINITE) == INFINITE
 
     def test_interior_mask(self):
