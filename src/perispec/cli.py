@@ -21,10 +21,9 @@ import os
 import sys
 
 from . import __version__
-from .kernelmath import INFINITE, KernelParams, gamma_constant
-from .mesh import Mesh
-from .harness import _check_keys, run_all, run_configs
-from .eigensolver import SpectrumRequestError, solve_eigenpairs
+from .kernelmath import gamma_constant
+from .harness import _check_keys, build_problem, run_all, run_configs
+from .eigensolver import solve_eigenpairs
 
 
 @functools.cache
@@ -86,22 +85,14 @@ def _cmd_eigen(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             d = json.load(fh)
         _check_keys(d, {"p", "s", "delta", "a", "b", "n_interior", "k_max"}, args.config)
-        a, b = float(d.get("a", 0.0)), float(d.get("b", 1.0))
-        delta = INFINITE if d.get("delta") == "INF" else float(d["delta"])
-        n_interior, k_max = d.get("n_interior", 128), d.get("k_max", 1)
-        if not (isinstance(n_interior, int) and isinstance(k_max, int)):
-            raise TypeError(f"n_interior and k_max must be integers: {n_interior!r}, {k_max!r}")
-        mesh = Mesh(a, b, n_interior)
-        params = KernelParams(float(d["s"]), float(d["p"]), mesh.snap(delta))
+        k_max = d.get("k_max", 1)
+        problem = build_problem(d, d["delta"], k_max, d.get("n_interior", 128), name=args.config)
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ValueError(f"--out {args.out} is a directory or lies in a missing one")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # json's decode errors are ValueErrors
         return _config_error(exc)
-    try:
-        pairs = solve_eigenpairs(mesh, params, k_max)
-    except SpectrumRequestError as exc:
-        return _config_error(exc)
+    pairs = solve_eigenpairs(*problem, k_max)
     out = json.dumps([ep.to_json_dict() for ep in pairs], sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,8 +17,10 @@ The kinds share one skeleton. ``run_study`` dispatches by kind and times the
 study. Zero and bbm map a row function over their horizons with
 ``_timed_rows``, in a thread pool when threads > 1. The inf study makes one
 timed solve at INF, and every finite row is lambda_k(INF) less the horizon
-shift. Every eigenvalue comes from ``eigensolver.solve_eigenpairs``. Zero and
-bbm judge their extrapolated limits with one verdict, ``_judge_limits``.
+shift. Every row's mesh and kernel come from ``build_problem``, which
+``SweepConfig.from_dict`` and the ``eigen`` subcommand call before any solve,
+and every eigenvalue from ``eigensolver.solve_eigenpairs``. Zero and bbm judge
+their extrapolated limits with one verdict, ``_judge_limits``.
 ``run_configs`` parses every study config file, then runs them, writes their
 reports and prints one status line each; ``run_all`` and the study subcommands
 of the CLI both go through it.
@@ -73,6 +75,30 @@ def _check_keys(d, allowed, name: str) -> None:
         raise ConfigError(f"{name}: {bad} must hold numbers only")
 
 
+def build_problem(d, delta, k, n_interior=None, m=None, name="config") -> tuple:
+    """The (Mesh, KernelParams) of one solve of k eigenpairs: p, s, a and b (default 0 and 1)
+    from d, the horizon delta ("INF" or a number) snapped to a mesh of n_interior cells or,
+    given m, of max(2, round(|Omega| m / delta)) cells, so that h = delta/m.  ConfigError,
+    labelled name, for a value that KernelParams, Mesh or Mesh.snap refuses, a size that is
+    not an integer, and a k outside [1, available_pairs]."""
+    try:
+        delta = INFINITE if delta == "INF" else float(delta)
+        kernel = KernelParams(float(d["s"]), float(d["p"]), delta)  # delta > 0 before m / delta
+        a, b = float(d.get("a", 0.0)), float(d.get("b", 1.0))
+        n = n_interior if m is None else max(2, round((b - a) * m / delta))
+        if not (isinstance(n, int) and isinstance(k, int)):
+            raise TypeError(f"n_interior and k must be integers, got {n!r} and {k!r}")
+        mesh = Mesh(a, b, n)
+        params = KernelParams(kernel.s, kernel.p, mesh.snap(delta))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    limit = available_pairs(params.p, n - 1)
+    if not 1 <= k <= limit:
+        raise ConfigError(f"{name}: k={k} must lie in [1, {limit}] at p={params.p} "
+                          f"with {n - 1} interior nodes")
+    return mesh, params
+
+
 _SCHEMA_VERSION = 1
 _STUDIES = ("zero", "inf", "bbm")
 _CSV_HEADER = "delta_requested,delta_effective,k,lambda_raw,lambda_scaled,reference,rel_err,verdict"
@@ -97,8 +123,9 @@ class SweepConfig:
     @staticmethod
     def from_dict(d: dict, name: str = "study") -> "SweepConfig":
         """The config that d describes; name labels its errors and, without a "name" key,
-        names its reports.  KernelParams validates p, s and each horizon, and Mesh a, b and
-        n_interior: their ValueError becomes a ConfigError (exit 2)."""
+        names its reports.  ``build_problem`` builds the problem of every horizon on its
+        study's mesh, and INF on n_interior cells, which the report echoes in every study:
+        a config is a ConfigError (exit 2) if one of them cannot be built."""
         _check_keys(d, {f.name for f in fields(SweepConfig)} | {"schema_version"}, name)
         missing = [k for k in ("schema_version", "study", "p", "s", "delta_list") if k not in d]
         if missing:
@@ -111,41 +138,9 @@ class SweepConfig:
         study = d["study"]
         if study not in _STUDIES:
             raise ConfigError(f"{name}: study must be one of {_STUDIES}, got {study!r}")
-        n_interior = d.get("n_interior", 256)
-        if not isinstance(n_interior, int):
-            raise ConfigError(f"{name}: n_interior must be an integer, got {n_interior!r}")
         raw_deltas = d["delta_list"]
         if not isinstance(raw_deltas, list) or not raw_deltas:
             raise ConfigError(f"{name}: delta_list must be a nonempty array")
-        try:
-            p, s = float(d["p"]), float(d["s"])
-            deltas = [INFINITE if x == "INF" else float(x) for x in raw_deltas]
-            for delta in deltas:
-                KernelParams(s, p, delta)
-            mesh = Mesh(float(d.get("a", 0.0)), float(d.get("b", 1.0)), n_interior)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-        if study == "zero" or study == "bbm":
-            if any(math.isinf(x) for x in deltas):
-                raise ConfigError(f"{name}: INF horizon is only valid in 'inf' studies")
-            if not all(x > y for x, y in zip(deltas, deltas[1:])):
-                raise ConfigError(f"{name}: delta_list must be strictly decreasing")
-            if len(deltas) < 3:
-                raise ConfigError(f"{name}: extrapolation needs at least 3 horizons")
-            ratios = [x / y for x, y in zip(deltas, deltas[1:])]
-            if not all(math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios):
-                raise ConfigError(f"{name}: delta_list must be geometric, got ratios {ratios}")
-        else:
-            if not all(x < y for x, y in zip(deltas, deltas[1:])):
-                raise ConfigError(f"{name}: delta_list must be strictly increasing")
-            if not math.isinf(deltas[-1]):
-                raise ConfigError(f"{name}: inf studies must end with the INF horizon")
-            if len(deltas) < 3:
-                raise ConfigError(f"{name}: need at least one finite horizon plus INF")
-            if not mesh.spans(deltas[0]):
-                raise ConfigError(
-                    f"{name}: inf studies need every finite horizon >= |Omega|={mesh.length}")
-
         k_list = d.get("k_list", [1])
         if not isinstance(k_list, list) or not k_list or any(
             not isinstance(k, int) or k < 1 for k in k_list
@@ -166,19 +161,36 @@ class SweepConfig:
         if (study_name in ("", ".", "..") or os.path.basename(study_name) != study_name
                 or "\0" in study_name):
             raise ConfigError(f"{name}: name {study_name!r} must be a file name, not a path")
-        config = SweepConfig(
-            name=study_name, study=study, p=p, s=s, a=mesh.a, b=mesh.b,
+        n_interior = d.get("n_interior", 256)
+        mesh, params = build_problem(d, INFINITE, 1, n_interior, name=name)
+        for x in raw_deltas:
+            build_problem(d, x, max(k_list), n_interior, None if study == "inf" else m, name)
+        deltas = [INFINITE if x == "INF" else float(x) for x in raw_deltas]
+        if study == "zero" or study == "bbm":
+            if any(math.isinf(x) for x in deltas):
+                raise ConfigError(f"{name}: INF horizon is only valid in 'inf' studies")
+            if not all(x > y for x, y in zip(deltas, deltas[1:])):
+                raise ConfigError(f"{name}: delta_list must be strictly decreasing")
+            if len(deltas) < 3:
+                raise ConfigError(f"{name}: extrapolation needs at least 3 horizons")
+            ratios = [x / y for x, y in zip(deltas, deltas[1:])]
+            if not all(math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios):
+                raise ConfigError(f"{name}: delta_list must be geometric, got ratios {ratios}")
+        else:
+            if not all(x < y for x, y in zip(deltas, deltas[1:])):
+                raise ConfigError(f"{name}: delta_list must be strictly increasing")
+            if not math.isinf(deltas[-1]):
+                raise ConfigError(f"{name}: inf studies must end with the INF horizon")
+            if len(deltas) < 3:
+                raise ConfigError(f"{name}: need at least one finite horizon plus INF")
+            if not mesh.spans(deltas[0]):
+                raise ConfigError(
+                    f"{name}: inf studies need every finite horizon >= |Omega|={mesh.length}")
+        return SweepConfig(
+            name=study_name, study=study, p=params.p, s=params.s, a=mesh.a, b=mesh.b,
             delta_list=tuple(deltas), k_list=tuple(k_list), thresholds=tuple(thresholds),
             cells_per_horizon=m, n_interior=n_interior,
         )
-        try:
-            limit = available_pairs(p, min(config.mesh_cells(x) for x in deltas) - 1)
-        except OverflowError as exc:
-            raise ConfigError(f"{name}: the mesh size overflows: {exc}") from exc
-        if max(k_list) > limit:
-            raise ConfigError(f"{name}: k={max(k_list)} exceeds the {limit} eigenpair(s) "
-                              f"of the coarsest mesh at p={p}")
-        return config
 
     @staticmethod
     def from_file(path) -> "SweepConfig":
@@ -199,13 +211,6 @@ class SweepConfig:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-    def mesh_cells(self, delta: float) -> int:
-        """Interior elements of the mesh at one horizon: n_interior in an inf
-        study, otherwise max(2, round(|Omega| m / delta)) so that h = delta/m."""
-        if self.study == "inf":
-            return self.n_interior
-        return max(2, round(self.length * self.cells_per_horizon / delta))
 
 
 @dataclass
@@ -322,12 +327,6 @@ def extrapolate_limit(deltas, values):
     return limit, rate
 
 
-def _horizon_mesh(config: SweepConfig, delta: float):
-    """Mesh with h = delta/m for one zero/bbm horizon, and the kernel at mesh.snap(delta)."""
-    mesh = Mesh(config.a, config.b, config.mesh_cells(delta))
-    return mesh, KernelParams(config.s, config.p, mesh.snap(delta))
-
-
 def _timed_rows(rows_of, deltas, threads: int):
     """The rows of every horizon in order, each row timed at an equal share of
     its horizon; horizons go to a pool of `threads` workers when threads > 1."""
@@ -375,7 +374,8 @@ def _zero_study(report: SweepReport, threads: int) -> None:
     config = report.config
 
     def rows_of(delta):
-        mesh, params = _horizon_mesh(config, delta)
+        mesh, params = build_problem(vars(config), delta, max(config.k_list),
+                                     m=config.cells_per_horizon)
         pairs = solve_eigenpairs(mesh, params, max(config.k_list))
         factor = scaling_factor(params)
         return [Row(delta, params.delta, k, pairs[k - 1].lam, factor * pairs[k - 1].lam,
@@ -401,9 +401,9 @@ def _inf_study(report: SweepReport) -> None:
     """
     config = report.config
     finite = config.delta_list[:-1]
-    mesh = Mesh(config.a, config.b, config.n_interior)
     t0 = time.perf_counter()
-    pairs = solve_eigenpairs(mesh, KernelParams(config.s, config.p, INFINITE), max(config.k_list))
+    pairs = solve_eigenpairs(*build_problem(vars(config), INFINITE, max(config.k_list),
+                                            config.n_interior), max(config.k_list))
     elapsed = time.perf_counter() - t0
     for delta in config.delta_list:
         kappa = horizon_shift(KernelParams(config.s, config.p, delta))
@@ -457,7 +457,7 @@ def _bbm_study(report: SweepReport, threads: int) -> None:
         return math.sin(math.pi * (x - a) / length)
 
     def rows_of(delta):
-        mesh, params = _horizon_mesh(config, delta)
+        mesh, params = build_problem(vars(config), delta, 1, m=config.cells_per_horizon)
         u = interpolate(sine, mesh)
         h = mesh.h  # the sine at the snapped collar grid a - j h, b + j h, j = 1..r
         collar = [sine(x) for j in range(1, round(params.delta / h) + 1)

@@ -44,6 +44,8 @@ class Mesh:
         if not 2 <= self.n_interior <= sys.float_info.max:  # h = |Omega| / n is a float
             raise ValueError(f"need 2 <= n_interior <= {sys.float_info.max:g}, "
                              f"got {self.n_interior}")
+        if not 0.0 < self.h <= sys.float_info.max:
+            raise ValueError(f"need a finite cell width h > 0, got h={self.h}")
 
     @property
     def length(self) -> float:

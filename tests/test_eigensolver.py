@@ -21,7 +21,7 @@ from perispec.mesh import DiscreteFunction, Mesh
 from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
-from perispec.harness import SweepConfig, _horizon_mesh, run_study
+from perispec.harness import SweepConfig, build_problem, run_study
 from perispec.eigensolver import (
     local_reference_lambda,
     solve_eigenpairs,
@@ -594,15 +594,14 @@ class TestSharedLayouts:
 
     @pytest.mark.parametrize("name", ["zero-p3", "inf-p3"])
     def test_canonical_p3_rows_do_not_depend_on_history(self, name):
-        # each row solves bit for bit alike from empty memos and after solves at two other
-        # s and a p = 2 stiffness on its mesh, which build and share its layouts first
+        # the problem of each horizon, as the study builds it, solves bit for bit alike from
+        # empty memos and after solves at two other s and a p = 2 stiffness on its mesh,
+        # which build and share its layouts first
         with open(os.path.join(CONFIG_DIR, name + ".json"), encoding="utf-8") as fh:
             config = SweepConfig.from_dict(json.load(fh), name=name)
-        if config.study == "inf":
-            rows = [(Mesh(config.a, config.b, config.n_interior),
-                     KernelParams(config.s, config.p, INFINITE))]
-        else:
-            rows = [_horizon_mesh(config, delta) for delta in config.delta_list]
+        m = None if config.study == "inf" else config.cells_per_horizon
+        rows = [build_problem(vars(config), delta, 1, config.n_interior, m)
+                for delta in config.delta_list]
         try:
             for mesh, params in rows:
                 clear_memos()

@@ -507,6 +507,20 @@ class TestCli:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_eigen_and_a_study_solve_one_problem(self, tmp_path, capsys):
+        # both build their problems with build_problem: eigen at a study's keys prints the
+        # lambda_raw of the study's row bit for bit, at INF and at h = delta/4
+        zero = base_config(p=3.0, delta_list=[0.2, 0.1, 0.05])
+        inf = base_config(p=3.0, study="inf", delta_list=[1.0, 2.0, "INF"], n_interior=24)
+        lam = {r.delta_requested: r.lambda_raw for config in (zero, inf)
+               for r in run_study(SweepConfig.from_dict(config)).rows}
+        cfg_path = tmp_path / "eig.json"
+        for delta, n in (("INF", 24), (0.2, 20), (0.1, 40), (0.05, 80)):
+            cfg_path.write_text(json.dumps({"p": 3, "s": 0.5, "delta": delta, "n_interior": n}))
+            assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
+            (pair,) = json.loads(capsys.readouterr().out)
+            assert pair["lambda"] == lam[math.inf if delta == "INF" else delta]
+
     def test_eigen_bad_config(self, tmp_path):
         cfg_path = tmp_path / "eig.json"
         k_max_cfg = {"p": 2, "s": 0.5, "delta": 0.25, "n_interior": 8}
@@ -530,7 +544,10 @@ class TestCli:
                     dict(k_max_cfg, b=-math.inf),
                     # a mesh size beyond float range, with and without a collar
                     dict(k_max_cfg, n_interior=10 ** 400),
-                    dict(k_max_cfg, delta="INF", n_interior=10 ** 400)):
+                    dict(k_max_cfg, delta="INF", n_interior=10 ** 400),
+                    # a domain whose cell width is inf or 0
+                    dict(k_max_cfg, p=3, delta="INF", a=-1e308, b=1e308),
+                    dict(k_max_cfg, p=3, delta="INF", b=5e-324, n_interior=2)):
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
 

@@ -91,7 +91,9 @@ class TestBuildMesh:
         assert mesh.snap(0.1 * (1.0 - 1e-13)) == mesh.h  # one cell, to rounding
 
     def test_domain_validation(self):
-        for a, b, n in ((1.0, 0.0, 8), (0.0, 1.0, 1), (0.0, 1.0, 10 ** 400)):
+        # a cell width of inf (|Omega| overflows) or 0 (it underflows) too
+        for a, b, n in ((1.0, 0.0, 8), (0.0, 1.0, 1), (0.0, 1.0, 10 ** 400),
+                        (-1e308, 1e308, 8), (0.0, 5e-324, 2)):
             with pytest.raises(ValueError):
                 Mesh(a, b, n)
 
