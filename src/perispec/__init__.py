@@ -56,5 +56,5 @@ from .kernelmath import (
     scaling_factor,
 )
 from .mesh import DiscreteFunction, Mesh, interpolate
-from .energy import EnergyBreakdown, energy_derivatives, lp_mass, nonlocal_energy
+from .energy import EnergyBreakdown, lp_mass, nonlocal_energy
 from .eigensolver import EigenPair, solve_eigenpairs

@@ -34,7 +34,8 @@ horizon of at least |Omega|, computes only weights.  One pass, ``_sweep``, gives
 gradients and Hessians (the Gram weighted by |u(x)-u(y)|^(p-2)) of the energy and of the
 mass, kept apart; unweighted, the Gram is the p=2 stiffness or the mass matrix.  The
 tableau is reflection-symmetric, so on the even functions, where the first eigenfunction
-lies, ``folded_derivatives`` sweeps its folded rules: half the points.
+lies, ``folded_derivatives`` sweeps its folded rules: half the points.  The API is that
+derivative entry point and one for values: ``nonlocal_energy`` (``lp_mass`` for the mass).
 """
 
 from __future__ import annotations
@@ -372,15 +373,6 @@ def nonlocal_energy(u: DiscreteFunction, params: KernelParams) -> EnergyBreakdow
     return EnergyBreakdown(principal, interaction, principal + interaction)
 
 
-def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool = False):
-    """(nonlocal_energy total, its nodal gradient, its Hessian or None) at u from one pass.
-    The Hessian (end entries included) is exact for p >= 2, twice the stiffness bit for
-    bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
-    p = params.p
-    principal, interaction, grad, G = _energy_sweep(u.mesh, params, u.values, True, hessian)[0]
-    return principal + interaction, grad, None if G is None else p * (p - 1.0) * G
-
-
 @functools.lru_cache(maxsize=24)
 def _mass_rules(mesh: Mesh, order: int):
     """The per-element Gauss rule of an order over Omega, built once per (mesh, order)."""
@@ -399,19 +391,13 @@ def lp_mass(u: DiscreteFunction, p: float) -> float:
     return _sweep(_lp_rules(u.mesh, p), u.values, p)[0][2]
 
 
-def lp_mass_derivatives(u: DiscreteFunction, p: float, hessian: bool = False):
-    """(lp_mass, its exact nodal gradient, its Hessian if asked, else None) at u from one
-    pass; the Hessian is twice the mass matrix at p = 2, floored below, as energy's."""
-    sums, (_, grad), (_, G) = _sweep(_lp_rules(u.mesh, p), u.values, p, True, (False, hessian))
-    return sums[2], grad, None if G is None else p * (p - 1.0) * G
-
-
 def folded_derivatives(half: np.ndarray, mesh: Mesh, params: KernelParams,
                        mass_hessian: bool = False):
-    """(energy_derivatives with its Hessian, lp_mass_derivatives at params.p, its Hessian
-    if mass_hessian) of the even u = U half, half its first (N + 1) // 2 nodal values
-    (half[0] = 0, u_i = u_(N-1-i)): E(u), M(u), U^T their gradients and U^T H U their
-    Hessians to rounding, from one tableau lookup and one pass (_Tableau.folded)."""
+    """((E, gradient, Hessian), (M, gradient, Hessian if mass_hessian)) of the even u = U half,
+    E nonlocal_energy's total and M lp_mass at params.p, half the first (N + 1) // 2 nodal
+    values (half[0] = 0, u_i = u_(N-1-i)): E(u), M(u), U^T their gradients and U^T H U their
+    Hessians to rounding, from one tableau lookup and one pass (_Tableau.folded).  A Hessian
+    is exact for p >= 2 and below p = 2 (p-1) times that of the majorizing quadratic (_sweep)."""
     p, nn = params.p, len(mesh.nodes)
     if np.shape(half) != ((nn + 1) // 2,) or half[0] != 0.0:
         raise ValueError(f"need the first {(nn + 1) // 2} nodal values, the first one 0")

@@ -182,7 +182,7 @@ class SweepConfig:
             if not math.isinf(deltas[-1]):
                 raise ConfigError(f"{name}: inf studies must end with the INF horizon")
             if len(deltas) < 3:
-                raise ConfigError(f"{name}: need at least one finite horizon plus INF")
+                raise ConfigError(f"{name}: need at least two finite horizons plus INF")
             if not mesh.spans(deltas[0]):
                 raise ConfigError(
                     f"{name}: inf studies need every finite horizon >= |Omega|={mesh.length}")
@@ -302,15 +302,13 @@ class SweepReport:
 
 
 def extrapolate_limit(deltas, values):
-    """Limit and rate from the last three (delta, value) points.
+    """Limit and rate from the last three (delta, value) points; a study has three or more.
 
     Fits value ~ L + c*delta^alpha assuming roughly geometric horizons; the
     limit is the Aitken accelerant of the last three values, the rate comes
     from successive log-differences. Returns (limit, rate); falls back to the
     last value with rate 0 when differences degenerate.
     """
-    if len(values) < 3:
-        return float(values[-1]), 0.0
     v1, v2, v3 = (float(v) for v in values[-3:])
     d1, d2, d3 = (float(d) for d in deltas[-3:])
     d21 = v2 - v1
@@ -427,7 +425,7 @@ def _inf_study(report: SweepReport) -> None:
         lam_inf = lam[(INFINITE, k)]
         for d in finite:
             params = KernelParams(config.s, config.p, d)
-            c = embedding_constant(params, config.length, pairs[0].lam - horizon_shift(params))
+            c = embedding_constant(params, pairs[0].lam - horizon_shift(params))
             lo = lam[(d, k)]
             if not (lo <= lam_inf * (1.0 + 1e-12)
                     and lam_inf <= c ** config.p * lo * (1.0 + 1e-12)):

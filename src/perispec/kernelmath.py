@@ -3,7 +3,7 @@
 Everything here is a pure function of scalar inputs: the sphere moment
 ``gamma_constant``, the horizon scaling factor used in the small-horizon limit,
 the shift ``horizon_shift`` of the large-horizon limit, the explicit norm-equivalence
-constant ``embedding_constant``, and the classical 1-D p-Laplacian first eigenvalue.
+constant ``embedding_constant`` (by that shift), and the 1-D p-Laplacian first eigenvalue.
 """
 
 from __future__ import annotations
@@ -79,24 +79,18 @@ def horizon_shift(params: KernelParams) -> float:
     return 0.0 if params.is_infinite else 4.0 / (params.ps * params.delta ** params.ps)
 
 
-def embedding_constant(params: KernelParams, domain_length: float, lambda1_delta: float) -> float:
-    """Explicit constant C(delta) > 1 with [.]_delta <= [.]_inf <= C(delta)[.]_delta (N=1).
-
-    C(delta) = (1 + (2^p |Omega_delta| / delta^(1+ps)
-                     + sigma_0 / (p s delta^(ps))) / lambda1_delta)^(1/p)
-    with sigma_0 = 2 and |Omega_delta| = domain_length + 2 delta.
-    """
-    if params.is_infinite:
-        raise InfiniteHorizonError("C(delta) is defined for finite horizons only")
+def embedding_constant(params: KernelParams, lambda1_delta: float) -> float:
+    """C(delta) = (1 + 2^(p-1) kappa / lambda1_delta)^(1/p), kappa = horizon_shift(params),
+    with [.]_delta <= [.]_inf <= C(delta)[.]_delta (N=1), lambda1_delta the first eigenvalue
+    at delta.  For u vanishing off Omega, [u]_inf^p - [u]_delta^p integrates |u(x)-u(y)|^p
+    |x-y|^-(1+ps) over |x-y| > delta (kappa int|u|^p exactly at delta >= |Omega|), which
+    |a-b|^p <= 2^(p-1)(|a|^p + |b|^p) bounds by 2^(p-1) kappa int|u|^p, at most
+    2^(p-1) kappa [u]_delta^p / lambda1_delta.  So C holds at every horizon, C(INFINITE) = 1,
+    and by min-max lambda_k(inf) <= C^p lambda_k(delta) for every k at p = 2."""
     if not lambda1_delta > 0.0:
         raise ValueError(f"lambda1_delta must be positive, got {lambda1_delta}")
-    if not domain_length > 0.0:
-        raise ValueError(f"domain_length must be positive, got {domain_length}")
-    p, ps, d = params.p, params.ps, params.delta
-    omega_delta = domain_length + 2.0 * d
-    sigma0 = 2.0
-    bracket = 2.0 ** p * omega_delta / d ** (1.0 + ps) + sigma0 / (ps * d ** ps)
-    return (1.0 + bracket / lambda1_delta) ** (1.0 / p)
+    return (1.0 + 2.0 ** (params.p - 1.0) * horizon_shift(params) / lambda1_delta) ** (
+        1.0 / params.p)
 
 
 def p_pi(p: float) -> float:

@@ -8,6 +8,11 @@ sphere.  The local p-Laplacian eigenvalue is found by shooting on its ODE,
 independently of the closed form the library uses, and the untruncated p = 2,
 s = 1/2 eigenvalue is the Cauchy process's, from the literature.  Agreement between these
 routes and the library is what the oracle tests assert.
+
+The two exceptions are ``energy_derivatives`` and ``lp_mass_derivatives``: not independent
+routes, but the full-vector derivatives of the library's own pass (``energy._energy_sweep``
+and ``energy._sweep`` of ``energy._lp_rules``), against which the tests check finite
+differences, the horizon-shift identity and the folded derivatives the solver reads.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+from perispec import energy
+from perispec.kernelmath import KernelParams
 from perispec.mesh import DiscreteFunction
 
 
@@ -257,3 +264,21 @@ def cauchy_lambda1_unit_interval() -> float:
     2^(2s) from halving (-1, 1)."""
     s = 0.5
     return 2.0 * math.pi * 2.0 ** (2.0 * s) * CAUCHY_LAMBDA1
+
+
+def energy_derivatives(u: DiscreteFunction, params: KernelParams, hessian: bool = False):
+    """(nonlocal_energy total, its nodal gradient, its Hessian or None) at u from one pass.
+    The Hessian (end entries included) is exact for p >= 2, twice the stiffness bit for
+    bit at p = 2, and below p = 2 (p-1) times that of the majorizing quadratic."""
+    p = params.p
+    principal, interaction, grad, G = energy._energy_sweep(u.mesh, params, u.values, True,
+                                                           hessian)[0]
+    return principal + interaction, grad, None if G is None else p * (p - 1.0) * G
+
+
+def lp_mass_derivatives(u: DiscreteFunction, p: float, hessian: bool = False):
+    """(lp_mass, its exact nodal gradient, its Hessian if asked, else None) at u from one
+    pass; the Hessian is twice the mass matrix at p = 2, floored below, as energy's."""
+    sums, (_, grad), (_, G) = energy._sweep(energy._lp_rules(u.mesh, p), u.values, p, True,
+                                            (False, hessian))
+    return sums[2], grad, None if G is None else p * (p - 1.0) * G

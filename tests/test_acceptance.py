@@ -21,12 +21,13 @@ from perispec.kernelmath import (
     p_pi,
 )
 from perispec.mesh import DiscreteFunction, Mesh
-from perispec.energy import energy_derivatives, nonlocal_energy
+from perispec.energy import nonlocal_energy
 from perispec.eigensolver import solve_first_eigenpair, solve_p2_spectrum
 from perispec.harness import run_all
 
 from _oracles import (
     brute_force_energy,
+    energy_derivatives,
     fd_gradient,
     shooting_oracle_lambda1,
     sphere_moment_quadrature,

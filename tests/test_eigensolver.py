@@ -18,7 +18,7 @@ from perispec.kernelmath import (
     p_pi,
 )
 from perispec.mesh import DiscreteFunction, Mesh
-from perispec.energy import energy_derivatives, lp_mass, lp_mass_derivatives, nonlocal_energy
+from perispec.energy import lp_mass, nonlocal_energy
 from perispec import eigensolver
 from perispec import energy as en
 from perispec.harness import SweepConfig, build_problem, run_study
@@ -29,7 +29,12 @@ from perispec.eigensolver import (
     solve_p2_spectrum,
 )
 
-from _oracles import cauchy_lambda1_unit_interval, shooting_oracle_lambda1
+from _oracles import (
+    cauchy_lambda1_unit_interval,
+    energy_derivatives,
+    lp_mass_derivatives,
+    shooting_oracle_lambda1,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -726,3 +731,5 @@ class TestShootingOracle:
                                                                     rel=1e-14)
         assert local_reference_lambda(3.0, 1.0, 1) == pytest.approx(
             local_p_laplacian_lambda1(3.0, 1.0), rel=1e-8)
+        with pytest.raises(ValueError):
+            local_reference_lambda(3.0, 1.0, 2)

@@ -14,15 +14,16 @@ from perispec.mesh import (
     interpolate,
 )
 from perispec import energy as en
-from perispec.energy import (
-    InconsistentHorizonError,
-    energy_derivatives,
-    lp_mass,
-    lp_mass_derivatives,
-    nonlocal_energy,
-)
+from perispec.energy import InconsistentHorizonError, lp_mass, nonlocal_energy
 
-from _oracles import brute_force_energy, exact_lp_norm_p, fd_gradient, tail_energy
+from _oracles import (
+    brute_force_energy,
+    energy_derivatives,
+    exact_lp_norm_p,
+    fd_gradient,
+    lp_mass_derivatives,
+    tail_energy,
+)
 
 
 def random_function(mesh, rng):

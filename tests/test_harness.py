@@ -110,10 +110,25 @@ class TestConfigValidation:
         {"name": ".."},
         {"name": "sub/x"},
         {"name": "a\0b"},                          # open() refuses it after the compute
+        {"study": "bbm", "k_list": [1, 2], "thresholds": [0.5, 0.5]},  # bbm takes no k_list
+        # one finite horizon: the inf study's checks compare two or more
+        {"study": "inf", "delta_list": [1.0, "INF"], "n_interior": 16},
     ])
     def test_rejected(self, patch):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(base_config(**patch))
+
+    @pytest.mark.parametrize("key", ["schema_version", "study", "p", "s", "delta_list"])
+    def test_missing_required_key(self, key):
+        d = base_config()
+        del d[key]
+        with pytest.raises(ConfigError, match=f"missing required keys \\['{key}'\\]"):
+            SweepConfig.from_dict(d)
+
+    def test_inf_study_message_names_its_rule(self):
+        d = base_config(study="inf", delta_list=[1.0, "INF"], n_interior=16)
+        with pytest.raises(ConfigError, match="at least two finite horizons plus INF"):
+            SweepConfig.from_dict(d)
 
     def test_inf_study_requires_increasing_deltas(self):
         d = base_config(study="inf", delta_list=[4.0, 2.0, "INF"])
@@ -215,7 +230,7 @@ class TestStudies:
         # an embedding constant of 1 puts lambda(inf) above the sandwich's upper bound
         # C^p lambda(delta), so the check fails, and the study still finishes and leaves
         # its report behind
-        monkeypatch.setattr(harness, "embedding_constant", lambda params, length, lam1: 1.0)
+        monkeypatch.setattr(harness, "embedding_constant", lambda params, lam1: 1.0)
         cfg_path = tmp_path / "sandwich.json"
         cfg_path.write_text(json.dumps(base_config(
             study="inf", p=3.0, delta_list=[1.0, 2.0, "INF"], n_interior=8, name="sandwich")))
@@ -226,6 +241,15 @@ class TestStudies:
         assert payload["verdicts"] == {"1": False}
         assert payload["passed"] is False
         assert (tmp_path / "out" / "sandwich.csv").exists()
+
+    @pytest.mark.parametrize("p, s, k_list", [(2.0, 0.1, [1, 2]), (3.0, 0.001, [1])])
+    def test_sandwich_holds_where_ps_2_to_the_p_is_below_1(self, p, s, k_list):
+        # lambda(inf) - lambda(delta) = kappa at delta >= |Omega|, and C(delta)^p lambda(delta)
+        # must reach it at every horizon, also where ps 2^p < 1 and delta is large
+        report = run_study(SweepConfig.from_dict(base_config(
+            study="inf", p=p, s=s, delta_list=[1.0, 2.0, 4.0, 8.0, "INF"], n_interior=32,
+            k_list=k_list, thresholds=[0.5] * len(k_list))))
+        assert report.checks["sandwich"] and report.checks["monotonicity"]
 
     def test_inf_study_without_k1(self):
         # the sandwich constant of every k reads the first eigenvalue, which every
@@ -481,6 +505,14 @@ class TestCli:
         pairs = json.loads(capsys.readouterr().out)
         assert len(pairs) == 2
         assert pairs[0]["lambda"] < pairs[1]["lambda"]
+
+    def test_eigen_out_writes_the_printed_bytes(self, tmp_path, capsys):
+        cfg_path, out = tmp_path / "eig.json", tmp_path / "eig.out"
+        cfg_path.write_text(json.dumps({"p": 3, "s": 0.5, "delta": 0.25, "n_interior": 16}))
+        assert cli.main(["eigen", "--config", str(cfg_path)]) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["eigen", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_text(encoding="utf-8") == printed
 
     def test_eigen_at_a_collarless_finite_horizon(self, tmp_path, capsys):
         # delta >= b - a: no collar, and the energy is the INF one less kappa times the

@@ -108,17 +108,19 @@ class TestScalingFactor:
 
 
 class TestEmbeddingConstant:
+    # C^p = 1 + 2^(p-1) kappa / lambda1 with kappa = (4/(ps)) delta^-ps; at p = 2, s = 0.5
+    # kappa = 4/delta and C^2 = 1 + 8/(delta lambda1)
     def test_example_delta4(self):
-        val = embedding_constant(KernelParams(0.5, 2.0, 4.0), 1.0, 10.0)
-        assert val == pytest.approx(math.sqrt(1.275), rel=1e-12)
+        val = embedding_constant(KernelParams(0.5, 2.0, 4.0), 10.0)
+        assert val == pytest.approx(math.sqrt(1.2), rel=1e-12)
 
     def test_example_delta1(self):
-        val = embedding_constant(KernelParams(0.5, 2.0, 1.0), 1.0, 5.0)
-        assert val == pytest.approx(math.sqrt(1.0 + 14.0 / 5.0), rel=1e-12)
+        val = embedding_constant(KernelParams(0.5, 2.0, 1.0), 5.0)
+        assert val == pytest.approx(math.sqrt(2.6), rel=1e-12)
 
     def test_decreasing_and_tends_to_one(self):
         lam_lower = 3.0
-        values = [embedding_constant(KernelParams(0.5, 2.0, 2.0 ** k), 1.0, lam_lower)
+        values = [embedding_constant(KernelParams(0.5, 2.0, 2.0 ** k), lam_lower)
                   for k in range(0, 12)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 1.0 for v in values)
@@ -128,12 +130,11 @@ class TestEmbeddingConstant:
             assert v - 1.0 <= const * (2.0 ** k) ** -0.5 + 1e-12
 
     def test_invalid_arguments(self):
-        with pytest.raises(InfiniteHorizonError):
-            embedding_constant(KernelParams(0.5, 2.0, INFINITE), 1.0, 1.0)
         with pytest.raises(ValueError):
-            embedding_constant(KernelParams(0.5, 2.0, 1.0), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            embedding_constant(KernelParams(0.5, 2.0, 1.0), -1.0, 1.0)
+            embedding_constant(KernelParams(0.5, 2.0, 1.0), 0.0)
+
+    def test_one_at_infinite_horizon(self):
+        assert embedding_constant(KernelParams(0.5, 3.0, INFINITE), 1.0) == 1.0
 
 
 class TestLocalReference:
@@ -148,6 +149,11 @@ class TestLocalReference:
 
     def test_p_pi_reduces_to_pi(self):
         assert p_pi(2.0) == pytest.approx(math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("p, length", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0)])
+    def test_invalid_arguments(self, p, length):
+        with pytest.raises(ValueError):
+            local_p_laplacian_lambda1(p, length)
 
     def test_length_scaling(self):
         v1 = local_p_laplacian_lambda1(3.0, 1.0)
